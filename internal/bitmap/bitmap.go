@@ -44,6 +44,20 @@ func (b *Bitmap) TrySet(i int) bool {
 	}
 }
 
+// SetPlain sets bit i with ordinary loads and stores and reports whether
+// this call changed it. It is TrySet for single-goroutine phases: the
+// caller must guarantee no concurrent access to the bitmap for the call's
+// duration.
+func (b *Bitmap) SetPlain(i int) bool {
+	w, mask := i/wordBits, uint64(1)<<uint(i%wordBits)
+	//lint:ignore atomicmix callers set plainly only while no kernel goroutine is live; the pool's join orders it against every parallel TrySet
+	if b.words[w]&mask != 0 {
+		return false
+	}
+	b.words[w] |= mask
+	return true
+}
+
 // Get reports whether bit i is set. Safe for concurrent use with TrySet.
 func (b *Bitmap) Get(i int) bool {
 	return atomic.LoadUint64(&b.words[i/wordBits])&(uint64(1)<<uint(i%wordBits)) != 0

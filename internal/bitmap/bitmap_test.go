@@ -35,6 +35,25 @@ func TestTrySetBasic(t *testing.T) {
 	}
 }
 
+// TestSetPlainMatchesTrySet: on one goroutine, SetPlain reports and sets
+// exactly what TrySet would, so the sequential advance dedups the same set.
+func TestSetPlainMatchesTrySet(t *testing.T) {
+	plain, atomicB := New(200), New(200)
+	for _, i := range []int{5, 63, 64, 5, 199, 64, 0, 128, 199} {
+		if got, want := plain.SetPlain(i), atomicB.TrySet(i); got != want {
+			t.Fatalf("SetPlain(%d) = %v, TrySet = %v", i, got, want)
+		}
+	}
+	if plain.Count() != 6 {
+		t.Fatalf("Count = %d, want 6", plain.Count())
+	}
+	for i := 0; i < 200; i++ {
+		if plain.Get(i) != atomicB.Get(i) {
+			t.Fatalf("bit %d: SetPlain bitmap %v, TrySet bitmap %v", i, plain.Get(i), atomicB.Get(i))
+		}
+	}
+}
+
 func TestClearAndClearAll(t *testing.T) {
 	b := New(200)
 	idx := []int32{0, 63, 64, 127, 128, 199}

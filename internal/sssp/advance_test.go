@@ -2,6 +2,8 @@ package sssp
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 	"energysssp/internal/metrics"
+	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 )
 
@@ -72,12 +75,29 @@ func refAdvance(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi g
 }
 
 // TestAdvanceStrategiesAgree is the differential property test of the
-// edge-balanced advance: over random graphs (scale-free, uniform-random,
-// road-like) and random weight ranges, the vertex-dynamic and edge-balanced
-// paths must produce the same distance array and the same deduplicated
-// frontier set at every pool size, including 1, and must charge the same
-// edge count.
+// advance paths: over random graphs (scale-free, uniform-random,
+// road-like) and random weight ranges, the sequential, vertex-dynamic and
+// edge-balanced paths must produce the same distance array and the same
+// deduplicated frontier set at every pool size, including 1, and must
+// charge the same edge count. The sequential case raises the auto
+// chooser's frontier bound past the test frontier, so it runs the plain
+// kernel on pools of every size.
 func TestAdvanceStrategiesAgree(t *testing.T) {
+	// seqMax overrides the auto chooser's sequential frontier bound
+	// (-1 keeps the graph's default): 0 sends every auto advance above one
+	// chunk through the scan-based vertex/edge choice, MaxInt pins the
+	// plain sequential kernel.
+	advanceCases := []struct {
+		name   string
+		force  Strategy
+		seqMax int
+	}{
+		{"vertex", StrategyVertex, -1},
+		{"edge", StrategyEdge, -1},
+		{"auto", StrategyAuto, -1},
+		{"auto-parallel", StrategyAuto, 0},
+		{"sequential", StrategyAuto, math.MaxInt},
+	}
 	graphs := []*graph.Graph{
 		gen.RMAT(10, 8, 0.57, 0.19, 0.19, 1, 99, 3),
 		gen.ErdosRenyi(2000, 12000, 1, 50, 5),
@@ -89,34 +109,42 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 		for _, wr := range ranges {
 			want, updated, wantEdges := refAdvance(g, dist0, front, wr[0], wr[1])
 			for _, ps := range []int{1, 2, 3, 4} {
-				for _, strat := range []Strategy{StrategyVertex, StrategyEdge, StrategyAuto} {
+				for _, c := range advanceCases {
 					pool := parallel.NewPool(ps)
 					dist := append([]graph.Dist(nil), dist0...)
 					kn := NewKernels(g, pool, nil, dist)
-					kn.Force = strat
+					kn.Force = c.force
+					if c.seqMax >= 0 {
+						kn.seqMaxFront = c.seqMax
+					}
 					adv := kn.AdvanceRange(front, wr[0], wr[1])
 					if adv.Edges != wantEdges {
-						t.Errorf("graph %d range %v pool %d %v: edges %d, want %d",
-							gi, wr, ps, strat, adv.Edges, wantEdges)
+						t.Errorf("graph %d range %v pool %d %s: edges %d, want %d",
+							gi, wr, ps, c.name, adv.Edges, wantEdges)
 					}
 					for v := range dist {
 						if dist[v] != want[v] {
-							t.Fatalf("graph %d range %v pool %d %v: dist[%d]=%d, want %d",
-								gi, wr, ps, strat, v, dist[v], want[v])
+							t.Fatalf("graph %d range %v pool %d %s: dist[%d]=%d, want %d",
+								gi, wr, ps, c.name, v, dist[v], want[v])
 						}
 					}
 					if len(adv.Out) != len(updated) {
-						t.Fatalf("graph %d range %v pool %d %v: |Out|=%d, want %d",
-							gi, wr, ps, strat, len(adv.Out), len(updated))
+						t.Fatalf("graph %d range %v pool %d %s: |Out|=%d, want %d",
+							gi, wr, ps, c.name, len(adv.Out), len(updated))
 					}
 					for _, v := range adv.Out {
 						if !updated[v] {
-							t.Fatalf("graph %d range %v pool %d %v: unexpected frontier vertex %d",
-								gi, wr, ps, strat, v)
+							t.Fatalf("graph %d range %v pool %d %s: unexpected frontier vertex %d",
+								gi, wr, ps, c.name, v)
 						}
 					}
-					if strat == StrategyEdge && ps > 1 && !adv.EdgeBalanced {
+					if c.force == StrategyEdge && ps > 1 && !adv.EdgeBalanced {
 						t.Errorf("graph %d pool %d: forced edge strategy did not run edge path", gi, ps)
+					}
+					if c.name != "auto" {
+						if wantSeq := ps == 1 || c.name == "sequential"; adv.Sequential != wantSeq {
+							t.Errorf("graph %d pool %d %s: sequential path %v, want %v", gi, ps, c.name, adv.Sequential, wantSeq)
+						}
 					}
 					kn.Release()
 					pool.Close()
@@ -234,6 +262,14 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 // pool, further batches allocate no new filter bitmaps (the marker for a
 // scratch cache miss). GC is disabled for the duration so sync.Pool cannot
 // drop warmed entries mid-test.
+//
+// A warm-up batch alone does not make the pool deterministic: it may never
+// hold as many scratches at once as a later batch does, and a sync.Pool
+// entry parked in one P's private slot cannot be taken by a Get on another
+// P. So the test also holds width+GOMAXPROCS scratches at once and returns
+// them. With at most width in use, every Get then finds at least
+// GOMAXPROCS+1 idle entries, of which at most GOMAXPROCS-1 sit in other
+// Ps' private slots.
 func TestBatchScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops Put entries under -race; reuse is not guaranteed")
@@ -248,6 +284,13 @@ func TestBatchScratchReuse(t *testing.T) {
 	const width = 4
 	if err := FirstError(BatchNearFar(g, sources, 25, width)); err != nil {
 		t.Fatal(err)
+	}
+	held := make([]*scratch, width+runtime.GOMAXPROCS(0))
+	for i := range held {
+		held[i] = getScratch(g.NumVertices(), 1)
+	}
+	for _, s := range held {
+		putScratch(s)
 	}
 	before := scratchBitmapAllocs.Load()
 	for round := 0; round < 3; round++ {
@@ -308,6 +351,54 @@ func TestEdgeAdvanceStress(t *testing.T) {
 	for i := 0; i < goroutines; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestMixedPathStress runs full auto-scheduled solves of a small scale-free
+// graph on one 4-worker pool, where iterations switch between the plain
+// sequential kernel and the parallel atomic ones. Under the race detector
+// (scripts/check.sh runs it with -race) this checks that the plain
+// distance and bitmap accesses are ordered against the workers' atomics by
+// the pool's join. Each solve must take both kinds of path and match the
+// Dijkstra oracle. Skipped under -short.
+func TestMixedPathStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test; skipped under -short")
+	}
+	g := gen.WikiLike(0.01, 42)
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	o := obs.New(0)
+	counter := func(name string) int64 {
+		v, _ := o.Reg.Value(name)
+		return int64(v)
+	}
+	for r, src := range []graph.VID{0, 1, 7, 42} {
+		oracle, err := Dijkstra(g, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv0, seq0 := counter("sssp_advances_total"), counter("sssp_sequential_advances_total")
+		opt := &Options{Pool: pool, Obs: o}
+		var res Result
+		if r%2 == 0 {
+			res, err = NearFar(g, src, 1000, opt)
+		} else {
+			res, err = DeltaStepping(g, src, 1000, opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, d := range oracle.Dist {
+			if res.Dist[v] != d {
+				t.Fatalf("round %d src %d: dist[%d]=%d, want %d", r, src, v, res.Dist[v], d)
+			}
+		}
+		adv := counter("sssp_advances_total") - adv0
+		seq := counter("sssp_sequential_advances_total") - seq0
+		if seq == 0 || seq == adv {
+			t.Errorf("round %d src %d: %d of %d advances sequential, want a mix of paths", r, src, seq, adv)
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyAuto picks per iteration between the vertex-dynamic and
-	// edge-balanced paths from the frontier's edge count and degree skew.
+	// StrategyAuto picks per iteration between the sequential, the
+	// vertex-dynamic and the edge-balanced paths from the frontier's
+	// estimated edge count and degree skew.
 	StrategyAuto Strategy = iota
 	// StrategyVertex always partitions the frontier by vertex count with
 	// dynamic chunk scheduling (the classic path; best on small or
@@ -40,15 +41,26 @@ func (s Strategy) String() string {
 }
 
 // Advance scheduling parameters. The decision is deterministic in the
-// frontier and pool size — never in timing — so repeated runs take the same
-// path and simulated accounting stays reproducible.
+// frontier, the graph and the pool size — never in timing — so repeated
+// runs take the same path and simulated accounting stays reproducible.
 const (
 	// advanceGrain is the vertex count per dynamically scheduled chunk on
-	// the vertex path.
+	// the vertex path. A frontier of at most one chunk always runs on the
+	// sequential path.
 	advanceGrain = 64
-	// adaptMinFront is the frontier size below which StrategyAuto takes
-	// the vertex path without scanning degrees at all.
-	adaptMinFront = 128
+	// seqCutoffEdges is the largest estimated frontier edge count
+	// (len(front) × the graph's mean out-degree) that StrategyAuto
+	// advances inline on the plain sequential kernel instead of launching
+	// the pool. Chosen by a sweep of 0, 2Ki, 4Ki, 8Ki, 16Ki, 32Ki, 64Ki
+	// and 1Mi over the road-nearfar, road-selftuning and wiki-selftuning
+	// benchmark workloads (bench/, 2 workers on a 2-CPU Xeon VM, go1.24,
+	// two seeds, 8 s each): road-nearfar's median solve fell from ~53 ms
+	// to ~36 ms from 2Ki on; road-selftuning (P=2500, frontiers of ~7k
+	// estimated edges) fell from ~220–260 ms to ~147–151 ms from 8Ki on;
+	// wiki-selftuning stayed at 72–88 ms throughout. 16Ki is the plateau
+	// with a 2x margin over the P=2500 road frontiers; larger values
+	// gained nothing.
+	seqCutoffEdges = 16384
 	// edgeShareMin is the minimum number of edges per worker for the edge
 	// partition to be worth its prefix-sum setup.
 	edgeShareMin = 1024
@@ -62,10 +74,25 @@ const (
 	largeFrontierEdges = 1 << 20
 )
 
-// Kernels bundles the parallel relaxation machinery shared by the near-far
-// baseline and the self-tuning algorithm: the advance stage (edge-parallel
-// relaxation with atomic-min) fused with the filter stage (bitmap
-// deduplication), mirroring how Gunrock structures the same work on a GPU.
+// advancePath is the host-side schedule one advance runs on.
+type advancePath uint8
+
+const (
+	// pathSequential runs in the calling goroutine on the plain kernel:
+	// ordinary distance loads and stores, no pool launch, no degree scan.
+	pathSequential advancePath = iota
+	// pathVertex launches the pool on dynamically claimed vertex chunks.
+	pathVertex
+	// pathEdge launches the pool on equal edge shares over a degree
+	// prefix sum.
+	pathEdge
+)
+
+// Kernels bundles the relaxation machinery shared by the near-far baseline
+// and the self-tuning algorithm: the advance stage (edge-parallel
+// relaxation with atomic-min, or a plain sequential relax on small
+// frontiers) fused with the filter stage (bitmap deduplication), mirroring
+// how Gunrock structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
 // pooled scratch.
@@ -75,12 +102,16 @@ type Kernels struct {
 	Mach *sim.Machine // nil disables simulation accounting
 	Dist []graph.Dist
 	// Force pins the advance strategy; StrategyAuto (the zero value)
-	// adapts per iteration. Host-side scheduling only: simulated kernel
-	// charges are identical across strategies.
+	// adapts per iteration. Host-side scheduling only: every strategy
+	// charges the advance by the same edge count (see AdvanceRange for
+	// the X²-charged filter).
 	Force Strategy
 
 	sc   *scratch
 	scan *parallel.Scan
+	// seqMaxFront is the largest frontier StrategyAuto advances on the
+	// sequential path: seqCutoffEdges over the graph's mean out-degree.
+	seqMaxFront int
 
 	// Observability handles, all nil when no observer is attached. Every
 	// one is nil-safe, so the instrumented sites below run unconditionally
@@ -92,6 +123,7 @@ type Kernels struct {
 	obsEdges    *obs.Counter
 	obsUpdates  *obs.Counter
 	obsEdgeBal  *obs.Counter
+	obsSeq      *obs.Counter
 	obsX2       *obs.Histogram
 
 	// Per-call state published to the prebuilt worker closures. The
@@ -119,6 +151,10 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		Dist: dist,
 		sc:   getScratch(g.NumVertices(), pool.Size()),
 		scan: parallel.NewScan(pool),
+	}
+	kn.seqMaxFront = g.NumVertices()
+	if m := g.NumEdges(); m > 0 {
+		kn.seqMaxFront = int(seqCutoffEdges * int64(g.NumVertices()) / m)
 	}
 	kn.degreeOf = func(i int) int64 { return kn.G.OutDegree(kn.front[i]) }
 	kn.vertexWorker = func(w int) {
@@ -240,6 +276,8 @@ func (kn *Kernels) Observe(s *obs.Scope) {
 		"successful distance updates (sum of per-iteration X2)")
 	kn.obsEdgeBal = reg.Counter("sssp_edge_balanced_advances_total",
 		"advances scheduled on the edge-balanced path")
+	kn.obsSeq = reg.Counter("sssp_sequential_advances_total",
+		"advances run inline on the sequential path")
 	kn.obsX2 = reg.Histogram("sssp_x2_updates",
 		"distance updates per advance (the controller's X2 signal)", x2Buckets)
 	reg.Counter("sssp_solves_total", "kernel engines constructed (one per solve)").Inc()
@@ -284,15 +322,18 @@ type AdvanceResult struct {
 	// Dur is the simulated duration charged (zero without a machine).
 	Dur time.Duration
 	// EdgeBalanced reports whether the edge-balanced path ran this
-	// advance (false: vertex-dynamic).
+	// advance (false: vertex-dynamic or sequential).
 	EdgeBalanced bool
+	// Sequential reports whether the advance ran inline on the plain
+	// sequential kernel, without a pool launch.
+	Sequential bool
 }
 
 // Advance executes the advance and filter stages over the given frontier:
-// every outgoing edge of every frontier vertex is relaxed with an atomic
-// min, winners are deduplicated through the bitmap, and the simulated
-// machine (if any) is charged an edge-parallel advance kernel plus a
-// vertex-parallel filter kernel.
+// every outgoing edge of every frontier vertex is relaxed with a min
+// (atomic on the parallel paths), winners are deduplicated through the
+// bitmap, and the simulated machine (if any) is charged an edge-parallel
+// advance kernel plus a vertex-parallel filter kernel.
 func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	return kn.AdvanceRange(front, 1, 1<<31-1)
 }
@@ -301,11 +342,13 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 // [wlo, whi]. Classic delta-stepping uses it for its light-edge
 // (weight <= delta) and heavy-edge (weight > delta) phases.
 //
-// The frontier is scheduled by one of two host-side paths — vertex-dynamic
-// chunks or an edge-balanced static partition over a degree prefix sum —
-// chosen per Force (adaptively under StrategyAuto). Both paths examine the
-// same edge set, perform the same atomic-min relaxations, and charge the
-// simulated machine identically, so strategy affects wall-clock only.
+// The frontier is scheduled by one of three host-side paths — inline on
+// the plain sequential kernel, vertex-dynamic chunks, or an edge-balanced
+// static partition over a degree prefix sum — chosen per Force (adaptively
+// under StrategyAuto). All paths examine the same edge set and charge the
+// advance by it. The parallel paths relax with atomic-min, so their X²
+// (and the filter charge) depends on how the races resolve; the sequential
+// path's X² is a pure function of the frontier and the distances.
 func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) AdvanceResult {
 	nw := kn.Pool.Size()
 	sc := kn.sc
@@ -314,21 +357,21 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 		sc.counts[w] = counters{}
 	}
 	kn.front, kn.wlo, kn.whi = front, wlo, whi
-	useEdge := kn.planAdvance(len(front))
+	path := kn.planAdvance(len(front))
 	kn.next.Store(0)
 	obs.ApplyPhaseLabel(obs.PhaseAdvance)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
-	switch {
-	case useEdge:
-		kn.Pool.Run(kn.edgeWorker)
-	case nw == 1 || len(front) <= advanceGrain:
-		kn.vertexWorker(0) // drains every chunk in the calling goroutine
-	default:
+	switch path {
+	case pathSequential:
+		kn.advanceSequential()
+	case pathVertex:
 		kn.Pool.Run(kn.vertexWorker)
+	case pathEdge:
+		kn.Pool.Run(kn.edgeWorker)
 	}
 	kn.front = nil
 
-	res := AdvanceResult{EdgeBalanced: useEdge}
+	res := AdvanceResult{EdgeBalanced: path == pathEdge, Sequential: path == pathSequential}
 	for w := 0; w < nw; w++ {
 		res.X2 += int(sc.counts[w].x2)
 		res.Edges += sc.counts[w].edges
@@ -371,33 +414,81 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	kn.obsAdvances.Inc()
 	kn.obsEdges.Add(res.Edges)
 	kn.obsUpdates.Add(int64(res.X2))
-	if useEdge {
+	switch path {
+	case pathEdge:
 		kn.obsEdgeBal.Inc()
+	case pathSequential:
+		kn.obsSeq.Inc()
 	}
 	kn.obsX2.Observe(float64(res.X2))
 	return res
+}
+
+// advanceSequential relaxes the whole frontier in the calling goroutine.
+// Distance loads, compares and stores are plain memory operations and the
+// dedup bitmap is set without atomics: no worker goroutine runs during the
+// call, and the pool's channel handoff orders it against the parallel
+// advances before and after it (each Pool.Run returns only after every
+// worker has finished).
+func (kn *Kernels) advanceSequential() {
+	front := kn.front
+	g := kn.G
+	dist := kn.Dist
+	wlo, whi := kn.wlo, kn.whi
+	seen := kn.sc.seen
+	buf := kn.sc.bufs[0]
+	var x2, edges int64
+	for _, u := range front {
+		du := dist[u]
+		vs, ws := g.Neighbors(u)
+		edges += int64(len(vs))
+		for j, v := range vs {
+			if ws[j] < wlo || ws[j] > whi {
+				continue
+			}
+			if nd := du + graph.Dist(ws[j]); nd < dist[v] {
+				dist[v] = nd
+				x2++
+				if seen.SetPlain(int(v)) {
+					buf = append(buf, v)
+				}
+			}
+		}
+	}
+	kn.sc.bufs[0] = buf
+	kn.sc.counts[0].x2 += x2
+	kn.sc.counts[0].edges += edges
 }
 
 // planAdvance decides the scheduling path for a frontier of n vertices and,
 // when the edge path is in play, builds the degree prefix sum (reused by
 // the edge workers). The decision depends only on the frontier, the graph,
 // and the pool size, so it is deterministic across runs.
-func (kn *Kernels) planAdvance(n int) bool {
+//
+// A single-worker pool always runs sequentially. Forced StrategyEdge
+// otherwise keeps the edge path at every frontier size, and forced
+// StrategyVertex the vertex path above one chunk. StrategyAuto runs
+// sequentially up to seqMaxFront vertices, a bound that needs no pass over
+// the frontier.
+func (kn *Kernels) planAdvance(n int) advancePath {
 	if kn.Pool.Size() == 1 || n == 0 {
-		return false
+		return pathSequential
 	}
-	switch kn.Force {
-	case StrategyVertex:
-		return false
-	case StrategyEdge:
+	if kn.Force == StrategyEdge {
 		obs.ApplyPhaseLabel(obs.PhaseScan)
 		sp := kn.tr.Begin(obs.PhaseScan)
 		kn.edgeTotal, _ = kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
 		sp.End(int64(n))
-		return kn.edgeTotal > 0
+		if kn.edgeTotal == 0 {
+			return pathSequential
+		}
+		return pathEdge
 	}
-	if n < adaptMinFront {
-		return false
+	if n <= advanceGrain || (kn.Force == StrategyAuto && n <= kn.seqMaxFront) {
+		return pathSequential
+	}
+	if kn.Force == StrategyVertex {
+		return pathVertex
 	}
 	obs.ApplyPhaseLabel(obs.PhaseScan)
 	sp := kn.tr.Begin(obs.PhaseScan)
@@ -405,13 +496,16 @@ func (kn *Kernels) planAdvance(n int) bool {
 	sp.End(int64(n))
 	kn.edgeTotal = total
 	if total < int64(kn.Pool.Size())*edgeShareMin {
-		return false
+		return pathVertex
 	}
 	mean := total / int64(n)
 	if mean < 1 {
 		mean = 1
 	}
-	return maxDeg >= skewFactor*mean || total >= largeFrontierEdges
+	if maxDeg >= skewFactor*mean || total >= largeFrontierEdges {
+		return pathEdge
+	}
+	return pathVertex
 }
 
 // ChargeBisect charges the bisect-frontier kernel over items work items,
