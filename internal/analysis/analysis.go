@@ -140,8 +140,15 @@ func Run(dir string, checkers []Checker) ([]Finding, error) {
 	for _, p := range mod.Pkgs {
 		out = append(out, staleIgnoreFindings(p, checkers)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sortFindings(out)
+	return out, nil
+}
+
+// sortFindings orders findings by file, line, column and rule. The sort is
+// stable, so findings that tie on all four keep their emission order.
+func sortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -153,7 +160,6 @@ func Run(dir string, checkers []Checker) ([]Finding, error) {
 		}
 		return a.Rule < b.Rule
 	})
-	return out, nil
 }
 
 // StaleIgnoreRule is the pseudo-rule ID under which Run reports lint:ignore
@@ -205,5 +211,8 @@ func staleIgnoreFindings(p *Pass, checkers []Checker) []Finding {
 			}
 		}
 	}
+	// p.ignores is a map, so the loop above visits directives in random
+	// order; sort so direct callers see the same order on every run.
+	sortFindings(out)
 	return out
 }

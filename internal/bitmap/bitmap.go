@@ -58,6 +58,19 @@ func (b *Bitmap) SetPlain(i int) bool {
 	return true
 }
 
+// SetPlainBit is SetPlain with its result as a number: it sets bit i and
+// returns 1 when this call changed it, 0 when it was already set, without
+// a branch, so predicated loops can add the result to a count. Like
+// SetPlain, it requires that no other goroutine access the bitmap for the
+// call's duration.
+func (b *Bitmap) SetPlainBit(i int) uint64 {
+	w, sh := i/wordBits, uint(i%wordBits)
+	//lint:ignore atomicmix callers set plainly only while no kernel goroutine is live; the pool's join orders it against every parallel TrySet
+	old := b.words[w]
+	b.words[w] = old | 1<<sh
+	return (^old >> sh) & 1
+}
+
 // Get reports whether bit i is set. Safe for concurrent use with TrySet.
 func (b *Bitmap) Get(i int) bool {
 	return atomic.LoadUint64(&b.words[i/wordBits])&(uint64(1)<<uint(i%wordBits)) != 0

@@ -54,6 +54,27 @@ func TestSetPlainMatchesTrySet(t *testing.T) {
 	}
 }
 
+// TestSetPlainBitMatchesSetPlain: SetPlainBit sets and reports exactly
+// what SetPlain would, as 1 for true and 0 for false.
+func TestSetPlainBitMatchesSetPlain(t *testing.T) {
+	num, plain := New(200), New(200)
+	for _, i := range []int{5, 63, 64, 5, 199, 64, 0, 128, 199, 1, 127, 1} {
+		got := num.SetPlainBit(i)
+		var want uint64
+		if plain.SetPlain(i) {
+			want = 1
+		}
+		if got != want {
+			t.Fatalf("SetPlainBit(%d) = %d, want %d", i, got, want)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if num.Get(i) != plain.Get(i) {
+			t.Fatalf("bit %d: SetPlainBit bitmap %v, SetPlain bitmap %v", i, num.Get(i), plain.Get(i))
+		}
+	}
+}
+
 func TestClearAndClearAll(t *testing.T) {
 	b := New(200)
 	idx := []int32{0, 63, 64, 127, 128, 199}

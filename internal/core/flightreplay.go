@@ -188,7 +188,7 @@ func replayNearFarRho(l *flight.Log) (*flight.ReplayReport, error) {
 				rep.Add(flight.ReplayMismatch{K: rec.K, Field: "deltaOut(advance)", Want: rec.DeltaIn + 1, Got: rec.DeltaOut})
 			}
 			if out := int64(rec.DeltaOut); bitsDiffer(float64(out), rec.DeltaOut) || out%width != 0 {
-				rep.Add(flight.ReplayMismatch{K: rec.K, Field: "deltaOut(align)", Want: float64((int64(rec.DeltaOut)/width)*width), Got: rec.DeltaOut})
+				rep.Add(flight.ReplayMismatch{K: rec.K, Field: "deltaOut(align)", Want: float64((int64(rec.DeltaOut) / width) * width), Got: rec.DeltaOut})
 			}
 		} else {
 			check(rec.K, "deltaOut", rec.DeltaOut, rec.DeltaIn)

@@ -157,14 +157,9 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		// bisect-frontier: split the filter output around the threshold.
 		obs.ApplyPhaseLabel(obs.PhaseRebalance)
 		spB := tr.Begin(obs.PhaseRebalance)
-		thrD := distOf(thr)
-		near := front[:0]
-		for _, v := range adv.Out {
-			if dist[v] <= thrD {
-				near = append(near, v)
-			} else {
-				far.Push(v, dist[v])
-			}
+		near, farC := kn.Bisect(adv.Out, distOf(thr), front)
+		for _, v := range farC {
+			far.Push(v, dist[v])
 		}
 		simB := kn.SimNow()
 		durB := kn.ChargeBisect(len(adv.Out))
@@ -213,16 +208,11 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		if newThr > thr {
 			front = far.PopBelow(distOf(newThr), dist, front)
 		} else if newThr < thr {
-			newD := distOf(newThr)
-			kept := front[:0]
-			for _, v := range front {
-				if dist[v] <= newD {
-					kept = append(kept, v)
-				} else {
-					far.Push(v, dist[v])
-				}
+			var farC []graph.VID
+			front, farC = kn.Bisect(front, distOf(newThr), front)
+			for _, v := range farC {
+				far.Push(v, dist[v])
 			}
-			front = kept
 		}
 		appliedDelta := newThr - thr
 		thr = newThr

@@ -13,6 +13,7 @@ package frontier
 
 import (
 	"fmt"
+	"slices"
 
 	"energysssp/internal/graph"
 )
@@ -203,32 +204,49 @@ func (q *Partitioned) CompactFront() {
 // PopBelow extracts every fresh vertex with current distance <= thr,
 // appending to out. Only partitions whose lower bound is below thr are
 // scanned — the pay-off of partitioning over the baseline's full scan.
-// Fresh entries above thr are retained in place; stale entries are dropped.
+// Fresh entries above thr are retained in place, in order; stale entries
+// are dropped.
+//
+// The keep/pop/drop decision is predicated rather than branched: each
+// entry is written to both out and the retained prefix, and each count
+// advances by its own predicate. That needs len(entries) spare slots in
+// out per scanned partition, grown amortised.
 func (q *Partitioned) PopBelow(thr graph.Dist, dist []graph.Dist, out []graph.VID) []graph.VID {
 	for i := 0; i < len(q.parts); i++ {
 		if q.lower(i) >= thr {
 			break
 		}
 		part := &q.parts[i]
-		q.scanned += len(part.entries)
-		keep := part.entries[:0]
-		for _, e := range part.entries {
+		es := part.entries
+		q.scanned += len(es)
+		n := len(out)
+		out = slices.Grow(out, len(es))
+		ob := out[:cap(out)]
+		nk := 0
+		for _, e := range es {
 			cur := dist[e.V]
-			if cur != e.D {
-				q.size--
-				continue
-			}
-			if cur <= thr {
-				out = append(out, e.V)
-				q.size--
-			} else {
-				keep = append(keep, e)
-			}
+			fresh := b2i(cur == e.D)
+			below := b2i(cur <= thr)
+			ob[n] = e.V
+			es[nk] = e
+			n += fresh & below
+			nk += fresh &^ below
 		}
-		part.entries = keep
+		q.size -= len(es) - nk
+		part.entries = es[:nk]
+		out = ob[:n]
 	}
 	q.CompactFront()
 	return out
+}
+
+// b2i converts a predicate to 0 or 1. The compiler lowers it to a flag
+// set (SETcc), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // MinDist returns the smallest current distance among fresh entries

@@ -1,0 +1,139 @@
+package frontier
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"energysssp/internal/graph"
+)
+
+// popBelowBranchy is PopBelow as it was written before its keep/pop/drop
+// decision was predicated: one data-dependent branch per entry. It is the
+// oracle of TestPopBelowMatchesBranchyOracle.
+func popBelowBranchy(q *Partitioned, thr graph.Dist, dist []graph.Dist, out []graph.VID) []graph.VID {
+	for i := 0; i < len(q.parts); i++ {
+		if q.lower(i) >= thr {
+			break
+		}
+		part := &q.parts[i]
+		q.scanned += len(part.entries)
+		keep := part.entries[:0]
+		for _, e := range part.entries {
+			cur := dist[e.V]
+			if cur != e.D {
+				q.size--
+				continue
+			}
+			if cur <= thr {
+				out = append(out, e.V)
+				q.size--
+			} else {
+				keep = append(keep, e)
+			}
+		}
+		part.entries = keep
+	}
+	q.CompactFront()
+	return out
+}
+
+// clonePartitioned deep-copies q, so the oracle and the code under test
+// start from the same queue without sharing entry arrays.
+func clonePartitioned(q *Partitioned) *Partitioned {
+	c := &Partitioned{size: q.size, scanned: q.scanned, parts: make([]partition, len(q.parts))}
+	for i, p := range q.parts {
+		c.parts[i] = partition{upper: p.upper, entries: slices.Clone(p.entries)}
+	}
+	return c
+}
+
+// samePartitioned reports whether a and b hold the same bounds and the same
+// retained entries, in order, partition by partition.
+func samePartitioned(a, b *Partitioned) bool {
+	if a.size != b.size || len(a.parts) != len(b.parts) {
+		return false
+	}
+	for i := range a.parts {
+		if a.parts[i].upper != b.parts[i].upper || !slices.Equal(a.parts[i].entries, b.parts[i].entries) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPopBelowMatchesBranchyOracle drives the predicated PopBelow and the
+// branching oracle through the same random histories: pushes (duplicates of
+// one vertex included), stale entries made by lowering distances, monotone
+// boundary updates, and pops at random thresholds, at the boundaries and at
+// graph.Inf. After every pop the two must agree on the popped order, the
+// retained entries in order, Len and ScannedAndReset.
+func TestPopBelowMatchesBranchyOracle(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
+		n := 1 + rng.IntN(120)
+		dist := make([]graph.Dist, n)
+		for v := range dist {
+			dist[v] = graph.Inf
+		}
+		got := NewPartitioned(graph.Dist(1 + rng.Int64N(60)))
+		var gotOut, wantOut []graph.VID
+		if rng.IntN(2) == 0 {
+			// A caller buffer with spare room and a live prefix.
+			gotOut = make([]graph.VID, 3, 3+rng.IntN(8))
+			gotOut[0], gotOut[1], gotOut[2] = 7, 8, 9
+		}
+		for step := 0; step < 40; step++ {
+			switch op := rng.IntN(5); {
+			case op <= 1:
+				for k := rng.IntN(30); k > 0; k-- {
+					v := graph.VID(rng.IntN(n))
+					d := graph.Dist(1 + rng.Int64N(400))
+					if d < dist[v] || rng.IntN(4) == 0 {
+						dist[v] = d // a lowered distance leaves older entries stale
+					}
+					got.Push(v, dist[v])
+				}
+			case op == 2:
+				pi := rng.IntN(got.NumPartitions())
+				lo, up := got.lower(pi), got.Bound(pi)
+				if up == graph.Inf {
+					up = lo + 500
+				}
+				if up-lo > 1 {
+					if err := got.SetBound(pi, lo+1+rng.Int64N(int64(up-lo-1))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				var thr graph.Dist
+				switch rng.IntN(4) {
+				case 0:
+					thr = graph.Inf
+				case 1:
+					thr = got.Bound(rng.IntN(got.NumPartitions()))
+				default:
+					thr = graph.Dist(rng.Int64N(450))
+				}
+				want := clonePartitioned(got)
+				wantOut = popBelowBranchy(want, thr, dist, slices.Clone(gotOut))
+				gotOut = got.PopBelow(thr, dist, gotOut)
+				if !slices.Equal(gotOut, wantOut) {
+					t.Fatalf("seed %d step %d thr %d: popped %v, oracle %v", seed, step, thr, gotOut, wantOut)
+				}
+				if !samePartitioned(got, want) {
+					t.Fatalf("seed %d step %d thr %d: retained entries differ from the oracle", seed, step, thr)
+				}
+				if got.Len() != want.Len() {
+					t.Fatalf("seed %d step %d: Len %d, oracle %d", seed, step, got.Len(), want.Len())
+				}
+				if gs, ws := got.ScannedAndReset(), want.ScannedAndReset(); gs != ws {
+					t.Fatalf("seed %d step %d: scanned %d, oracle %d", seed, step, gs, ws)
+				}
+				if rng.IntN(2) == 0 {
+					gotOut = gotOut[:0]
+				}
+			}
+		}
+	}
+}

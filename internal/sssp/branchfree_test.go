@@ -1,0 +1,178 @@
+package sssp
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"energysssp/internal/bitmap"
+	"energysssp/internal/graph"
+	"energysssp/internal/parallel"
+)
+
+// relaxBranchy is the sequential relax kernel as it was written before its
+// loop was predicated: one data-dependent branch for the weight window, one
+// for the relax test and one for the dedup bit. It is the oracle of
+// TestSequentialRelaxMatchesBranchyOracle. seen must be all clear; the bits
+// of the returned out are left set.
+func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi graph.Weight, seen *bitmap.Bitmap) (out []graph.VID, x2, edges int64) {
+	for _, u := range front {
+		du := dist[u]
+		vs, ws := g.Neighbors(u)
+		edges += int64(len(vs))
+		for j, v := range vs {
+			if ws[j] < wlo || ws[j] > whi {
+				continue
+			}
+			if nd := du + graph.Dist(ws[j]); nd < dist[v] {
+				dist[v] = nd
+				x2++
+				if seen.SetPlain(int(v)) {
+					out = append(out, v)
+				}
+			}
+		}
+	}
+	return out, x2, edges
+}
+
+// bisectBranchy is the bisect-frontier loop as the solvers wrote it before
+// Kernels.Bisect: near vertices are appended in order and every other
+// vertex is pushed as it is met. It returns the near list and the push
+// sequence.
+func bisectBranchy(src []graph.VID, thr graph.Dist, dist []graph.Dist) (near, pushed []graph.VID) {
+	for _, v := range src {
+		if dist[v] <= thr {
+			near = append(near, v)
+		} else {
+			pushed = append(pushed, v)
+		}
+	}
+	return near, pushed
+}
+
+// randomMultigraph draws a small graph with zero-degree vertices,
+// self-loops and parallel edges, and weights from a narrow range so that
+// ties and weights exactly at a window bound are common.
+func randomMultigraph(rng *rand.Rand) *graph.Graph {
+	n := 1 + rng.IntN(60)
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		if rng.IntN(5) == 0 {
+			continue // zero out-degree
+		}
+		for k := rng.IntN(7); k > 0; k-- {
+			v := rng.IntN(n)
+			switch rng.IntN(6) {
+			case 0:
+				v = u // self-loop
+			case 1:
+				if len(edges) > 0 && int(edges[len(edges)-1].U) == u {
+					v = int(edges[len(edges)-1].V) // parallel edge
+				}
+			}
+			edges = append(edges, graph.Edge{U: graph.VID(u), V: graph.VID(v), W: graph.Weight(1 + rng.IntN(12))})
+		}
+	}
+	return graph.MustNew(n, edges)
+}
+
+// TestSequentialRelaxMatchesBranchyOracle runs the predicated sequential
+// kernel and the branching oracle side by side over random multigraphs for
+// several rounds each, under the full window of Advance, the light and
+// heavy windows of delta-stepping, and a one-weight window whose bounds
+// coincide. After every round the two must agree on dist, X², Edges and the
+// Out order.
+func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewPCG(seed, seed^0xb1a5))
+		g := randomMultigraph(rng)
+		n := g.NumVertices()
+		delta := graph.Weight(1 + rng.IntN(12))
+		windows := [][2]graph.Weight{
+			{1, 1<<31 - 1},         // Advance
+			{1, delta},             // delta-stepping light edges
+			{delta + 1, 1<<31 - 1}, // heavy edges
+			{delta, delta},         // wlo == whi
+		}
+		win := windows[rng.IntN(len(windows))]
+		dist := make([]graph.Dist, n)
+		for v := range dist {
+			dist[v] = graph.Inf
+			if rng.IntN(3) == 0 {
+				dist[v] = graph.Dist(rng.IntN(40))
+			}
+		}
+		src := graph.VID(rng.IntN(n))
+		dist[src] = 0
+		want := slices.Clone(dist)
+		seen := bitmap.New(n)
+		kn := NewKernels(g, pool, nil, dist)
+		front := []graph.VID{src}
+		for v := 0; v < n; v++ {
+			if dist[v] < graph.Inf && rng.IntN(2) == 0 {
+				front = append(front, graph.VID(v)) // src may repeat
+			}
+		}
+		for round := 0; round < 6 && len(front) > 0; round++ {
+			wantOut, wantX2, wantEdges := relaxBranchy(g, want, front, win[0], win[1], seen)
+			for _, v := range wantOut {
+				seen.Clear(int(v))
+			}
+			adv := kn.AdvanceRange(front, win[0], win[1])
+			if !adv.Sequential {
+				t.Fatalf("seed %d: advance on a one-worker pool left the sequential path", seed)
+			}
+			if !slices.Equal(dist, want) {
+				t.Fatalf("seed %d round %d window %v: dist %v, oracle %v", seed, round, win, dist, want)
+			}
+			if int64(adv.X2) != wantX2 || adv.Edges != wantEdges {
+				t.Fatalf("seed %d round %d window %v: X2 %d Edges %d, oracle X2 %d Edges %d",
+					seed, round, win, adv.X2, adv.Edges, wantX2, wantEdges)
+			}
+			if !slices.Equal(adv.Out, wantOut) {
+				t.Fatalf("seed %d round %d window %v: Out %v, oracle %v", seed, round, win, adv.Out, wantOut)
+			}
+			front = slices.Clone(adv.Out)
+		}
+		kn.Release()
+	}
+}
+
+// TestBisectMatchesBranchyOracle checks Kernels.Bisect against the
+// branching loop on random frontiers and thresholds: the same near order
+// and the same far-push sequence, whether near is a separate buffer too
+// small for the result or shares the input's backing array (the solvers'
+// in-place shrink of the frontier).
+func TestBisectMatchesBranchyOracle(t *testing.T) {
+	g := line(64)
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	dist := make([]graph.Dist, g.NumVertices())
+	kn := NewKernels(g, pool, nil, dist)
+	defer kn.Release()
+	rng := rand.New(rand.NewPCG(3, 5))
+	for trial := 0; trial < 500; trial++ {
+		for v := range dist {
+			dist[v] = graph.Dist(rng.IntN(20))
+		}
+		src := make([]graph.VID, rng.IntN(100))
+		for i := range src {
+			src[i] = graph.VID(rng.IntN(len(dist)))
+		}
+		thr := graph.Dist(rng.IntN(22) - 1)
+		wantNear, wantFar := bisectBranchy(src, thr, dist)
+
+		near, far := kn.Bisect(src, thr, make([]graph.VID, 0, rng.IntN(4)))
+		if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
+			t.Fatalf("trial %d thr %d: near %v far %v, oracle near %v far %v", trial, thr, near, far, wantNear, wantFar)
+		}
+		inPlace := slices.Clone(src)
+		near, far = kn.Bisect(inPlace, thr, inPlace)
+		if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
+			t.Fatalf("trial %d thr %d in place: near %v far %v, oracle near %v far %v", trial, thr, near, far, wantNear, wantFar)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -430,34 +431,72 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 // call, and the pool's channel handoff orders it against the parallel
 // advances before and after it (each Pool.Run returns only after every
 // worker has finished).
+//
+// The relax loop is predicated rather than branched: about 43% of road
+// relaxations succeed, a rate at which a data-dependent branch mispredicts
+// constantly. Each edge computes b = (nd < dist[v]) & (wlo <= w <= whi),
+// stores nd through a pointer selected by b (dist[v], or a local sink, so a
+// failed relaxation dirties no distance line), writes v to the buffer
+// unconditionally and advances the count by b. The buffer then holds every
+// update in order, and a second branch-free pass keeps the first
+// occurrence of each vertex. Deduplicating after the loop keeps the
+// bitmap's read-modify-write out of the relax loop, where it would chain
+// each edge to the previous edge's distance miss. The visit order is that
+// of the branching kernel, so X², Edges and the Out order are too.
+// Writing unconditionally needs degree(u) spare slots before each frontier
+// vertex; the buffer grows amortised and lives in the pooled scratch.
 func (kn *Kernels) advanceSequential() {
 	front := kn.front
 	g := kn.G
 	dist := kn.Dist
 	wlo, whi := kn.wlo, kn.whi
-	seen := kn.sc.seen
 	buf := kn.sc.bufs[0]
-	var x2, edges int64
+	n0 := len(buf)
+	n := n0
+	var edges int64
+	var sink graph.Dist
 	for _, u := range front {
 		du := dist[u]
 		vs, ws := g.Neighbors(u)
+		ws = ws[:len(vs)]
 		edges += int64(len(vs))
+		if cap(buf)-n < len(vs) {
+			buf = slices.Grow(buf[:n], len(vs))
+		}
+		out := buf[:cap(buf)]
 		for j, v := range vs {
-			if ws[j] < wlo || ws[j] > whi {
-				continue
+			w := ws[j]
+			nd := du + graph.Dist(w)
+			pd := &dist[v]
+			b := b2u(nd < *pd) & b2u(w >= wlo) & b2u(w <= whi)
+			p := &sink
+			if b != 0 { // compiled to a conditional move, not a branch
+				p = pd
 			}
-			if nd := du + graph.Dist(ws[j]); nd < dist[v] {
-				dist[v] = nd
-				x2++
-				if seen.SetPlain(int(v)) {
-					buf = append(buf, v)
-				}
-			}
+			*p = nd
+			out[n] = v
+			n += int(b)
 		}
 	}
-	kn.sc.bufs[0] = buf
-	kn.sc.counts[0].x2 += x2
+	buf = buf[:n]
+	seen := kn.sc.seen
+	m := n0
+	for _, v := range buf[n0:] {
+		buf[m] = v
+		m += int(seen.SetPlainBit(int(v)))
+	}
+	kn.sc.bufs[0] = buf[:m]
+	kn.sc.counts[0].x2 += int64(n - n0)
 	kn.sc.counts[0].edges += edges
+}
+
+// b2u converts a predicate to 0 or 1. The compiler lowers it to a flag
+// set (SETcc), not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // planAdvance decides the scheduling path for a frontier of n vertices and,
@@ -506,6 +545,35 @@ func (kn *Kernels) planAdvance(n int) advancePath {
 		return pathEdge
 	}
 	return pathVertex
+}
+
+// Bisect is the host side of the bisect-frontier stage. It splits src
+// around thr and returns, each in src order, the vertices whose distance is
+// at most thr appended to near[:0], and the rest as far candidates for the
+// caller to push onto its far queue. near may be src itself, which shrinks
+// the frontier in place (each write lands at or behind the read position).
+// Any other near must not overlap src. The far slice lives
+// in the pooled scratch and is valid until the next Bisect or Release.
+//
+// Like advanceSequential, the loop is predicated: every vertex is written
+// to both buffers and each count advances by its own predicate, so the
+// near/far outcome, which varies vertex to vertex, costs no branch.
+func (kn *Kernels) Bisect(src []graph.VID, thr graph.Dist, near []graph.VID) (nearOut, far []graph.VID) {
+	dist := kn.Dist
+	nb := slices.Grow(near[:0], len(src))
+	nb = nb[:cap(nb)]
+	fb := slices.Grow(kn.sc.far[:0], len(src))
+	kn.sc.far = fb
+	fb = fb[:cap(fb)]
+	nn, nf := 0, 0
+	for _, v := range src {
+		in := int(b2u(dist[v] <= thr))
+		nb[nn] = v
+		fb[nf] = v
+		nn += in
+		nf += in ^ 1
+	}
+	return nb[:nn], fb[:nf]
 }
 
 // ChargeBisect charges the bisect-frontier kernel over items work items,

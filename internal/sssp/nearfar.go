@@ -121,11 +121,9 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		// Stage 3: bisect-frontier around the current threshold.
 		obs.ApplyPhaseLabel(obs.PhaseRebalance)
 		spB := kn.tr.Begin(obs.PhaseRebalance)
-		near := front[:0]
-		for _, v := range adv.Out {
-			if dist[v] <= thr {
-				near = append(near, v)
-			} else if farLazy != nil {
+		near, farC := kn.Bisect(adv.Out, thr, front)
+		for _, v := range farC {
+			if farLazy != nil {
 				farLazy.Push(v, dist[v])
 			} else {
 				farFlat.Push(v, dist[v])

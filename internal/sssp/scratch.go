@@ -17,10 +17,11 @@ type counters struct {
 }
 
 // scratch is the distance-array-sized working memory of one Kernels value:
-// the filter bitmap, the per-worker output buffers, the degree prefix array
-// of the edge-balanced advance, and the per-worker counter blocks. Scratch
-// is pooled so batch solves (one Kernels per source, internal/sssp.Batch)
-// stop re-allocating vertex-sized temporaries on every solve.
+// the filter bitmap, the per-worker output buffers, the bisect far-candidate
+// buffer, the degree prefix array of the edge-balanced advance, and the
+// per-worker counter blocks. Scratch is pooled so batch solves (one Kernels
+// per source, internal/sssp.Batch) stop re-allocating vertex-sized
+// temporaries on every solve.
 //
 // Invariant: a released scratch has an all-clear bitmap. AdvanceRange
 // clears every bit it sets before returning, so the invariant holds along
@@ -29,6 +30,7 @@ type counters struct {
 type scratch struct {
 	seen   *bitmap.Bitmap
 	bufs   [][]graph.VID
+	far    []graph.VID // Bisect's far-candidate buffer
 	prefix []int64
 	counts []counters
 }

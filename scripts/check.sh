@@ -13,6 +13,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l ."
+# Every Go file must be gofmt-formatted; any listed file fails the gate.
+unformatted="$(gofmt -l .)"
+[[ -z "$unformatted" ]] || { echo "gofmt -l lists:" >&2; echo "$unformatted" >&2; exit 1; }
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -77,6 +82,13 @@ for w in 1 4; do
       -workers "$w" -o "$flightbin/run-b$w.jsonl" 2>/dev/null
   "$flightbin/flight" diff "$flightbin/run-a$w.jsonl" "$flightbin/run-b$w.jsonl" >/dev/null
 done
+
+# Reference diff: a fresh record of the committed log's configuration must
+# match results/flight_cal_tk1.jsonl bit for bit, so a change to how the
+# kernels run on the host cannot move one charged count or simulated figure.
+"$flightbin/flight" record -dataset cal -scale 0.005 -seed 42 -P 500 -device TK1 \
+    -workers 1 -o "$flightbin/ref.jsonl" 2>/dev/null
+"$flightbin/flight" diff results/flight_cal_tk1.jsonl "$flightbin/ref.jsonl" >/dev/null
 
 echo "==> bench module: vet + quick smoke"
 # bench/ is a nested module, so the root go vet/build/test never see it,
