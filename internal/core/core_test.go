@@ -271,7 +271,7 @@ func TestMaintainBoundariesExtendsRunway(t *testing.T) {
 		c.Observe(10, 80)
 		c.bisect.Observe(10, 20) // teach alpha = 2
 	}
-	q := frontier.NewPartitioned(10)
+	q := frontier.GetPartitioned(10)
 	before := q.NumPartitions()
 	c.MaintainBoundaries(q, 5)
 	if q.NumPartitions() <= before {
@@ -292,7 +292,7 @@ func TestMaintainBoundariesExtendsRunway(t *testing.T) {
 
 func TestMaintainBoundariesRespectsCap(t *testing.T) {
 	c := NewController(100, 8, 2)
-	q := frontier.NewPartitioned(10)
+	q := frontier.GetPartitioned(10)
 	for i := 0; i < 500; i++ {
 		c.MaintainBoundaries(q, float64(i*1000))
 	}

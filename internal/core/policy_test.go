@@ -187,6 +187,6 @@ func TestBoundaryMaintainerInterface(t *testing.T) {
 	if _, ok := p.(boundaryMaintainer); !ok {
 		t.Fatal("Controller must maintain boundaries")
 	}
-	q := frontier.NewPartitioned(10)
+	q := frontier.GetPartitioned(10)
 	p.(boundaryMaintainer).MaintainBoundaries(q, 1)
 }

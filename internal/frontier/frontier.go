@@ -13,7 +13,9 @@ package frontier
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"energysssp/internal/graph"
 )
@@ -103,27 +105,89 @@ type partition struct {
 // Boundary updates only ever decrease a bound ("monotonic boundary
 // shifts"), and placement of *new* entries uses the current bounds, while
 // existing entries stay put — both exactly as Section 4.6 specifies.
+//
+// Entry storage is pooled (GetPartitioned/Release). Each partition keeps
+// its entries in a slab drawn from per-queue free lists bucketed by size
+// class (free[k] holds slabs of capacity at least 1<<k). A partition that
+// fills its slab copies into a slab of the next class and hands the old
+// one back; a partition that CompactFront drops, and every partition at
+// Release, hands back its slab too. A solve therefore only allocates when
+// it holds more slabs of some class at once than any solve before it on
+// this queue, so repeated solves reach a steady state with no slab
+// growth — see TestPartitionedSteadyStateAllocs.
 type Partitioned struct {
 	parts []partition
 	size  int
 	// scanned accumulates pop-scan work for kernel accounting.
 	scanned int
+	// free[k] holds idle slabs of capacity at least 1<<k, length 0.
+	free [][][]Entry
 }
 
-// NewPartitioned builds the initial two-partition queue: upper bounds
-// firstUpper (the paper initializes this to the average edge weight) and
-// graph.Inf.
-func NewPartitioned(firstUpper graph.Dist) *Partitioned {
+// minSlabClass is the size class of a partition's first slab: 1<<6
+// entries, 1 KiB.
+const minSlabClass = 6
+
+var partitionedPool = sync.Pool{New: func() any { return new(Partitioned) }}
+
+// GetPartitioned returns a pooled, empty queue with the initial two
+// partitions: upper bounds firstUpper (the paper initializes this to the
+// average edge weight) and graph.Inf. Pair with Release; slab capacity
+// survives in the pool across solves.
+func GetPartitioned(firstUpper graph.Dist) *Partitioned {
+	q := partitionedPool.Get().(*Partitioned)
+	q.init(firstUpper)
+	return q
+}
+
+// Release returns the queue (and its slabs) to the pool. The queue must
+// not be used afterwards.
+func (q *Partitioned) Release() { partitionedPool.Put(q) }
+
+func (q *Partitioned) init(firstUpper graph.Dist) {
 	if firstUpper < 1 {
 		firstUpper = 1
 	}
 	if firstUpper >= graph.Inf {
 		firstUpper = graph.Inf - 1
 	}
-	return &Partitioned{parts: []partition{
-		{upper: firstUpper},
-		{upper: graph.Inf},
-	}}
+	for _, p := range q.parts {
+		q.putSlab(p.entries)
+	}
+	clear(q.parts)
+	q.parts = append(q.parts[:0], partition{upper: firstUpper}, partition{upper: graph.Inf})
+	q.size, q.scanned = 0, 0
+}
+
+// putSlab files s under the largest class its capacity covers.
+func (q *Partitioned) putSlab(s []Entry) {
+	if cap(s) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(s))) - 1
+	for len(q.free) <= k {
+		q.free = append(q.free, nil)
+	}
+	q.free[k] = append(q.free[k], s[:0])
+}
+
+// grow moves p's entries, in order, into a free slab of the next size
+// class above its current capacity (allocating one only when that class
+// has none idle) and files the old slab for reuse.
+func (q *Partitioned) grow(p *partition) {
+	k := max(bits.Len(uint(cap(p.entries))), minSlabClass)
+	var s []Entry
+	if k < len(q.free) && len(q.free[k]) > 0 {
+		fl := q.free[k]
+		s = fl[len(fl)-1]
+		fl[len(fl)-1] = nil
+		q.free[k] = fl[:len(fl)-1]
+	} else {
+		s = make([]Entry, 0, 1<<k)
+	}
+	s = append(s, p.entries...)
+	q.putSlab(p.entries)
+	p.entries = s
 }
 
 // Len reports the number of stored entries (stale ones included until
@@ -159,7 +223,11 @@ func (q *Partitioned) Push(v graph.VID, d graph.Dist) {
 			lo = mid + 1
 		}
 	}
-	q.parts[lo].entries = append(q.parts[lo].entries, Entry{V: v, D: d})
+	p := &q.parts[lo]
+	if len(p.entries) == cap(p.entries) {
+		q.grow(p)
+	}
+	p.entries = append(p.entries, Entry{V: v, D: d})
 	q.size++
 }
 
@@ -190,14 +258,19 @@ func (q *Partitioned) SetBound(i int, b graph.Dist) error {
 // CompactFront removes empty leading partitions ("if the size of the
 // current partition is zero, the next partition becomes the current
 // partition"), always retaining at least one partition (the unbounded
-// tail).
+// tail). The removed partitions' slabs go back to the free lists.
 func (q *Partitioned) CompactFront() {
 	i := 0
 	for i < len(q.parts)-1 && len(q.parts[i].entries) == 0 {
 		i++
 	}
 	if i > 0 {
-		q.parts = append(q.parts[:0], q.parts[i:]...)
+		for _, p := range q.parts[:i] {
+			q.putSlab(p.entries)
+		}
+		n := copy(q.parts, q.parts[i:])
+		clear(q.parts[n:])
+		q.parts = q.parts[:n]
 	}
 }
 

@@ -83,20 +83,20 @@ func TestFlatMinDistLowerBound(t *testing.T) {
 }
 
 func TestPartitionedInit(t *testing.T) {
-	q := NewPartitioned(50)
+	q := GetPartitioned(50)
 	if q.NumPartitions() != 2 || q.Bound(0) != 50 || q.Bound(1) != graph.Inf {
 		t.Fatalf("init: parts=%d bounds=%d,%d", q.NumPartitions(), q.Bound(0), q.Bound(1))
 	}
-	if NewPartitioned(0).Bound(0) != 1 {
+	if GetPartitioned(0).Bound(0) != 1 {
 		t.Fatal("zero first bound should clamp to 1")
 	}
-	if NewPartitioned(graph.Inf).Bound(0) != graph.Inf-1 {
+	if GetPartitioned(graph.Inf).Bound(0) != graph.Inf-1 {
 		t.Fatal("Inf first bound should clamp below Inf")
 	}
 }
 
 func TestPartitionedPushPlacement(t *testing.T) {
-	q := NewPartitioned(50)
+	q := GetPartitioned(50)
 	q.Push(0, 50) // boundary value goes to partition 0 (d <= B0)
 	q.Push(1, 51)
 	q.Push(2, 1)
@@ -109,7 +109,7 @@ func TestPartitionedPushPlacement(t *testing.T) {
 }
 
 func TestSetBoundMonotonic(t *testing.T) {
-	q := NewPartitioned(100)
+	q := GetPartitioned(100)
 	if err := q.SetBound(0, 120); err == nil {
 		t.Fatal("raising a bound accepted")
 	}
@@ -132,7 +132,7 @@ func TestSetBoundMonotonic(t *testing.T) {
 }
 
 func TestSetBoundLastAppendsPartition(t *testing.T) {
-	q := NewPartitioned(100)
+	q := GetPartitioned(100)
 	before := q.NumPartitions()
 	if err := q.SetBound(1, 500); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestSetBoundLastAppendsPartition(t *testing.T) {
 }
 
 func TestPopBelowScansOnlyLeadingPartitions(t *testing.T) {
-	q := NewPartitioned(10)
+	q := GetPartitioned(10)
 	if err := q.SetBound(1, 20); err != nil { // partitions: (0,10], (10,20], (20,Inf]
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPopBelowScansOnlyLeadingPartitions(t *testing.T) {
 }
 
 func TestPopBelowDropsStaleAndCompacts(t *testing.T) {
-	q := NewPartitioned(10)
+	q := GetPartitioned(10)
 	dist := make([]graph.Dist, 4)
 	dist[0], dist[1], dist[2], dist[3] = 3, 100, 7, 9
 	q.Push(0, 3)
@@ -190,7 +190,7 @@ func TestPopBelowDropsStaleAndCompacts(t *testing.T) {
 }
 
 func TestPartitionedMinDistAndFreshLen(t *testing.T) {
-	q := NewPartitioned(10)
+	q := GetPartitioned(10)
 	dist := make([]graph.Dist, 4)
 	dist[0], dist[1], dist[2] = 4, 2, 50
 	q.Push(0, 4)
@@ -202,7 +202,7 @@ func TestPartitionedMinDistAndFreshLen(t *testing.T) {
 	if got := q.FreshLen(dist); got != 2 {
 		t.Fatalf("FreshLen = %d", got)
 	}
-	empty := NewPartitioned(10)
+	empty := GetPartitioned(10)
 	if empty.MinDist(dist) != graph.Inf {
 		t.Fatal("empty MinDist should be Inf")
 	}
@@ -214,7 +214,7 @@ func TestPartitionedMinDistAndFreshLen(t *testing.T) {
 func TestPartitionedPopCompleteness(t *testing.T) {
 	f := func(seed uint64, nBoundsRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^77))
-		q := NewPartitioned(graph.Dist(rng.Int64N(100) + 1))
+		q := GetPartitioned(graph.Dist(rng.Int64N(100) + 1))
 		// Apply a few random monotone boundary updates.
 		for i := 0; i < int(nBoundsRaw)%6; i++ {
 			pi := rng.IntN(q.NumPartitions())
@@ -263,7 +263,7 @@ func TestFlatPartitionedEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, seed*3+1))
 		var fq Flat
-		pq := NewPartitioned(graph.Dist(rng.Int64N(50) + 1))
+		pq := GetPartitioned(graph.Dist(rng.Int64N(50) + 1))
 		n := 100
 		dist := make([]graph.Dist, n)
 		for v := 0; v < n; v++ {

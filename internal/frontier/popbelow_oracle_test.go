@@ -76,7 +76,7 @@ func TestPopBelowMatchesBranchyOracle(t *testing.T) {
 		for v := range dist {
 			dist[v] = graph.Inf
 		}
-		got := NewPartitioned(graph.Dist(1 + rng.Int64N(60)))
+		got := GetPartitioned(graph.Dist(1 + rng.Int64N(60)))
 		var gotOut, wantOut []graph.VID
 		if rng.IntN(2) == 0 {
 			// A caller buffer with spare room and a live prefix.

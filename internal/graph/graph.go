@@ -44,6 +44,16 @@ type Graph struct {
 	Wgt    []Weight
 
 	name string
+	// meanW is meanWeight(Wgt), computed once by the builders (New and
+	// Transpose, through which every other builder and reader goes)
+	// before the graph is shared, so concurrent readers need no
+	// synchronisation. meanOf and meanN are the base and length of the
+	// weight slice it was computed for; AvgWeight trusts meanW only while
+	// Wgt is still that slice, and scans otherwise (a struct-literal
+	// Graph, or one whose Wgt was reassigned).
+	meanW  float64
+	meanOf *Weight
+	meanN  int
 }
 
 // ErrBadGraph reports a structurally invalid graph or edge set.
@@ -83,6 +93,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 		g.Col[p] = e.V
 		g.Wgt[p] = e.W
 	}
+	g.cacheMeanWeight()
 	return g, nil
 }
 
@@ -186,6 +197,7 @@ func (g *Graph) Transpose() *Graph {
 			t.Wgt[p] = ws[i]
 		}
 	}
+	t.cacheMeanWeight()
 	return t
 }
 

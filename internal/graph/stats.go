@@ -78,16 +78,34 @@ func (g *Graph) ComputeStats() Stats {
 
 // AvgWeight returns the mean edge weight (0 for an edgeless graph). The
 // partitioned far queue's first boundary is initialized to this value, per
-// Section 4.6 of the paper.
+// Section 4.6 of the paper. Graphs from the builders answer from the value
+// cached at construction; any other answers with a fresh scan.
 func (g *Graph) AvgWeight() float64 {
 	if len(g.Wgt) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, w := range g.Wgt {
-		sum += float64(w)
+	if g.meanOf == &g.Wgt[0] && g.meanN == len(g.Wgt) {
+		return g.meanW
 	}
-	return sum / float64(len(g.Wgt))
+	return meanWeight(g.Wgt)
+}
+
+// cacheMeanWeight records meanWeight(g.Wgt) for AvgWeight. Builders call it
+// once, after the last write to Wgt and before returning the graph.
+func (g *Graph) cacheMeanWeight() {
+	if len(g.Wgt) == 0 {
+		return
+	}
+	g.meanW, g.meanOf, g.meanN = meanWeight(g.Wgt), &g.Wgt[0], len(g.Wgt)
+}
+
+// meanWeight is the float mean of w, summed in order.
+func meanWeight(w []Weight) float64 {
+	var sum float64
+	for _, x := range w {
+		sum += float64(x)
+	}
+	return sum / float64(len(w))
 }
 
 // MaxDegree returns the maximum out-degree.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"energysssp/internal/bitmap"
 	"energysssp/internal/graph"
 	"energysssp/internal/parallel"
 )
@@ -13,9 +12,9 @@ import (
 // relaxBranchy is the sequential relax kernel as it was written before its
 // loop was predicated: one data-dependent branch for the weight window, one
 // for the relax test and one for the dedup bit. It is the oracle of
-// TestSequentialRelaxMatchesBranchyOracle. seen must be all clear; the bits
-// of the returned out are left set.
-func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi graph.Weight, seen *bitmap.Bitmap) (out []graph.VID, x2, edges int64) {
+// TestSequentialRelaxMatchesBranchyOracle. seen must be all false; the
+// entries of the returned out are left true.
+func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi graph.Weight, seen []bool) (out []graph.VID, x2, edges int64) {
 	for _, u := range front {
 		du := dist[u]
 		vs, ws := g.Neighbors(u)
@@ -27,7 +26,8 @@ func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi
 			if nd := du + graph.Dist(ws[j]); nd < dist[v] {
 				dist[v] = nd
 				x2++
-				if seen.SetPlain(int(v)) {
+				if !seen[v] {
+					seen[v] = true
 					out = append(out, v)
 				}
 			}
@@ -108,7 +108,7 @@ func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 		src := graph.VID(rng.IntN(n))
 		dist[src] = 0
 		want := slices.Clone(dist)
-		seen := bitmap.New(n)
+		seen := make([]bool, n)
 		kn := NewKernels(g, pool, nil, dist)
 		front := []graph.VID{src}
 		for v := 0; v < n; v++ {
@@ -119,7 +119,7 @@ func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 		for round := 0; round < 6 && len(front) > 0; round++ {
 			wantOut, wantX2, wantEdges := relaxBranchy(g, want, front, win[0], win[1], seen)
 			for _, v := range wantOut {
-				seen.Clear(int(v))
+				seen[v] = false
 			}
 			adv := kn.AdvanceRange(front, win[0], win[1])
 			if !adv.Sequential {

@@ -92,8 +92,8 @@ const (
 // Kernels bundles the relaxation machinery shared by the near-far baseline
 // and the self-tuning algorithm: the advance stage (edge-parallel
 // relaxation with atomic-min, or a plain sequential relax on small
-// frontiers) fused with the filter stage (bitmap deduplication), mirroring
-// how Gunrock structures the same work on a GPU.
+// frontiers) followed by the filter stage (bitmap deduplication after the
+// join), mirroring how Gunrock structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
 // pooled scratch.
@@ -165,7 +165,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		g := kn.G
 		dist := kn.Dist
 		wlo, whi := kn.wlo, kn.whi
-		seen := kn.sc.seen
 		buf := kn.sc.bufs[w]
 		var x2, edges int64
 		for {
@@ -189,9 +188,7 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 					nd := du + graph.Dist(ws[j])
 					if parallel.MinInt64(&dist[v], nd) {
 						x2++
-						if seen.TrySet(int(v)) {
-							buf = append(buf, v)
-						}
+						buf = append(buf, v)
 					}
 				}
 			}
@@ -211,7 +208,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		g := kn.G
 		dist := kn.Dist
 		wlo, whi := kn.wlo, kn.whi
-		seen := kn.sc.seen
 		buf := kn.sc.bufs[w]
 		var x2 int64
 		vi := parallel.SearchPrefix(prefix, elo)
@@ -235,9 +231,7 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 				v := vs[j]
 				if parallel.MinInt64(&dist[v], nd) {
 					x2++
-					if seen.TrySet(int(v)) {
-						buf = append(buf, v)
-					}
+					buf = append(buf, v)
 				}
 			}
 			e += int64(segHi - segLo)
@@ -308,6 +302,15 @@ func (kn *Kernels) Release() {
 	}
 }
 
+// FrontierBuf returns the pooled frontier buffer, empty, for the solver
+// to grow its frontier in. It does not alias any other buffer of the
+// kernels. Hand the grown buffer back with PutFrontierBuf before Release.
+func (kn *Kernels) FrontierBuf() []graph.VID { return kn.sc.front[:0] }
+
+// PutFrontierBuf keeps buf as the pooled frontier buffer, so its capacity
+// survives Release for the next solve. buf must not be used afterwards.
+func (kn *Kernels) PutFrontierBuf(buf []graph.VID) { kn.sc.front = buf[:0] }
+
 // AdvanceResult reports one advance+filter execution.
 type AdvanceResult struct {
 	// Out is the deduplicated updated frontier (the filter output, X³).
@@ -332,9 +335,10 @@ type AdvanceResult struct {
 
 // Advance executes the advance and filter stages over the given frontier:
 // every outgoing edge of every frontier vertex is relaxed with a min
-// (atomic on the parallel paths), winners are deduplicated through the
-// bitmap, and the simulated machine (if any) is charged an edge-parallel
-// advance kernel plus a vertex-parallel filter kernel.
+// (atomic on the parallel paths), each worker lists its winning updates,
+// the filter deduplicates the lists after the join, and the simulated
+// machine (if any) is charged an edge-parallel advance kernel plus a
+// vertex-parallel filter kernel.
 func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	return kn.AdvanceRange(front, 1, 1<<31-1)
 }
@@ -349,7 +353,10 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 // under StrategyAuto). All paths examine the same edge set and charge the
 // advance by it. The parallel paths relax with atomic-min, so their X²
 // (and the filter charge) depends on how the races resolve; the sequential
-// path's X² is a pure function of the frontier and the distances.
+// path's X² is a pure function of the frontier and the distances. On
+// every path Out holds each vertex whose distance fell exactly once, in
+// the order of its first occurrence across the per-worker update lists
+// taken in worker order.
 func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) AdvanceResult {
 	nw := kn.Pool.Size()
 	sc := kn.sc
@@ -379,7 +386,8 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	}
 	// Charge order is advance then filter, exactly as before observability:
 	// the advance charge closes the advance span, the filter charge closes
-	// the filter span (which covers the host-side merge + bitmap clear).
+	// the filter span (which covers the host-side merge, dedup and bitmap
+	// clear).
 	advSimStart := kn.SimNow()
 	if kn.Mach != nil {
 		e0 := kn.Mach.Energy()
@@ -391,16 +399,7 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 
 	obs.ApplyPhaseLabel(obs.PhaseFilter)
 	spFil := kn.tr.Begin(obs.PhaseFilter)
-	out := sc.bufs[0]
-	for w := 1; w < nw; w++ {
-		out = append(out, sc.bufs[w]...)
-	}
-	sc.bufs[0] = out
-	res.Out = out
-	// Release the dedup bits for the next iteration; O(|Out|).
-	for _, v := range out {
-		sc.seen.Clear(int(v))
-	}
+	res.Out = kn.filter(nw)
 	filSimStart := kn.SimNow()
 	var filDur time.Duration
 	if kn.Mach != nil {
@@ -425,12 +424,42 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	return res
 }
 
+// filter is the host side of the filter stage, run after the join on every
+// path. It walks the per-worker update lists in worker order and keeps the
+// first occurrence of each vertex, then clears the dedup bits it set
+// (O(|Out|)), so the bitmap is all clear again for the next advance. Only
+// the calling goroutine touches the bitmap, and Out's order is a function
+// of the update lists alone. Like the sequential relax loop, the pass is
+// predicated: each vertex is written to the output and the count advances
+// by the bit's novelty. The lists are left intact.
+func (kn *Kernels) filter(nw int) []graph.VID {
+	sc := kn.sc
+	total := 0
+	for _, b := range sc.bufs[:nw] {
+		total += len(b)
+	}
+	out := slices.Grow(sc.out[:0], total)[:total]
+	seen := sc.seen
+	m := 0
+	for _, b := range sc.bufs[:nw] {
+		for _, v := range b {
+			out[m] = v
+			m += int(seen.SetPlainBit(int(v)))
+		}
+	}
+	out = out[:m]
+	for _, v := range out {
+		seen.Clear(int(v))
+	}
+	sc.out = out
+	return out
+}
+
 // advanceSequential relaxes the whole frontier in the calling goroutine.
-// Distance loads, compares and stores are plain memory operations and the
-// dedup bitmap is set without atomics: no worker goroutine runs during the
-// call, and the pool's channel handoff orders it against the parallel
-// advances before and after it (each Pool.Run returns only after every
-// worker has finished).
+// Distance loads, compares and stores are plain memory operations: no
+// worker goroutine runs during the call, and the pool's channel handoff
+// orders it against the parallel advances before and after it (each
+// Pool.Run returns only after every worker has finished).
 //
 // The relax loop is predicated rather than branched: about 43% of road
 // relaxations succeed, a rate at which a data-dependent branch mispredicts
@@ -438,11 +467,11 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 // stores nd through a pointer selected by b (dist[v], or a local sink, so a
 // failed relaxation dirties no distance line), writes v to the buffer
 // unconditionally and advances the count by b. The buffer then holds every
-// update in order, and a second branch-free pass keeps the first
-// occurrence of each vertex. Deduplicating after the loop keeps the
-// bitmap's read-modify-write out of the relax loop, where it would chain
-// each edge to the previous edge's distance miss. The visit order is that
-// of the branching kernel, so X², Edges and the Out order are too.
+// update in order, and the filter stage keeps the first occurrence of each
+// vertex. Deduplicating after the loop keeps the bitmap's
+// read-modify-write out of the relax loop, where it would chain each edge
+// to the previous edge's distance miss. The visit order is that of the
+// branching kernel, so X², Edges and the Out order are too.
 // Writing unconditionally needs degree(u) spare slots before each frontier
 // vertex; the buffer grows amortised and lives in the pooled scratch.
 func (kn *Kernels) advanceSequential() {
@@ -478,14 +507,7 @@ func (kn *Kernels) advanceSequential() {
 			n += int(b)
 		}
 	}
-	buf = buf[:n]
-	seen := kn.sc.seen
-	m := n0
-	for _, v := range buf[n0:] {
-		buf[m] = v
-		m += int(seen.SetPlainBit(int(v)))
-	}
-	kn.sc.bufs[0] = buf[:m]
+	kn.sc.bufs[0] = buf[:n]
 	kn.sc.counts[0].x2 += int64(n - n0)
 	kn.sc.counts[0].edges += edges
 }

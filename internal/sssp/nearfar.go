@@ -57,7 +57,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	}
 	kn.Observe(sc)
 	defer kn.Release()
-	front := []graph.VID{src}
+	front := append(kn.FrontierBuf(), src)
 	thr := delta // the phase-(i+1) boundary (i starts at 0)
 
 	// Far-queue strategy selection. farLazy non-nil selects the bucketed
@@ -110,6 +110,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	defer func() { spSolve.End(int64(res.Iterations)) }()
 	for len(front) > 0 {
 		if res.Iterations++; res.Iterations > guard {
+			kn.PutFrontierBuf(front)
 			return res, ErrLivelock
 		}
 		spIter := tr.BeginIter(res.Iterations - 1)
@@ -246,6 +247,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		spIter.End(int64(adv.X2))
 	}
 	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
+	kn.PutFrontierBuf(front)
 	res.Dist = dist
 	finishResult(&res, opt, start, startSim, startJ)
 	return res, nil

@@ -17,11 +17,12 @@ type counters struct {
 }
 
 // scratch is the distance-array-sized working memory of one Kernels value:
-// the filter bitmap, the per-worker output buffers, the bisect far-candidate
-// buffer, the degree prefix array of the edge-balanced advance, and the
-// per-worker counter blocks. Scratch is pooled so batch solves (one Kernels
-// per source, internal/sssp.Batch) stop re-allocating vertex-sized
-// temporaries on every solve.
+// the filter bitmap, the per-worker update buffers, the filter output, the
+// bisect far-candidate buffer, the solver's frontier buffer, the degree
+// prefix array of the edge-balanced advance, and the per-worker counter
+// blocks. Scratch is pooled so batch solves (one Kernels per source,
+// internal/sssp.Batch) stop re-allocating vertex-sized temporaries on
+// every solve.
 //
 // Invariant: a released scratch has an all-clear bitmap. AdvanceRange
 // clears every bit it sets before returning, so the invariant holds along
@@ -30,7 +31,9 @@ type counters struct {
 type scratch struct {
 	seen   *bitmap.Bitmap
 	bufs   [][]graph.VID
+	out    []graph.VID // the filter's deduplicated output (AdvanceResult.Out)
 	far    []graph.VID // Bisect's far-candidate buffer
+	front  []graph.VID // the solver's frontier (FrontierBuf/PutFrontierBuf)
 	prefix []int64
 	counts []counters
 }

@@ -49,8 +49,9 @@ echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
 go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
 
-echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, tsdb sampler, profiler labels)"
+echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue, tsdb sampler, profiler labels)"
 go test -run 'TestAdvanceSteadyStateAllocs|TestObsSteadyStateAllocs|TestSpanSteadyStateAllocs|TestLazyFarSteadyStateAllocs' -count=1 ./internal/sssp/
+go test -run 'TestPartitionedSteadyStateAllocs' -count=1 ./internal/frontier/
 go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs|TestTSDBSampleSteadyStateAllocs|TestApplyPhaseLabelAllocs' -count=1 ./internal/obs/
 go test -run 'TestFlightSteadyStateAllocs' -count=1 ./internal/core/
 
