@@ -9,7 +9,6 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
-	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sim"
 	"energysssp/internal/sssp"
@@ -221,12 +220,8 @@ func TestFlightReplayRejections(t *testing.T) {
 // controller iteration — Observe, NextDelta, model checkpoint, SetApplied,
 // ring append — performs zero allocations, so the recorder can default-on
 // in long experiments without perturbing them (the same invariant
-// TestObsSteadyStateAllocs enforces for the observer). Phase labels are
-// enabled for the run so the gate also covers the perfgate profiling
-// configuration, where the controller loop relabels goroutines per phase.
+// TestObsSteadyStateAllocs enforces for the observer).
 func TestFlightSteadyStateAllocs(t *testing.T) {
-	obs.EnablePhaseLabels()
-	defer obs.DisablePhaseLabels()
 	rec := flight.NewRecorder(1 << 12)
 	rec.SetHeader(flight.Header{Algorithm: "selftuning"})
 	ctrl := NewController(500, 8, 1)

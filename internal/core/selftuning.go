@@ -156,7 +156,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		res.Updates += int64(adv.X2)
 
 		// bisect-frontier: split the filter output around the threshold.
-		obs.ApplyPhaseLabel(obs.PhaseRebalance)
 		spB := tr.Begin(obs.PhaseRebalance)
 		near, farC := kn.Bisect(adv.Out, distOf(thr), front)
 		for _, v := range farC {
@@ -168,7 +167,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		x4 := len(near)
 
 		// Controller step (host side).
-		obs.ApplyPhaseLabel(obs.PhaseController)
 		spC := tr.Begin(obs.PhaseController)
 		policy.Observe(x1, adv.X2)
 		q := QueueState{X4: x4, Delta: thr, FarLen: far.Len()}
@@ -203,7 +201,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 
 		// Rebalancer: realize the new threshold by moving vertices
 		// between frontier and far queue.
-		obs.ApplyPhaseLabel(obs.PhaseRebalance)
 		front = near
 		if newThr > thr {
 			front = far.PopBelow(distOf(newThr), dist, front)
@@ -234,7 +231,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 				front = far.PopBelow(graph.Inf, dist, front)
 			}
 		}
-		obs.ApplyPhaseLabel(obs.PhaseController)
 		policy.SetApplied(appliedDelta, float64(x4))
 		if bm, ok := policy.(boundaryMaintainer); ok && !cfg.DisablePartitioning {
 			bm.MaintainBoundaries(far, thr)
@@ -299,7 +295,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		spIter.End(int64(adv.X2))
 	}
 
-	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
 	kn.PutFrontierBuf(front)
 	res.Dist = dist
 	res.WallTime = time.Since(start)

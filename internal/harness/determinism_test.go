@@ -6,6 +6,7 @@ import (
 
 	"energysssp/internal/gen"
 	"energysssp/internal/sim"
+	"energysssp/internal/trace"
 )
 
 // Reproducibility is a stated design goal (DESIGN.md): identical config
@@ -13,47 +14,34 @@ import (
 // regardless of worker count (the simulated clock depends only on
 // algorithmic work, not host scheduling).
 func TestExperimentsDeterministic(t *testing.T) {
-	render := func(workers int) string {
+	type table func(*Env) (*trace.Table, error)
+	perfPowerCal := func(e *Env) (*trace.Table, error) { return PerfPower(e, gen.Cal, sim.TK1()) }
+	render := func(workers int, tables ...table) string {
 		e := NewEnv(Config{Scale: 0.002, Seed: 7, Workers: workers})
 		defer e.Close()
 		var buf bytes.Buffer
-		t2, err := Figure2(e)
-		if err != nil {
-			t.Fatal(err)
+		for _, tab := range tables {
+			tt, err := tab(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt.Fprint(&buf)
 		}
-		t2.Fprint(&buf)
-		t5, err := Figure5(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t5.Fprint(&buf)
-		pp, err := PerfPower(e, gen.Cal, sim.TK1())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp.Fprint(&buf)
 		return buf.String()
 	}
-	a := render(1)
-	b := render(1)
-	if a != b {
+	if render(1, Figure2, Figure5, perfPowerCal) != render(1, Figure2, Figure5, perfPowerCal) {
 		t.Fatal("same config produced different tables")
 	}
-	// Parallel execution changes goroutine interleavings but must not
-	// change any simulated quantity: the kernels' work-item counts are
-	// schedule-independent (atomic-min winners are deterministic up to
-	// value, and X2 counts successful lowers, which depend on order...).
-	// X2 *can* differ under races (two partial lowers vs one), so compare
-	// only the schedule-independent Figure 5 medians coarsely: they must
-	// stay within 2% of the sequential run.
-	e := NewEnv(Config{Scale: 0.002, Seed: 7, Workers: 4})
-	defer e.Close()
-	t5par, err := Figure5(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t5par.Rows) != 4 {
-		t.Fatalf("rows: %d", len(t5par.Rows))
+	// Across worker counts, compare only the tables whose advances never
+	// depend on scheduling. Figure 2 and the Wiki table take parallel
+	// advances whose X2 counts atomic-min wins, which depend on how the
+	// races resolve (ROADMAP open item 1, deterministic advance), so they
+	// can differ at 2 and 4 workers.
+	want := render(1, Figure5, perfPowerCal)
+	for _, w := range []int{2, 4} {
+		if got := render(w, Figure5, perfPowerCal); got != want {
+			t.Errorf("Figure 5 and the TK1 Cal table differ at %d workers from 1 worker:\n%s\nwant:\n%s", w, got, want)
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func TestPoolStatsWorkers(t *testing.T) {
 	if ps.WorkerBusyNs(1) != int64(5*time.Millisecond) {
 		t.Fatalf("grow lost counts: %d", ps.WorkerBusyNs(1))
 	}
-	if f := ps.workerAwakeFraction(0); f < 0 || f > 1 {
+	if f := ps.AwakeFraction(0); f < 0 || f > 1 {
 		t.Fatalf("awake fraction out of range: %v", f)
 	}
 	allocs := testing.AllocsPerRun(100, func() {

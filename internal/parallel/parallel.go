@@ -16,8 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"energysssp/internal/obs"
 )
 
 // DefaultGrain is the default number of items in a dynamically scheduled
@@ -42,7 +40,7 @@ type Pool struct {
 	jobs  []chan func(worker int)
 	wg    sync.WaitGroup
 	once  sync.Once
-	stats atomic.Pointer[obs.PoolStats] // nil: no observation (the default)
+	stats atomic.Pointer[PoolStats] // nil: no observation (the default)
 }
 
 // NewPool creates a pool with the given number of workers. size <= 0 selects
@@ -96,7 +94,7 @@ func (p *Pool) Close() {
 // pointer is atomic so concurrent solves observing one shared pool stay
 // race-free. Host-side only — simulated time and energy are charged by
 // internal/sim regardless of whether the pool is observed.
-func (p *Pool) Observe(s *obs.PoolStats) {
+func (p *Pool) Observe(s *PoolStats) {
 	s.EnableWorkers(p.size)
 	p.stats.Store(s)
 }

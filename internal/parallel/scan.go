@@ -1,7 +1,5 @@
 package parallel
 
-import "energysssp/internal/obs"
-
 // Prefix-sum and edge-partition primitives for load-balanced kernels.
 //
 // The edge-balanced advance path in internal/sssp partitions *edges* rather
@@ -50,7 +48,6 @@ type Scan struct {
 func NewScan(p *Pool) *Scan {
 	s := &Scan{p: p, parts: make([]scanPart, p.Size())}
 	s.pass1 = func(w int) {
-		obs.ApplyPhaseLabel(obs.PhaseScan) // worker CPU samples -> scan
 		lo, hi := blockRange(s.n, s.p.Size(), w)
 		var sum, maxv int64
 		for i := lo; i < hi; i++ {
@@ -65,7 +62,6 @@ func NewScan(p *Pool) *Scan {
 		s.parts[w].max = maxv
 	}
 	s.pass2 = func(w int) {
-		obs.ApplyPhaseLabel(obs.PhaseScan) // worker CPU samples -> scan
 		off := s.parts[w].off
 		if off == 0 {
 			return

@@ -159,7 +159,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 	}
 	kn.degreeOf = func(i int) int64 { return kn.G.OutDegree(kn.front[i]) }
 	kn.vertexWorker = func(w int) {
-		obs.ApplyPhaseLabel(obs.PhaseAdvance) // worker CPU samples -> advance
 		front := kn.front
 		n := len(front)
 		g := kn.G
@@ -198,7 +197,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		kn.sc.counts[w].edges += edges
 	}
 	kn.edgeWorker = func(w int) {
-		obs.ApplyPhaseLabel(obs.PhaseAdvance) // worker CPU samples -> advance
 		elo, ehi := parallel.EdgeShare(kn.edgeTotal, kn.Pool.Size(), w)
 		if elo >= ehi {
 			return
@@ -367,7 +365,6 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	kn.front, kn.wlo, kn.whi = front, wlo, whi
 	path := kn.planAdvance(len(front))
 	kn.next.Store(0)
-	obs.ApplyPhaseLabel(obs.PhaseAdvance)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
 	switch path {
 	case pathSequential:
@@ -397,7 +394,6 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	}
 	spAdv.EndSim(res.Edges, advSimStart, res.Dur)
 
-	obs.ApplyPhaseLabel(obs.PhaseFilter)
 	spFil := kn.tr.Begin(obs.PhaseFilter)
 	res.Out = kn.filter(nw)
 	filSimStart := kn.SimNow()
@@ -536,7 +532,6 @@ func (kn *Kernels) planAdvance(n int) advancePath {
 		return pathSequential
 	}
 	if kn.Force == StrategyEdge {
-		obs.ApplyPhaseLabel(obs.PhaseScan)
 		sp := kn.tr.Begin(obs.PhaseScan)
 		kn.edgeTotal, _ = kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
 		sp.End(int64(n))
@@ -551,7 +546,6 @@ func (kn *Kernels) planAdvance(n int) advancePath {
 	if kn.Force == StrategyVertex {
 		return pathVertex
 	}
-	obs.ApplyPhaseLabel(obs.PhaseScan)
 	sp := kn.tr.Begin(obs.PhaseScan)
 	total, maxDeg := kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
 	sp.End(int64(n))

@@ -120,7 +120,6 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		res.Updates += int64(adv.X2)
 
 		// Stage 3: bisect-frontier around the current threshold.
-		obs.ApplyPhaseLabel(obs.PhaseRebalance)
 		spB := kn.tr.Begin(obs.PhaseRebalance)
 		near, farC := kn.Bisect(adv.Out, thr, front)
 		for _, v := range farC {
@@ -246,7 +245,6 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 			int64(adv.X2), float64(thr), int64(kn.SimNow()-startSim))
 		spIter.End(int64(adv.X2))
 	}
-	obs.ClearPhaseLabel() // don't bleed the last phase into the caller's samples
 	kn.PutFrontierBuf(front)
 	res.Dist = dist
 	finishResult(&res, opt, start, startSim, startJ)

@@ -14,15 +14,10 @@ import (
 
 // TestObsSteadyStateAllocs extends the tentpole's allocation gate to the
 // instrumented path: with a full per-solve scope attached (tracer, counters,
-// histogram) AND pprof phase labels enabled, Advance must still perform
-// zero allocations per iteration on both scheduling paths at every pool
-// size. This is the invariant that lets observability default-on in long
-// experiments without perturbing them, and that lets cmd/perfgate profile
-// the very same steady state it reports on (labels switch via precomputed
-// contexts, so relabeling every phase transition allocates nothing).
+// histogram), Advance must still perform zero allocations per iteration on
+// both scheduling paths at every pool size. This is the invariant that lets
+// observability default-on in long experiments without perturbing them.
 func TestObsSteadyStateAllocs(t *testing.T) {
-	obs.EnablePhaseLabels()
-	defer obs.DisablePhaseLabels()
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	o := obs.New(obs.DefaultTraceEvents)
 	for _, ps := range []int{1, 4} {
@@ -65,8 +60,6 @@ func TestObsSteadyStateAllocs(t *testing.T) {
 // The tracer hands spans out of pooled slabs and the live stats are plain
 // atomics, so the whole span plane rides inside the solver's steady state.
 func TestSpanSteadyStateAllocs(t *testing.T) {
-	obs.EnablePhaseLabels()
-	defer obs.DisablePhaseLabels()
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	pool := parallel.NewPool(4)
 	defer pool.Close()

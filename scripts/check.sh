@@ -34,8 +34,7 @@ lint_json="$(go run ./cmd/lint -json ./internal/analysis/...)"
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/... \
-    ./internal/obs/... ./internal/flight/... ./internal/core/... \
-    ./internal/perf/...
+    ./internal/obs/... ./internal/flight/... ./internal/core/...
 
 echo "==> go test (solver packages) at GOMAXPROCS=1 and GOMAXPROCS=4"
 # The suite must pass whether the runtime gives the pools one thread or
@@ -49,10 +48,10 @@ echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
 go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
 
-echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue, tsdb sampler, profiler labels)"
+echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue, tsdb sampler)"
 go test -run 'TestAdvanceSteadyStateAllocs|TestObsSteadyStateAllocs|TestSpanSteadyStateAllocs|TestLazyFarSteadyStateAllocs' -count=1 ./internal/sssp/
 go test -run 'TestPartitionedSteadyStateAllocs' -count=1 ./internal/frontier/
-go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs|TestTSDBSampleSteadyStateAllocs|TestApplyPhaseLabelAllocs' -count=1 ./internal/obs/
+go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs|TestTSDBSampleSteadyStateAllocs' -count=1 ./internal/obs/
 go test -run 'TestFlightSteadyStateAllocs' -count=1 ./internal/core/
 
 echo "==> flight-recorder gates: record/replay determinism + same-seed diff"
@@ -97,17 +96,10 @@ echo "==> bench module: vet + quick smoke"
 go -C bench vet ./...
 go -C bench test ./...
 
-echo "==> perfgate: committed trajectory parses and judges clean"
-# Always-on smoke: the committed snapshots + trajectory must load and the
-# latest entry must classify without regressions (compare never fails a
-# young or machine-mismatched history, only a broken one).
-go run ./cmd/perfgate compare
-
-if [[ "${PERF_GATE:-0}" == "1" ]]; then
-  echo "==> perfgate: statistical regression gate (PERF_GATE=1)"
-  # Opt-in because it is only meaningful right after a scripts/bench.sh run
-  # on the same machine the history was recorded on.
-  go run ./cmd/perfgate gate -v
-fi
+echo "==> committed bench/ results: correct, at full CPU count, within BENCHMARK.json bounds"
+# Every results/bench/ entry must be a clean --trace 0 run at GOMAXPROCS =
+# nproc, and the newest entry may be no worse than the previous entry from
+# the same machine by more than any end-to-end metric's bound.
+go test -run 'TestCommittedBenchResults' -count=1 .
 
 echo "==> check.sh: all gates green"
