@@ -100,16 +100,6 @@ type (
 	FlightReplayReport = flight.ReplayReport
 	// FlightFinding is one detected controller pathology (see FlightFindings).
 	FlightFinding = flight.Finding
-	// TimeSeriesStore is the in-process time-series ring that periodically
-	// samples every registry series (see NewTimeSeriesStore); served as
-	// windowed JSON at the observer's /series endpoint.
-	TimeSeriesStore = obs.TSDB
-	// TimeSeriesOptions configures NewTimeSeriesStore; zero values select
-	// the defaults (250ms period, 960 samples ≈ 4 minutes, 1024 series).
-	TimeSeriesOptions = obs.TSDBOptions
-	// SeriesQuery selects a window of a TimeSeriesStore (see
-	// TimeSeriesStore.WriteJSON).
-	SeriesQuery = obs.SeriesQuery
 	// Health is the /healthz payload (see Observer.HealthSnapshot).
 	Health = obs.Health
 )
@@ -307,22 +297,10 @@ func NewObserver(traceEvents int) *Observer { return obs.New(traceEvents) }
 // ServeMetrics starts an HTTP server for o on addr: Prometheus text at
 // /metrics (fleet totals plus per-solve label sets), the Perfetto trace at
 // /trace, the live NDJSON telemetry stream at /events, the attached flight
-// log at /flight, windowed time-series JSON at /series (when a
-// TimeSeriesStore is attached), and health JSON at /healthz (uptime, scope
-// counts, sample count, last finding). Use port 0 to pick a free port (see
-// MetricsServer.Addr); close when done.
+// log at /flight, and health JSON at /healthz (uptime, scope counts, last
+// finding). Use port 0 to pick a free port (see MetricsServer.Addr); close
+// when done.
 func ServeMetrics(addr string, o *Observer) (*MetricsServer, error) { return obs.Serve(addr, o) }
-
-// NewTimeSeriesStore attaches a fixed-capacity in-process time-series ring
-// to o and returns it: every SamplePeriod it records one point per registry
-// series — counters as per-tick deltas, gauges as values, histograms as
-// their tracked quantiles — across the fleet registry and every live and
-// retired solve scope, with zero steady-state allocations. Call Start to
-// begin sampling (Stop when done); the observer's /series endpoint reads
-// it. Returns nil for a nil observer.
-func NewTimeSeriesStore(o *Observer, opt TimeSeriesOptions) *TimeSeriesStore {
-	return obs.NewTSDB(o, opt)
-}
 
 // NewFlightRecorder constructs a controller flight recorder whose
 // preallocated ring retains the last capacity iterations (0 selects the

@@ -40,7 +40,7 @@ func main() {
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")
 		check     = flag.Bool("check", false, "verify distances against the Dijkstra oracle")
 		tune      = flag.Bool("tune", false, "sweep fixed deltas and report the time-minimizing one (requires -device)")
-		obsListen = flag.String("obs-listen", "", "serve live observability on this address (e.g. :9090): /metrics, /trace, /events, /series, /healthz, /flight")
+		obsListen = flag.String("obs-listen", "", "serve live observability on this address (e.g. :9090): /metrics, /trace, /events, /healthz, /flight")
 		traceOut  = flag.String("trace-out", "", "write the solve's phase timeline as Perfetto/Chrome trace JSON to this path")
 		flightOut = flag.String("flight-out", "", "write the controller flight log as JSONL to this path (replay with 'flight replay')")
 		energyOut = flag.String("energy-out", "", "write the per-phase/per-strategy energy attribution as JSON to this path (requires -device)")
@@ -96,9 +96,6 @@ func main() {
 	}
 	var srv *energysssp.MetricsServer
 	if *obsListen != "" {
-		tsdb := energysssp.NewTimeSeriesStore(o, energysssp.TimeSeriesOptions{})
-		tsdb.Start()
-		defer tsdb.Stop()
 		srv, err = energysssp.ServeMetrics(*obsListen, o)
 		if err != nil {
 			fatal(err)

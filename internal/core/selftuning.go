@@ -8,7 +8,6 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sssp"
@@ -98,7 +97,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	sc.SetStrategy("partitioned")
 	sc.Live().SetSetPoint(int64(cfg.P))
 	tr := kn.Trace() // nil-safe when no observer is attached
-	hlth := newHealth(sc, cfg.P)
 
 	policy := cfg.Policy
 	if policy == nil {
@@ -113,15 +111,17 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	thr := float64(cfg.InitialDelta)
 	front := append(kn.FrontierBuf(), src)
 
-	// Flight recorder: seed the header before the first Observe so replay
-	// can reconstruct the identical initial controller. fpol is hoisted out
-	// of the loop so the steady state performs no type assertions.
-	frec := opt.Flight
+	// One flight record per iteration feeds every attached sink (none
+	// while !pub.Active()). Seed the flight header before the first
+	// Observe so replay can reconstruct the identical initial controller.
+	// fpol is hoisted out of the loop so the steady state performs no type
+	// assertions.
+	pub := sssp.NewPublisher(opt, sc, cfg.P)
 	var fpol flightRecording
 	if fp, ok := policy.(flightRecording); ok {
 		fpol = fp
 	}
-	if frec != nil {
+	if opt.Flight != nil {
 		fh := flight.Header{
 			Algorithm:    "policy",
 			Vertices:     int64(g.NumVertices()),
@@ -133,14 +133,12 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 			fh.Algorithm = "selftuning"
 			fpol.flightSeed(&fh)
 		}
-		frec.SetHeader(fh)
+		opt.Flight.SetHeader(fh)
 	}
 	var fr flight.Record
 
 	var res sssp.Result
 	guard := optMaxIters(opt, g)
-	var lastSim time.Duration
-	var lastJ float64
 	spSolve := tr.BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
 
@@ -181,7 +179,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		if newThr > float64(graph.Inf) {
 			newThr = float64(graph.Inf)
 		}
-		if frec != nil {
+		if pub.Active() {
 			// Snapshot the decision inputs and the post-decision model
 			// state now, before SetApplied advances the BISECT-MODEL —
 			// replay re-executes the same Observe → NextDelta prefix and
@@ -243,35 +241,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 		kn.ChargeHost(cfg.ControllerCost)
 		spC.EndSim(int64(adv.X2), simH, kn.SimNow()-simH)
 
-		if c, ok := policy.(*Controller); ok {
-			hlth.observe(res.Iterations-1, adv.X2, c)
-		} else {
-			hlth.observe(res.Iterations-1, adv.X2, nil)
-		}
-
-		if opt.Profile != nil {
-			st := metrics.IterStat{
-				K: res.Iterations - 1, X1: x1, X2: adv.X2, X3: len(adv.Out), X4: x4,
-				Delta: thr, FarSize: far.Len(), Edges: adv.Edges,
-				EdgeBalanced: adv.EdgeBalanced,
-			}
-			if c, ok := policy.(*Controller); ok {
-				st.DHat = c.D()
-				st.AlphaHat = c.Alpha()
-			}
-			if opt.Machine != nil {
-				st.SimTime = opt.Machine.Now() - startSim
-				st.EnergyJ = opt.Machine.Energy() - startJ
-				dt := st.SimTime - lastSim
-				if dt > 0 {
-					st.AvgWatts = (st.EnergyJ - lastJ) / dt.Seconds()
-				}
-				lastSim, lastJ = st.SimTime, st.EnergyJ
-			}
-			opt.Profile.Append(st)
-		}
-
-		if frec != nil {
+		if pub.Active() {
 			fr.DeltaOut = thr
 			fr.AppliedDelta = appliedDelta
 			fr.FarSize = int64(far.Len())
@@ -287,11 +257,8 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 				fr.SimTimeNs = int64(opt.Machine.Now() - startSim)
 				fr.EnergyJ = opt.Machine.Energy() - startJ
 			}
-			frec.Append(&fr)
+			pub.Publish(&fr, adv.Edges)
 		}
-
-		sc.Live().Iteration(int64(res.Iterations-1), int64(x1), int64(far.Len()),
-			int64(adv.X2), thr, int64(kn.SimNow()-startSim))
 		spIter.End(int64(adv.X2))
 	}
 

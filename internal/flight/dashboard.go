@@ -5,8 +5,6 @@ import (
 	"io"
 	"math"
 	"strings"
-
-	"energysssp/internal/metrics"
 )
 
 // Dashboard rendering: a fixed-width ASCII view of a flight log for
@@ -42,13 +40,15 @@ func WriteDashboard(w io.Writer, l *Log) error {
 
 	if hdr.SetPoint > 0 {
 		last := &l.Records[n-1]
-		conv := convergenceIter(l)
+		h := logHealth(l)
+		_, meanErr := h.TrackingError()
+		conv := h.ConvergenceIter()
 		convStr := "never"
 		if conv >= 0 {
 			convStr = fmt.Sprintf("k=%d", conv)
 		}
 		if _, err := fmt.Fprintf(w, "P=%g  tracking error mean=%.3f  model convergence: %s  final d̂=%.3g α̂=%.3g\n",
-			hdr.SetPoint, meanTrackingError(l), convStr, last.D, last.Alpha); err != nil {
+			hdr.SetPoint, meanErr, convStr, last.D, last.Alpha); err != nil {
 			return err
 		}
 	}
@@ -144,27 +144,4 @@ func sparkline(series []float64, logScale bool) (string, float64, float64) {
 		b.WriteByte(dashLevels[idx])
 	}
 	return b.String(), rawMin, rawMax
-}
-
-// convergenceIter applies the same rule as metrics.Profile.ConvergenceIter
-// to the recorded model estimates: the first iteration where both d̂ and α̂
-// moved less than metrics.ModelConvergenceRelTol relative to the previous
-// iteration, or -1.
-func convergenceIter(l *Log) int64 {
-	const relTol = metrics.ModelConvergenceRelTol
-	var prevD, prevA float64
-	have := false
-	for i := range l.Records {
-		rec := &l.Records[i]
-		if rec.D <= 0 || rec.Alpha <= 0 {
-			continue
-		}
-		if have &&
-			math.Abs(rec.D-prevD) <= relTol*prevD &&
-			math.Abs(rec.Alpha-prevA) <= relTol*prevA {
-			return rec.K
-		}
-		prevD, prevA, have = rec.D, rec.Alpha, true
-	}
-	return -1
 }

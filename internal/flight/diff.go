@@ -1,6 +1,10 @@
 package flight
 
-import "math"
+import (
+	"math"
+
+	"energysssp/internal/metrics"
+)
 
 // diffFields enumerates the per-record scalar fields run-diff compares.
 // Comparison is on exact bits (math.Float64bits), not epsilon closeness:
@@ -90,8 +94,8 @@ func DiffLogs(a, b *Log) *DiffReport {
 		FirstDivergence: -1,
 	}
 	d.Compared = min(d.LenA, d.LenB)
-	d.TrackErrA = meanTrackingError(a)
-	d.TrackErrB = meanTrackingError(b)
+	_, d.TrackErrA = logHealth(a).TrackingError()
+	_, d.TrackErrB = logHealth(b).TrackingError()
 
 	type fieldState struct {
 		firstK int
@@ -137,22 +141,15 @@ func DiffLogs(a, b *Log) *DiffReport {
 	return d
 }
 
-// meanTrackingError computes the mean |X²−P|/P over the log, the same
-// formula as metrics.Profile.TrackingError, using each record's own P so
-// power-capped runs are scored against the set-point in effect at the time.
-func meanTrackingError(l *Log) float64 {
-	var sum float64
-	n := 0
+// logHealth reduces the log through metrics.ControllerHealth, scoring each
+// record against its own P so power-capped runs are judged against the
+// set-point in effect at the time.
+func logHealth(l *Log) *metrics.ControllerHealth {
+	var h metrics.ControllerHealth
 	for i := range l.Records {
 		rec := &l.Records[i]
-		if rec.SetPoint <= 0 {
-			continue
-		}
-		sum += math.Abs(float64(rec.X2)-rec.SetPoint) / rec.SetPoint
-		n++
+		h.Track(rec.X2, rec.SetPoint)
+		h.Models(int(rec.K), rec.D, rec.Alpha)
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return &h
 }

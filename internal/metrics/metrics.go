@@ -18,7 +18,7 @@ import (
 type IterStat struct {
 	K  int // iteration index
 	X1 int // input frontier size (advance input)
-	X2 int // advance output size / available parallelism
+	X2 int // successful distance updates (available parallelism)
 	X3 int // filter output size (deduplicated)
 	X4 int // frontier size entering the rebalancer / bisect-far-queue
 
@@ -94,22 +94,76 @@ func (p *Profile) TotalEdges() int64 {
 // both moved less than 1% between consecutive iterations.
 const ModelConvergenceRelTol = 0.01
 
-// TrackingError returns the controller's set-point tracking error
-// |X² − P| / P for the last iteration and its mean over the profile. The
-// live controller-health gauges in internal/core compute the identical
-// quantity incrementally, so a final scrape can be checked against the
-// recorded profile exactly.
-func (p *Profile) TrackingError(setPoint float64) (last, mean float64) {
-	if len(p.Iters) == 0 || setPoint <= 0 {
+// ControllerHealth computes the controller-health statistics one iteration
+// at a time: the set-point tracking error |X² − P| / P (last and mean) and
+// the iteration at which the model estimates converged. It is the one
+// implementation of both formulas; a recorded Profile, a flight log and the
+// live sssp_controller_* gauges all reduce through it. The zero value is
+// ready to use.
+type ControllerHealth struct {
+	errLast, errSum float64
+	n               int
+
+	prevD, prevA float64
+	havePrev     bool
+	convK        int
+	converged    bool
+}
+
+// Track folds one iteration's X² into the tracking error against
+// setPoint. Iterations without a positive set-point are skipped.
+func (h *ControllerHealth) Track(x2 int64, setPoint float64) {
+	if setPoint <= 0 {
+		return
+	}
+	h.errLast = math.Abs(float64(x2)-setPoint) / setPoint
+	h.errSum += h.errLast
+	h.n++
+}
+
+// TrackingError returns the last tracked iteration's error and the mean
+// over every tracked iteration (0, 0 before the first).
+func (h *ControllerHealth) TrackingError() (last, mean float64) {
+	if h.n == 0 {
 		return 0, 0
 	}
-	var sum float64
-	for _, it := range p.Iters {
-		e := math.Abs(float64(it.X2)-setPoint) / setPoint
-		sum += e
-		last = e
+	return h.errLast, h.errSum / float64(h.n)
+}
+
+// Models folds iteration k's model estimates d̂ and α̂ into the convergence
+// test: the first iteration where both moved less than
+// ModelConvergenceRelTol relative to the previous estimated iteration.
+// Iterations without estimates (either ≤ 0) are skipped.
+func (h *ControllerHealth) Models(k int, d, alpha float64) {
+	if h.converged || d <= 0 || alpha <= 0 {
+		return
 	}
-	return last, sum / float64(len(p.Iters))
+	if h.havePrev &&
+		math.Abs(d-h.prevD) <= ModelConvergenceRelTol*h.prevD &&
+		math.Abs(alpha-h.prevA) <= ModelConvergenceRelTol*h.prevA {
+		h.converged, h.convK = true, k
+		return
+	}
+	h.prevD, h.prevA, h.havePrev = d, alpha, true
+}
+
+// ConvergenceIter returns the iteration at which the model estimates
+// converged, or -1 if they have not.
+func (h *ControllerHealth) ConvergenceIter() int {
+	if !h.converged {
+		return -1
+	}
+	return h.convK
+}
+
+// TrackingError returns the controller's set-point tracking error
+// |X² − P| / P for the last iteration and its mean over the profile.
+func (p *Profile) TrackingError(setPoint float64) (last, mean float64) {
+	var h ControllerHealth
+	for _, it := range p.Iters {
+		h.Track(int64(it.X2), setPoint)
+	}
+	return h.TrackingError()
 }
 
 // ConvergenceIter returns the iteration index K at which the controller's
@@ -117,20 +171,11 @@ func (p *Profile) TrackingError(setPoint float64) (last, mean float64) {
 // ModelConvergenceRelTol relative to the previous iteration — or -1 if they
 // never did (or the profile carries no model estimates).
 func (p *Profile) ConvergenceIter() int {
-	var prevD, prevA float64
-	have := false
+	var h ControllerHealth
 	for _, it := range p.Iters {
-		if it.DHat <= 0 || it.AlphaHat <= 0 {
-			continue
-		}
-		if have &&
-			math.Abs(it.DHat-prevD) <= ModelConvergenceRelTol*prevD &&
-			math.Abs(it.AlphaHat-prevA) <= ModelConvergenceRelTol*prevA {
-			return it.K
-		}
-		prevD, prevA, have = it.DHat, it.AlphaHat, true
+		h.Models(it.K, it.DHat, it.AlphaHat)
 	}
-	return -1
+	return h.ConvergenceIter()
 }
 
 // Summary holds distribution statistics of a series.

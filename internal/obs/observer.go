@@ -50,7 +50,6 @@ type Observer struct {
 	hub    *Hub
 	energy *EnergyMeter // fleet meter: scope meters chain here
 	start  time.Time    // construction time, the /healthz uptime epoch
-	tsdb   atomic.Pointer[TSDB]
 
 	// solveSeconds is the fleet solve-latency histogram, observed once per
 	// retired scope.
@@ -235,8 +234,8 @@ func (o *Observer) WriteEnergyJSON(w io.Writer) error {
 
 // strategyJoules returns closed-scope joules banked under strat plus the
 // live contribution of active scopes that have declared that strategy.
-// Allocation-free: the tsdb sampler reads the per-strategy gauge funcs on
-// every tick, so the active-scope walk stays under o.mu instead of copying.
+// Allocation-free: every /metrics scrape reads the per-strategy gauge
+// funcs, so the active-scope walk stays under o.mu instead of copying.
 func (o *Observer) strategyJoules(strat string) float64 {
 	o.stratMu.Lock()
 	j := o.stratJ[strat]
@@ -273,18 +272,6 @@ func (o *Observer) allScopes() []*Scope {
 	return append(out, o.retired...)
 }
 
-// appendScopes appends the active then retired scopes to dst and returns
-// it — the allocation-free snapshot the tsdb sampler reuses every tick.
-func (o *Observer) appendScopes(dst []*Scope) []*Scope {
-	if o == nil {
-		return dst
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dst = append(dst, o.scopes...)
-	return append(dst, o.retired...)
-}
-
 // Hub returns the /events fan-out hub (nil, a no-op, on a nil observer).
 func (o *Observer) Hub() *Hub {
 	if o == nil {
@@ -314,23 +301,6 @@ func (o *Observer) ScopeCounts() (active, retired int, evicted int64) {
 	return len(o.scopes), len(o.retired), o.evicted
 }
 
-// SetTSDB attaches (or, with nil, detaches) the in-process time-series store
-// the server exposes at /series. Nil-safe on the observer itself.
-func (o *Observer) SetTSDB(t *TSDB) {
-	if o == nil {
-		return
-	}
-	o.tsdb.Store(t)
-}
-
-// TSDB returns the attached time-series store, or nil when none is set.
-func (o *Observer) TSDB() *TSDB {
-	if o == nil {
-		return nil
-	}
-	return o.tsdb.Load()
-}
-
 // Energy returns the fleet energy meter.
 func (o *Observer) Energy() *EnergyMeter {
 	if o == nil {
@@ -340,10 +310,10 @@ func (o *Observer) Energy() *EnergyMeter {
 }
 
 // PhaseTotals returns the fleet-wide aggregate for phase p: every active
-// and retired scope plus everything already evicted. Allocation-free (the
-// tsdb sampler reads the per-phase gauge funcs on every tick): Tracer.Totals
-// is pure atomic loads, so the walk stays under o.mu instead of copying the
-// scope lists.
+// and retired scope plus everything already evicted. Allocation-free (every
+// /metrics scrape reads the per-phase gauge funcs): Tracer.Totals is pure
+// atomic loads, so the walk stays under o.mu instead of copying the scope
+// lists.
 func (o *Observer) PhaseTotals(p Phase) PhaseTotals {
 	if o == nil {
 		return PhaseTotals{}
@@ -466,11 +436,10 @@ func (o *Observer) PoolStats() *PoolStats {
 			"host wall time spent inside worker-pool launches",
 			func() float64 { return float64(o.pool.BusyNs()) / 1e9 })
 		// The hook registers gauges only for workers that appeared since the
-		// last scrape, so steady-state scrapes (and the tsdb sampler, which
-		// runs the hooks every tick) build no label strings and allocate
-		// nothing once the worker set is stable. Concurrent scrapes may both
-		// register the same new worker — GaugeFunc is idempotent, so the
-		// atomic only needs to bound the loop, not serialize it.
+		// last scrape, so steady-state scrapes build no label strings once
+		// the worker set is stable. Concurrent scrapes may both register
+		// the same new worker — GaugeFunc is idempotent, so the atomic
+		// only needs to bound the loop, not serialize it.
 		var registered atomic.Int64
 		o.Reg.OnScrape(func() {
 			n := int64(o.pool.Workers())

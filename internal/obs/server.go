@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -21,11 +20,8 @@ import (
 //	          ?interval=250ms tunes the heartbeat cadence (at least 50ms;
 //	          anything else is a 400)
 //	/flight   controller flight log as JSONL (404 until SetFlight)
-//	/series   windowed time-series JSON from the attached TSDB (404 until
-//	          SetTSDB); ?window=30s&points=120&match=frontier select the
-//	          time window, per-series downsampling, and a name filter
-//	/healthz  liveness probe: JSON with uptime, scope population, tsdb
-//	          sample count, and the latest detector finding
+//	/healthz  liveness probe: JSON with uptime, scope population, and the
+//	          latest detector finding
 //
 // The server runs on its own goroutine; Close shuts it down and reports any
 // serve error other than normal shutdown.
@@ -73,21 +69,6 @@ func Serve(addr string, o *Observer) (*Server, error) {
 			return
 		}
 	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
-		db := o.TSDB()
-		if db == nil {
-			http.Error(w, "no time-series store attached", http.StatusNotFound)
-			return
-		}
-		q, ok := parseSeriesQuery(w, r)
-		if !ok {
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := db.WriteJSON(w, q); err != nil {
-			return
-		}
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := o.WriteHealthJSON(w); err != nil {
@@ -110,8 +91,7 @@ func Serve(addr string, o *Observer) (*Server, error) {
 
 // writeQueryError rejects a request with HTTP 400 and a JSON body naming
 // the offending parameter — malformed input gets a hard error, never a
-// silent clamp that would make a dashboard quietly render the wrong
-// window.
+// silent clamp.
 func writeQueryError(w http.ResponseWriter, param, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadRequest)
@@ -136,9 +116,8 @@ func validMatch(s string) bool {
 	return true
 }
 
-// parseMatch validates the ?match parameter shared by /metrics and
-// /series. On malformed input it writes the 400 response and reports
-// ok=false.
+// parseMatch validates the /metrics ?match parameter. On malformed input
+// it writes the 400 response and reports ok=false.
 func parseMatch(w http.ResponseWriter, r *http.Request) (string, bool) {
 	v := r.URL.Query().Get("match")
 	if v != "" && !validMatch(v) {
@@ -146,58 +125,6 @@ func parseMatch(w http.ResponseWriter, r *http.Request) (string, bool) {
 		return "", false
 	}
 	return v, true
-}
-
-// parseSeriesQuery validates the /series parameters — window (positive Go
-// duration), points (positive integer), step (positive Go duration,
-// converted to a point budget over the window, mutually exclusive with
-// points), and match — writing the 400 response itself on malformed
-// input.
-func parseSeriesQuery(w http.ResponseWriter, r *http.Request) (SeriesQuery, bool) {
-	var q SeriesQuery
-	var ok bool
-	if q.Match, ok = parseMatch(w, r); !ok {
-		return q, false
-	}
-	query := r.URL.Query()
-	if v := query.Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeQueryError(w, "window", "window must be a positive Go duration, e.g. 30s")
-			return q, false
-		}
-		q.Window = d
-	}
-	points, step := query.Get("points"), query.Get("step")
-	if points != "" && step != "" {
-		writeQueryError(w, "step", "points and step are mutually exclusive")
-		return q, false
-	}
-	if points != "" {
-		n, err := strconv.Atoi(points)
-		if err != nil || n <= 0 {
-			writeQueryError(w, "points", "points must be a positive integer")
-			return q, false
-		}
-		q.MaxPoints = n
-	}
-	if step != "" {
-		d, err := time.ParseDuration(step)
-		if err != nil || d <= 0 {
-			writeQueryError(w, "step", "step must be a positive Go duration, e.g. 5s")
-			return q, false
-		}
-		if q.Window <= 0 {
-			writeQueryError(w, "step", "step requires a window to divide")
-			return q, false
-		}
-		n := int(q.Window / d)
-		if n < 1 {
-			n = 1
-		}
-		q.MaxPoints = n
-	}
-	return q, true
 }
 
 // Health is the /healthz payload: enough of the fleet's vital signs that
@@ -209,8 +136,6 @@ type Health struct {
 	ActiveSolves  int     `json:"active_solves"`
 	RetiredSolves int     `json:"retired_solves"`
 	EvictedSolves int64   `json:"evicted_solves"`
-	TSDBSamples   int64   `json:"tsdb_samples"`
-	TSDBSeries    int     `json:"tsdb_series"`
 	FindingsTotal int64   `json:"findings_total"`
 	LastFinding   string  `json:"last_finding,omitempty"` // RFC3339Nano, absent when none
 	EventsDropped int64   `json:"events_dropped_total"`
@@ -224,7 +149,6 @@ func (o *Observer) HealthSnapshot() Health {
 	}
 	h.UptimeSeconds = o.Uptime().Seconds()
 	h.ActiveSolves, h.RetiredSolves, h.EvictedSolves = o.ScopeCounts()
-	h.TSDBSamples, h.TSDBSeries, _ = o.TSDB().Stats()
 	var last time.Time
 	h.FindingsTotal, last = o.Hub().Findings()
 	if !last.IsZero() {

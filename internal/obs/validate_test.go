@@ -31,13 +31,11 @@ func getStatus(t *testing.T, url string) (int, string) {
 }
 
 // TestQueryParamValidation drives every malformed-parameter path of the
-// /series, /metrics and /events query parameters: a valid filter keeps
+// /metrics and /events query parameters: a valid filter keeps
 // matching series and drops the rest, and malformed input is rejected with
 // HTTP 400 and a JSON body naming the parameter — never a silent clamp.
 func TestQueryParamValidation(t *testing.T) {
 	o := New(0)
-	db := NewTSDB(o, TSDBOptions{History: 8})
-	db.Sample(newTickTimes().next(time.Second))
 	worker, err := Serve("127.0.0.1:0", o)
 	if err != nil {
 		t.Fatal(err)
@@ -65,20 +63,7 @@ func TestQueryParamValidation(t *testing.T) {
 		path      string
 		wantParam string // "" = expect 200
 	}{
-		{"series ok", "/series?window=30s&points=10", ""},
-		{"series step ok", "/series?window=30s&step=5s", ""},
 		{"metrics ok", "/metrics?match=obs", ""},
-		{"bad window", "/series?window=banana", "window"},
-		{"negative window", "/series?window=-5s", "window"},
-		{"zero window", "/series?window=0s", "window"},
-		{"bad points", "/series?points=zero", "points"},
-		{"zero points", "/series?points=0", "points"},
-		{"negative points", "/series?points=-3", "points"},
-		{"bad step", "/series?window=30s&step=soon", "step"},
-		{"step without window", "/series?step=5s", "step"},
-		{"points and step", "/series?window=30s&points=5&step=5s", "step"},
-		{"series long match", "/series?match=" + longMatch, "match"},
-		{"series control match", "/series?match=%00", "match"},
 		{"metrics long match", "/metrics?match=" + longMatch, "match"},
 		{"metrics control match", "/metrics?match=%0a", "match"},
 		{"events bad interval", "/events?interval=banana", "interval"},

@@ -7,7 +7,6 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
 )
 
@@ -87,9 +86,9 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		return farFlat.Len()
 	}
 
-	frec := opt.Flight
-	if frec != nil {
-		frec.SetHeader(flight.Header{
+	pub := NewPublisher(opt, sc, 0)
+	if opt.Flight != nil {
+		opt.Flight.SetHeader(flight.Header{
 			Algorithm:  "nearfar",
 			Vertices:   int64(g.NumVertices()),
 			Edges:      int64(g.NumEdges()),
@@ -103,8 +102,6 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 
 	var res Result
 	guard := opt.maxIters(g)
-	var lastSim time.Duration
-	var lastJ float64
 	tr := kn.Trace()
 	spSolve := tr.BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
@@ -135,7 +132,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		x4 := len(near)
 		front = near
 
-		if frec != nil {
+		if pub.Active() {
 			// Snapshot the phase decision's inputs (X⁴ and the far-queue
 			// length are exactly what the stage-4 condition reads) so the
 			// fixed-delta threshold schedule can be replayed from the log.
@@ -211,25 +208,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 			spQ.EndSim(int64(scanned), simQ, durQ)
 		}
 
-		if opt.Profile != nil {
-			st := metrics.IterStat{
-				K: res.Iterations - 1, X1: x1, X2: adv.X2, X3: len(adv.Out), X4: x4,
-				Delta: float64(thr), FarSize: farLen(), Edges: adv.Edges,
-				EdgeBalanced: adv.EdgeBalanced,
-			}
-			if opt.Machine != nil {
-				st.SimTime = opt.Machine.Now() - startSim
-				st.EnergyJ = opt.Machine.Energy() - startJ
-				dt := st.SimTime - lastSim
-				if dt > 0 {
-					st.AvgWatts = (st.EnergyJ - lastJ) / dt.Seconds()
-				}
-				lastSim, lastJ = st.SimTime, st.EnergyJ
-			}
-			opt.Profile.Append(st)
-		}
-
-		if frec != nil {
+		if pub.Active() {
 			fr.RawDelta = float64(thr)
 			fr.DeltaOut = float64(thr)
 			fr.AppliedDelta = float64(thr) - fr.DeltaIn
@@ -238,11 +217,8 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 				fr.SimTimeNs = int64(opt.Machine.Now() - startSim)
 				fr.EnergyJ = opt.Machine.Energy() - startJ
 			}
-			frec.Append(&fr)
+			pub.Publish(&fr, adv.Edges)
 		}
-
-		sc.Live().Iteration(int64(res.Iterations-1), int64(x1), int64(farLen()),
-			int64(adv.X2), float64(thr), int64(kn.SimNow()-startSim))
 		spIter.End(int64(adv.X2))
 	}
 	kn.PutFrontierBuf(front)

@@ -53,9 +53,9 @@ func TestObsBitIdenticalSim(t *testing.T) {
 }
 
 // TestObsMetricsMatchProfile scrapes a live /metrics endpoint after a solve
-// and checks the controller-health gauges against the recorded profile: the
-// incremental computation in internal/core and the post-hoc helpers in
-// internal/metrics must agree exactly.
+// and checks the controller-health gauges against the recorded profile:
+// both are derived from the same per-iteration flight records, so they
+// must agree exactly.
 func TestObsMetricsMatchProfile(t *testing.T) {
 	o := NewObserver(0)
 	out := obsRun(t, o)

@@ -48,10 +48,10 @@ echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
 go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
 
-echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue, tsdb sampler)"
+echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue)"
 go test -run 'TestAdvanceSteadyStateAllocs|TestObsSteadyStateAllocs|TestSpanSteadyStateAllocs|TestLazyFarSteadyStateAllocs' -count=1 ./internal/sssp/
 go test -run 'TestPartitionedSteadyStateAllocs' -count=1 ./internal/frontier/
-go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs|TestTSDBSampleSteadyStateAllocs' -count=1 ./internal/obs/
+go test -run 'TestTracerSteadyStateAllocs|TestEnergyMeterSteadyStateAllocs' -count=1 ./internal/obs/
 go test -run 'TestFlightSteadyStateAllocs' -count=1 ./internal/core/
 
 echo "==> flight-recorder gates: record/replay determinism + same-seed diff"
@@ -89,6 +89,11 @@ done
 "$flightbin/flight" record -dataset cal -scale 0.005 -seed 42 -P 500 -device TK1 \
     -workers 1 -o "$flightbin/ref.jsonl" 2>/dev/null
 "$flightbin/flight" diff results/flight_cal_tk1.jsonl "$flightbin/ref.jsonl" >/dev/null
+
+echo "==> fuzz the flight-log reader and everything that consumes its output"
+# Flight logs are untrusted input to replay, the dashboard, the detector and
+# run-diff; none of them may panic on any byte sequence the reader accepts.
+go test -run '^$' -fuzz '^FuzzFlightLog$' -fuzztime 30s ./internal/core/
 
 echo "==> bench module: vet + quick smoke"
 # bench/ is a nested module, so the root go vet/build/test never see it,
