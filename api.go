@@ -210,9 +210,9 @@ type RunConfig struct {
 	// original vertex ids, so relabeling is invisible in the results.
 	Relabel string
 	// FarQueue pins the far-queue structure for NearFar and DeltaStepping:
-	// "flat" (the paper baseline's rescanning queue), "lazy" (bucketed,
-	// same phase schedule), "rho" (lazy-batched fine buckets), or
-	// ""/"auto" (per-solver fastest default). Exact distances either way.
+	// "flat" (the paper baseline's rescanning queue), "rho" (lazy-batched
+	// fine buckets), or ""/"auto" (per-solver fastest default). Exact
+	// distances either way.
 	FarQueue string
 	// Device attaches a simulated board ("TK1" or "TX1"; empty disables
 	// simulation).

@@ -106,6 +106,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(g, 99, RunConfig{}); err == nil {
 		t.Fatal("bad source accepted")
 	}
+	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, FarQueue: "lazy"}); err == nil {
+		t.Fatal("removed far-queue strategy lazy accepted")
+	}
 }
 
 // TestRunSetPointValidation: SelfTuning rejects every set-point that is
@@ -422,7 +425,7 @@ func TestRunFarQueueConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fq := range []string{"auto", "flat", "lazy", "rho"} {
+	for _, fq := range []string{"auto", "flat", "rho"} {
 		for _, algo := range []Algorithm{DeltaStepping, NearFar} {
 			out, err := Run(g, 0, RunConfig{Algorithm: algo, Workers: 2, FarQueue: fq})
 			if err != nil {

@@ -243,14 +243,14 @@ func BenchmarkDeltaSteppingCal(b *testing.B) { benchSolver(b, DeltaStepping, gen
 func BenchmarkNearFarCal(b *testing.B)       { benchSolver(b, NearFar, gen.Cal) }
 func BenchmarkNearFarWiki(b *testing.B)      { benchSolver(b, NearFar, gen.Wiki) }
 
-// BenchmarkFarQueue compares the three far-queue strategies head to head on
+// BenchmarkFarQueue compares the two far-queue strategies head to head on
 // the two dataset substitutes, at each graph's tuned δ*. flat is the paper's
-// compact-and-rescan array, lazy adds bucketed lazy deletion behind the same
-// fixed-δ schedule, and rho replaces the schedule with adaptive bucket-batch
-// extraction (ρ-stepping).
+// compact-and-rescan array under the fixed-δ schedule; rho replaces the
+// schedule with bucketed lazy deletion and adaptive bucket-batch extraction
+// (ρ-stepping).
 func BenchmarkFarQueue(b *testing.B) {
 	e := env()
-	strategies := []sssp.FarQueueStrategy{sssp.FarFlat, sssp.FarLazy, sssp.FarRho}
+	strategies := []sssp.FarQueueStrategy{sssp.FarFlat, sssp.FarRho}
 	for _, d := range []gen.Dataset{gen.Cal, gen.Wiki} {
 		g := e.Graph(d)
 		src := e.Source(d)
@@ -306,7 +306,7 @@ func BenchmarkNearFarCalRelabeled(b *testing.B) {
 // carries the frontier edge count, so MB/s reads as relaxed edges per
 // microsecond; allocs/op must stay 0 once warmed (see
 // TestAdvanceSteadyStateAllocs for the hard gate).
-func benchAdvance(b *testing.B, g *Graph, workers int, strat sssp.Strategy, o *obs.Observer) {
+func benchAdvance(b *testing.B, g *Graph, workers int, o *obs.Observer) {
 	pool := parallel.NewPool(workers)
 	defer pool.Close()
 	res, err := sssp.BellmanFord(g, 0, &sssp.Options{Pool: pool})
@@ -316,7 +316,6 @@ func benchAdvance(b *testing.B, g *Graph, workers int, strat sssp.Strategy, o *o
 	dist := res.Dist
 	kn := sssp.NewKernels(g, pool, nil, dist)
 	defer kn.Release()
-	kn.Force = strat
 	sc := o.NewScope("bench") // nil observer hands out a nil (no-op) scope
 	defer sc.Close()
 	kn.Observe(sc)
@@ -341,10 +340,10 @@ func benchAdvance(b *testing.B, g *Graph, workers int, strat sssp.Strategy, o *o
 	}
 }
 
-// BenchmarkAdvance compares the vertex-dynamic, edge-balanced, and adaptive
-// advance schedules on the two canonical degree shapes: a hub-heavy
-// scale-free graph (where edge balancing pays) and a near-uniform road grid
-// (where vertex chunking is already balanced and cheaper to set up).
+// BenchmarkAdvance measures the advance at pool sizes 1 and 4 on the two
+// canonical degree shapes: a hub-heavy scale-free graph and a near-uniform
+// road grid. The full reachable frontier is above the sequential cutoff, so
+// pool 4 runs the parallel vertex-chunk path.
 func BenchmarkAdvance(b *testing.B) {
 	graphs := []struct {
 		name string
@@ -353,21 +352,11 @@ func BenchmarkAdvance(b *testing.B) {
 		{"rmat", gen.RMAT(14, 16, 0.57, 0.19, 0.19, 1, 99, 21)},
 		{"road", gen.Road(180, 180, 0.1, 1, 100, 21)},
 	}
-	strategies := []struct {
-		name  string
-		strat sssp.Strategy
-	}{
-		{"vertex", sssp.StrategyVertex},
-		{"edge", sssp.StrategyEdge},
-		{"auto", sssp.StrategyAuto},
-	}
 	for _, gc := range graphs {
 		for _, workers := range []int{1, 4} {
-			for _, sc := range strategies {
-				b.Run(fmt.Sprintf("%s/p%d/%s", gc.name, workers, sc.name), func(b *testing.B) {
-					benchAdvance(b, gc.g, workers, sc.strat, nil)
-				})
-			}
+			b.Run(fmt.Sprintf("%s/p%d", gc.name, workers), func(b *testing.B) {
+				benchAdvance(b, gc.g, workers, nil)
+			})
 		}
 	}
 }
@@ -379,10 +368,10 @@ func BenchmarkAdvance(b *testing.B) {
 func BenchmarkObsAdvance(b *testing.B) {
 	g := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 1, 99, 21)
 	b.Run("rmat/p4/off", func(b *testing.B) {
-		benchAdvance(b, g, 4, sssp.StrategyAuto, nil)
+		benchAdvance(b, g, 4, nil)
 	})
 	b.Run("rmat/p4/on", func(b *testing.B) {
-		benchAdvance(b, g, 4, sssp.StrategyAuto, obs.New(obs.DefaultTraceEvents))
+		benchAdvance(b, g, 4, obs.New(obs.DefaultTraceEvents))
 	})
 }
 
@@ -402,7 +391,6 @@ func benchSpanAdvance(b *testing.B, g *Graph, o *obs.Observer) {
 	dist := res.Dist
 	kn := sssp.NewKernels(g, pool, nil, dist)
 	defer kn.Release()
-	kn.Force = sssp.StrategyAuto
 	sc := o.NewScope("spanbench")
 	defer sc.Close()
 	kn.Observe(sc)

@@ -77,7 +77,6 @@ func cmdRecord(args []string) error {
 		source    = fs.Int("source", 0, "source vertex id")
 		workers   = fs.Int("workers", 1, "worker goroutines (-1 = all CPUs, 0/1 = sequential)")
 		device    = fs.String("device", "", "simulated board: TK1 or TX1 (empty = no simulation)")
-		advance   = fs.String("advance", "auto", "advance scheduling: auto, vertex, or edge")
 		capacity  = fs.Int("capacity", 1<<16, "recorder ring capacity in records")
 		out       = fs.String("o", "flight.jsonl", "output log path (- for stdout)")
 	)
@@ -89,13 +88,8 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	strat, err := parseStrategy(*advance)
-	if err != nil {
-		return err
-	}
-
 	rec := flight.NewRecorder(*capacity)
-	opt := &sssp.Options{Flight: rec, Advance: strat}
+	opt := &sssp.Options{Flight: rec}
 	if *workers < 0 || *workers > 1 {
 		pool := parallel.NewPool(max(*workers, 0))
 		defer pool.Close()
@@ -137,10 +131,10 @@ func cmdRecord(args []string) error {
 	}
 
 	l := rec.Log()
-	l.Header.Label = fmt.Sprintf("dataset=%s scale=%g seed=%d device=%s workers=%d advance=%s",
-		*dataset, *scale, *seed, *device, *workers, *advance)
+	l.Header.Label = fmt.Sprintf("dataset=%s scale=%g seed=%d device=%s workers=%d",
+		*dataset, *scale, *seed, *device, *workers)
 	if *graphPath != "" {
-		l.Header.Label = fmt.Sprintf("graph=%s device=%s workers=%d advance=%s", *graphPath, *device, *workers, *advance)
+		l.Header.Label = fmt.Sprintf("graph=%s device=%s workers=%d", *graphPath, *device, *workers)
 	}
 	rec.SetHeader(l.Header) // keep the served/live header consistent too
 
@@ -271,19 +265,6 @@ func loadOrGenerate(path, dataset string, scale float64, seed uint64) (*graph.Gr
 		return gen.WikiLike(scale, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want cal or wiki)", dataset)
-	}
-}
-
-func parseStrategy(s string) (sssp.Strategy, error) {
-	switch s {
-	case "auto":
-		return sssp.StrategyAuto, nil
-	case "vertex":
-		return sssp.StrategyVertex, nil
-	case "edge":
-		return sssp.StrategyEdge, nil
-	default:
-		return 0, fmt.Errorf("unknown advance strategy %q (want auto, vertex, or edge)", s)
 	}
 }
 

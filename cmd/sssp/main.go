@@ -34,7 +34,7 @@ func main() {
 		source    = flag.Int("source", 0, "source vertex id")
 		workers   = flag.Int("workers", -1, "worker goroutines (-1 = all CPUs, 0/1 = sequential)")
 		relabel   = flag.String("relabel", "none", "vertex relabeling preprocessing: none|degree|bfs (results map back to original ids)")
-		farQueue  = flag.String("farqueue", "auto", "far-queue strategy for nearfar/deltastepping: auto|flat|lazy|rho")
+		farQueue  = flag.String("farqueue", "auto", "far-queue strategy for nearfar/deltastepping: auto|flat|rho")
 		device    = flag.String("device", "", "simulated board: TK1 or TX1 (empty = no simulation)")
 		freq      = flag.String("freq", "auto", "DVFS setting: auto or core/mem MHz (e.g. 852/924)")
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")

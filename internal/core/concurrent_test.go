@@ -7,7 +7,7 @@ import (
 
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
+	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sssp"
 )
@@ -19,7 +19,7 @@ import (
 // weight) and draw far queues, frontier buffers and kernel scratch from
 // the same pools, so under -race (scripts/check.sh) this covers the
 // handoffs between them. The large set-points let frontiers outgrow the
-// sequential cutoff, so the parallel advance paths run too.
+// sequential cutoff, so the parallel advance path runs too.
 func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 	g := gen.WikiLike(0.01, 42)
 	const goroutines = 8
@@ -38,7 +38,7 @@ func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 		}
 	}
 	errs := make([]error, goroutines)
-	edgeBalanced := make([]int, goroutines)
+	parallelAdv := make([]int64, goroutines)
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
@@ -46,15 +46,16 @@ func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 			defer wg.Done()
 			pool := parallel.NewPool(2)
 			defer pool.Close()
+			sc := obs.New(0).NewScope("selftuning")
+			defer sc.Close()
+			defer func() { parallelAdv[w] = parallelAdvances(sc) }()
 			p := []float64{500, 20000}[w%2]
 			for _, i := range []int{2 * w, 2*w + 1} {
-				var prof metrics.Profile
-				res, err := Solve(g, sources[i], Config{P: p}, &sssp.Options{Pool: pool, Profile: &prof})
+				res, err := Solve(g, sources[i], Config{P: p}, &sssp.Options{Pool: pool, Scope: sc})
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				edgeBalanced[w] += prof.EdgeBalancedIters()
 				for v, d := range want[i] {
 					if res.Dist[v] != d {
 						errs[w] = fmt.Errorf("source %d P=%g: dist[%d] = %d, want %d", sources[i], p, v, res.Dist[v], d)
@@ -65,14 +66,22 @@ func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := 0
+	var total int64
 	for w, err := range errs {
 		if err != nil {
 			t.Errorf("goroutine %d: %v", w, err)
 		}
-		total += edgeBalanced[w]
+		total += parallelAdv[w]
 	}
 	if total == 0 {
-		t.Error("no solve took the edge-balanced advance path")
+		t.Error("no solve ran a parallel advance")
 	}
+}
+
+// parallelAdvances counts the advances of a scope's solves that ran on the
+// pool rather than inline on the sequential kernel.
+func parallelAdvances(sc *obs.Scope) int64 {
+	adv, _ := sc.Registry().Value("sssp_advances_total")
+	seq, _ := sc.Registry().Value("sssp_sequential_advances_total")
+	return int64(adv - seq)
 }

@@ -9,6 +9,7 @@ import (
 	"energysssp/internal/flight"
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
+	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sim"
 	"energysssp/internal/sssp"
@@ -35,69 +36,80 @@ func replayOK(t *testing.T, l *flight.Log) {
 }
 
 // TestFlightReplayBitIdentical is the flight recorder's central acceptance
-// gate: for the self-tuning solver on a road-like and a scale-free input,
-// under both advance scheduling strategies, re-executing the controller
-// from the recorded log alone reproduces every δ decision and every model
-// internal to the bit — including after a JSONL serialization round trip.
+// gate: for the self-tuning solver on a road-like and a scale-free input at
+// pool size 4, re-executing the controller from the recorded log alone
+// reproduces every δ decision and every model internal to the bit —
+// including after a JSONL serialization round trip. The wiki-parallel
+// configuration (most of its ~20 frontiers above the sequential cutoff)
+// must run parallel advances, whose X² depends on how the atomic-min races
+// resolve; replay reads X² from the log, so it is bit-identical anyway.
 func TestFlightReplayBitIdentical(t *testing.T) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
+	configs := []struct {
+		name         string
+		g            *graph.Graph
+		p            float64
+		wantParallel bool
 	}{
-		{"cal", gen.CalLike(0.01, 42)},
-		{"wiki", gen.WikiLike(0.01, 7)},
+		{"cal", gen.CalLike(0.01, 42), 500, false},
+		{"wiki", gen.WikiLike(0.01, 7), 500, false},
+		{"wiki-parallel", gen.WikiLike(0.05, 7), 20000, true},
 	}
-	for _, tc := range graphs {
-		for _, strat := range []sssp.Strategy{sssp.StrategyVertex, sssp.StrategyEdge} {
-			t.Run(tc.name+"/"+strat.String(), func(t *testing.T) {
-				pool := parallel.NewPool(4)
-				defer pool.Close()
-				rec := flight.NewRecorder(1 << 16)
-				opt := &sssp.Options{Pool: pool, Advance: strat, Flight: rec}
-				res, err := Solve(tc.g, 0, Config{P: 500}, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameDistances(t, tc.g, 0, res.Dist, "flight-recorded solve")
+	for _, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := parallel.NewPool(4)
+			defer pool.Close()
+			sc := obs.New(0).NewScope("selftuning")
+			defer sc.Close()
+			rec := flight.NewRecorder(1 << 16)
+			opt := &sssp.Options{Pool: pool, Flight: rec, Scope: sc}
+			res, err := Solve(tc.g, 0, Config{P: tc.p}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameDistances(t, tc.g, 0, res.Dist, "flight-recorded solve")
+			if n := parallelAdvances(sc); tc.wantParallel && n == 0 {
+				t.Fatalf("no parallel advance in %d iterations", res.Iterations)
+			}
 
-				l := rec.Log()
-				if l.Header.Algorithm != "selftuning" {
-					t.Fatalf("header algorithm %q, want selftuning", l.Header.Algorithm)
-				}
-				if len(l.Records) != res.Iterations {
-					t.Fatalf("recorded %d iterations, solver reports %d", len(l.Records), res.Iterations)
-				}
-				if !l.Contiguous() {
-					t.Fatal("log not contiguous from iteration 0")
-				}
-				replayOK(t, l)
+			l := rec.Log()
+			if l.Header.Algorithm != "selftuning" {
+				t.Fatalf("header algorithm %q, want selftuning", l.Header.Algorithm)
+			}
+			if len(l.Records) != res.Iterations {
+				t.Fatalf("recorded %d iterations, solver reports %d", len(l.Records), res.Iterations)
+			}
+			if !l.Contiguous() {
+				t.Fatal("log not contiguous from iteration 0")
+			}
+			replayOK(t, l)
 
-				// JSONL round trip must preserve every float bit, so the
-				// decoded log replays too and diffs clean against the
-				// in-memory one.
-				var buf bytes.Buffer
-				if err := flight.WriteJSONL(&buf, l); err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := flight.ReadJSONL(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayOK(t, decoded)
-				if d := flight.DiffLogs(l, decoded); !d.Identical() {
-					t.Fatalf("JSONL round trip changed the log: first divergence at %d, fields %v",
-						d.FirstDivergence, d.Fields)
-				}
-			})
-		}
+			// JSONL round trip must preserve every float bit, so the
+			// decoded log replays too and diffs clean against the
+			// in-memory one.
+			var buf bytes.Buffer
+			if err := flight.WriteJSONL(&buf, l); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := flight.ReadJSONL(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayOK(t, decoded)
+			if d := flight.DiffLogs(l, decoded); !d.Identical() {
+				t.Fatalf("JSONL round trip changed the log: first divergence at %d, fields %v",
+					d.FirstDivergence, d.Fields)
+			}
+		})
 	}
 }
 
 // TestFlightReplayNearFar covers the baseline's log under every far-queue
-// strategy: flat and lazy recompute the fixed-delta phase schedule exactly
-// from the header delta and the recorded (X⁴, farLen, jumpMin) inputs; rho
-// validates its bucket-batch trajectory invariants. The default (auto)
-// resolves to rho and must record that in the header.
+// strategy: flat recomputes the fixed-delta phase schedule exactly from the
+// header delta and the recorded (X⁴, farLen, jumpMin) inputs; rho validates
+// its bucket-batch trajectory invariants. The default (auto) resolves to
+// rho and must record that in the header. A log headed "lazy" (a bucketed
+// queue that ran flat's schedule, since removed) still replays through the
+// flat recompute.
 func TestFlightReplayNearFar(t *testing.T) {
 	g := gen.CalLike(0.01, 42)
 	rec := flight.NewRecorder(1 << 16)
@@ -117,7 +129,7 @@ func TestFlightReplayNearFar(t *testing.T) {
 	}
 	replayOK(t, l)
 
-	for _, s := range []sssp.FarQueueStrategy{sssp.FarFlat, sssp.FarLazy, sssp.FarRho} {
+	for _, s := range []sssp.FarQueueStrategy{sssp.FarFlat, sssp.FarRho} {
 		rec := flight.NewRecorder(1 << 16)
 		if _, err := sssp.NearFar(g, 0, 32, &sssp.Options{Flight: rec, FarQueue: s}); err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -127,6 +139,10 @@ func TestFlightReplayNearFar(t *testing.T) {
 			t.Fatalf("header strategy %q, want %q", l.Header.FarQueue, s)
 		}
 		replayOK(t, l)
+		if s == sssp.FarFlat {
+			l.Header.FarQueue = "lazy"
+			replayOK(t, l)
+		}
 	}
 
 	// A corrupted rho trajectory must be caught by the invariant checks.

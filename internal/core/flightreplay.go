@@ -23,8 +23,8 @@ import (
 //     estimates, and all six vSGD internals of each model. The recorded
 //     per-iteration SetPoint is applied before each decision, which makes
 //     power-capped runs (whose policy retunes P) replayable too.
-//   - "nearfar" with a flat or lazy far queue (or a v1 log, which predates
-//     the strategies): recompute the fixed-delta phase schedule from the
+//   - "nearfar" with a flat far queue, the removed lazy one (which ran
+//     flat's schedule), or a v1 log (which predates the strategies): recompute the fixed-delta phase schedule from the
 //     header's FixedDelta and each record's (X⁴, FarLen, JumpMin),
 //     asserting the threshold trajectory. Both strategies share the exact
 //     recompute — the flat driver's jump-and-retry telescopes to the same

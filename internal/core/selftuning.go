@@ -87,7 +87,6 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	}
 	dist[src] = 0
 	kn := sssp.NewKernels(g, pool, opt.Machine, dist)
-	kn.Force = opt.Advance
 	sc, ownScope := opt.AcquireScope("selftuning")
 	if ownScope {
 		defer sc.Close()
@@ -189,8 +188,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
 				FarLen: int64(q.FarLen), PartBound: int64(q.PartBound), PartSize: int64(q.PartSize),
 				DeltaIn: thr, RawDelta: rawThr,
-				JumpMin:      -1,
-				EdgeBalanced: adv.EdgeBalanced,
+				JumpMin: -1,
 			}
 			if fpol != nil {
 				fpol.flightModels(&fr)

@@ -29,16 +29,8 @@ var diffFields = []struct {
 	{"alpha", func(r *Record) float64 { return r.Alpha }},
 	{"advance.theta", func(r *Record) float64 { return r.Advance.Theta }},
 	{"bisect.theta", func(r *Record) float64 { return r.Bisect.Theta }},
-	{"edgeBalanced", func(r *Record) float64 { return b2f(r.EdgeBalanced) }},
 	{"simNs", func(r *Record) float64 { return float64(r.SimTimeNs) }},
 	{"energyJ", func(r *Record) float64 { return r.EnergyJ }},
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // FieldDiff reports one field's values in the two runs at a divergent

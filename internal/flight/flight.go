@@ -108,9 +108,6 @@ type Record struct {
 	Advance ModelState `json:"advance"`
 	Bisect  ModelState `json:"bisect"`
 
-	// Host-side advance scheduling choice (vertex- vs edge-balanced).
-	EdgeBalanced bool `json:"edgeBalanced"`
-
 	// Cumulative simulated cost at end of iteration (zero without a machine).
 	SimTimeNs int64   `json:"simNs"`
 	EnergyJ   float64 `json:"energyJ"`
@@ -145,10 +142,11 @@ type Header struct {
 	FixedDelta int64 `json:"fixedDelta,omitempty"`
 
 	// FarQueue and FarWidth record the far-queue strategy the solver ran
-	// ("flat", "lazy", or "rho" — never "auto") and its bucket width
-	// (nearfar only; zero width for flat). Replay dispatches on FarQueue:
-	// flat and lazy share the exact fixed-delta threshold recompute, rho
-	// validates its batch schedule against the width instead. Absent in
+	// ("flat" or "rho" — never "auto"; logs recorded before the lazy queue
+	// was removed may say "lazy") and its bucket width (nearfar only; zero
+	// width for flat). Replay dispatches on FarQueue: flat and lazy share
+	// the exact fixed-delta threshold recompute, rho validates its batch
+	// schedule against the width instead. Absent in
 	// v1 logs, which predate the strategies and are replayed as flat.
 	FarQueue string `json:"farQueue,omitempty"`
 	FarWidth int64  `json:"farWidth,omitempty"`

@@ -31,8 +31,9 @@ import (
 // (Threshold()); this is exactly the near-far invariant that every far
 // push carries a distance above the current phase boundary. Distances at
 // or below the threshold are clamped into the first undrained bucket,
-// which keeps the structure consistent but may cost MinDist exactness —
-// callers obeying the contract always get the exact minimum.
+// which keeps the structure consistent but may cost ExtractBatch its
+// order exactness — callers obeying the contract always extract in
+// bucket order.
 type Lazy struct {
 	width   graph.Dist
 	drained int64 // absolute index of the first undrained bucket
@@ -45,7 +46,7 @@ type Lazy struct {
 	ofMin   int64 // smallest bucket index present in overflow
 	size    int   // stored entries, stale included until detected
 	ringN   int   // entries currently in ring slabs
-	pending int   // scan work accrued outside extraction (MinDist, fill)
+	pending int   // scan work accrued by overflow redistribution (fill)
 }
 
 // DefaultLazySlots is the ring size: how many consecutive buckets the
@@ -227,63 +228,6 @@ func (q *Lazy) drainBucket(dist []graph.Dist, out []graph.VID, scanned int) ([]g
 	return out, scanned
 }
 
-// ExtractBelow drains every bucket covered by thr, appending fresh
-// vertices to out and dropping stale entries. For a partially covered
-// bucket (thr not a bucket boundary) fresh entries above thr are retained
-// in place. It returns the extended slice and the number of entries
-// scanned (extraction plus any accrued MinDist/redistribution work), the
-// work charged to the simulated far-queue kernel — the same accounting
-// contract as Flat.ExtractBelow.
-func (q *Lazy) ExtractBelow(thr graph.Dist, dist []graph.Dist, out []graph.VID) ([]graph.VID, int) {
-	scanned := 0
-	full := noBucket / 2
-	if thr < graph.Inf {
-		full = int64(thr / q.width)
-	}
-	for q.drained < full && q.size > 0 {
-		q.skipEmpty(full)
-		if q.drained >= full {
-			break
-		}
-		q.fill(dist)
-		out, scanned = q.drainBucket(dist, out, scanned)
-	}
-	if thr < graph.Inf && q.drained < full {
-		q.drained = full // queue emptied early: the whole range counts drained
-	}
-	q.fill(dist)
-	if q.size > 0 && thr < graph.Inf && thr%q.width != 0 {
-		// Bucket `full` is only covered up to thr: split it in place.
-		s := int(full % int64(q.nslots))
-		bv, bd := q.vids[s], q.dists[s]
-		scanned += len(bd)
-		kv, kd := bv[:0], bd[:0]
-		for i, d := range bd {
-			v := bv[i]
-			if dist[v] != d {
-				q.size--
-				q.ringN--
-				continue
-			}
-			if d <= thr {
-				out = append(out, v)
-				q.size--
-				q.ringN--
-			} else {
-				kv = append(kv, v)
-				kd = append(kd, d)
-			}
-		}
-		q.vids[s], q.dists[s] = kv, kd
-	}
-	if q.minAbi < q.drained {
-		q.minAbi = q.drained
-	}
-	scanned += q.pending // MinDist/redistribution work since the last charge
-	q.pending = 0
-	return out, scanned
-}
-
 // ExtractBatch is the rho-stepping extraction: it drains whole buckets in
 // ascending order until at least minBatch fresh vertices have been
 // gathered (or the queue empties), and returns the extended slice, the
@@ -306,79 +250,4 @@ func (q *Lazy) ExtractBatch(minBatch int, dist []graph.Dist, out []graph.VID) ([
 	scanned += q.pending
 	q.pending = 0
 	return out, scanned, q.Threshold()
-}
-
-// MinDist returns the smallest current distance among fresh entries, or
-// graph.Inf if none remains. Buckets are ordered by recorded distance and
-// a fresh entry's current distance equals its recorded one, so the first
-// bucket holding a fresh entry yields the exact global minimum; stale
-// entries met on the way are dropped (the scan work is accounted to the
-// next extraction).
-func (q *Lazy) MinDist(dist []graph.Dist) graph.Dist {
-	if q.size == 0 {
-		return graph.Inf
-	}
-	if q.ringN > 0 {
-		abi := q.minAbi
-		if abi < q.drained {
-			abi = q.drained
-		}
-		end := q.drained + int64(q.nslots)
-		for ; abi < end && q.ringN > 0; abi++ {
-			s := int(abi % int64(q.nslots))
-			bd := q.dists[s]
-			if len(bd) == 0 {
-				continue
-			}
-			bv := q.vids[s]
-			q.pending += len(bd)
-			kv, kd := bv[:0], bd[:0]
-			min := graph.Inf
-			for i, d := range bd {
-				if dist[bv[i]] != d {
-					continue
-				}
-				if d < min {
-					min = d
-				}
-				kv = append(kv, bv[i])
-				kd = append(kd, d)
-			}
-			dropped := len(bd) - len(kd)
-			q.size -= dropped
-			q.ringN -= dropped
-			q.vids[s], q.dists[s] = kv, kd
-			if min < graph.Inf {
-				q.minAbi = abi
-				return min
-			}
-		}
-		q.minAbi = noBucket
-	}
-	// Ring exhausted: the minimum, if any, sits in the overflow slab.
-	if len(q.ofV) == 0 {
-		return graph.Inf
-	}
-	q.pending += len(q.ofV)
-	kv, kd := q.ofV[:0], q.ofD[:0]
-	min := graph.Inf
-	newMin := noBucket
-	for i, d := range q.ofD {
-		v := q.ofV[i]
-		if dist[v] != d {
-			q.size--
-			continue
-		}
-		if d < min {
-			min = d
-		}
-		kv = append(kv, v)
-		kd = append(kd, d)
-		if abi := q.bucketOf(d); abi < newMin {
-			newMin = abi
-		}
-	}
-	q.ofV, q.ofD = kv, kd
-	q.ofMin = newMin
-	return min
 }

@@ -21,17 +21,17 @@ func TestLazyBasic(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	out, scanned := q.ExtractBelow(20, dist, nil)
+	out, scanned, thr := q.ExtractBatch(2, dist, nil)
 	if len(out) != 2 || out[0] != 0 || out[1] != 1 {
 		t.Fatalf("out = %v", out)
 	}
 	if scanned < 2 {
 		t.Fatalf("scanned = %d", scanned)
 	}
-	if q.Threshold() != 20 {
-		t.Fatalf("Threshold = %d, want 20", q.Threshold())
+	if thr != 20 || q.Threshold() != 20 {
+		t.Fatalf("threshold = %d (Threshold %d), want 20", thr, q.Threshold())
 	}
-	out, _ = q.ExtractBelow(graph.Inf, dist, nil)
+	out, _, _ = q.ExtractBatch(2, dist, nil)
 	if len(out) != 1 || out[0] != 2 || q.Len() != 0 {
 		t.Fatalf("final extract = %v, len=%d", out, q.Len())
 	}
@@ -42,15 +42,15 @@ func TestLazyDropsStale(t *testing.T) {
 	defer q.Release()
 	dist := []graph.Dist{10}
 	q.Push(0, 15) // stale: current dist is 10
-	out, _ := q.ExtractBelow(graph.Inf, dist, nil)
+	out, _, _ := q.ExtractBatch(1, dist, nil)
 	if len(out) != 0 || q.Len() != 0 {
 		t.Fatalf("stale entry survived: out=%v len=%d", out, q.Len())
 	}
 }
 
-// Unlike Flat's O(1) lower bound, the lazy queue's MinDist is exact: stale
-// entries met during the ordered bucket scan are dropped, so the first
-// fresh entry found is the true minimum.
+// Unlike Flat's O(1) lower bound, the lazy queue finds the exact minimum:
+// stale entries met during the ordered bucket scan are dropped, so the
+// first fresh entry extracted holds the true minimum distance.
 func TestLazyMinDistExact(t *testing.T) {
 	q := GetLazy(10, 0)
 	defer q.Release()
@@ -58,24 +58,20 @@ func TestLazyMinDistExact(t *testing.T) {
 	q.Push(0, 3) // stale: vertex 0 improved to 1
 	q.Push(1, 40)
 	q.Push(2, 22)
-	if got := q.MinDist(dist); got != 22 {
-		t.Fatalf("MinDist = %d, want exact 22", got)
+	out, scanned, thr := q.ExtractBatch(1, dist, nil)
+	if len(out) != 1 || out[0] != 2 || thr != 30 {
+		t.Fatalf("first batch = %v at threshold %d, want [2] (exact minimum 22) at 30", out, thr)
 	}
-	if q.Len() != 2 {
+	if q.Len() != 1 {
 		t.Fatalf("stale entry not dropped during scan: len=%d", q.Len())
 	}
-	// The MinDist scan work is charged to the next extraction.
-	_, scanned := q.ExtractBelow(graph.Inf, dist, nil)
-	if scanned < 3 {
-		t.Fatalf("accrued scan work not charged: scanned=%d", scanned)
-	}
-	if q.MinDist(dist) != graph.Inf {
-		t.Fatal("empty MinDist should be Inf")
+	if scanned < 2 {
+		t.Fatalf("stale scan work not charged: scanned=%d", scanned)
 	}
 }
 
-// Entries beyond the ring window wait in the overflow slab and are found by
-// MinDist and redistributed into the ring as the window slides over them.
+// Entries beyond the ring window wait in the overflow slab and are
+// redistributed into the ring as the window slides over them.
 func TestLazyOverflow(t *testing.T) {
 	q := GetLazy(1, 0) // width 1: bucket index == distance-1
 	defer q.Release()
@@ -88,14 +84,15 @@ func TestLazyOverflow(t *testing.T) {
 	if q.Len() != n {
 		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
-	if got := q.MinDist(dist); got != 1 {
-		t.Fatalf("MinDist = %d", got)
-	}
-	// Extract in window-sized chunks; every vertex must come out exactly once.
+	// Extract in window-sized batches; every vertex must come out exactly
+	// once, at or below its batch's threshold.
 	seen := make([]bool, n+1)
 	total := 0
-	for thr := graph.Dist(DefaultLazySlots); total < n; thr += DefaultLazySlots {
-		out, _ := q.ExtractBelow(thr, dist, nil)
+	for want := graph.Dist(DefaultLazySlots); total < n; want += DefaultLazySlots {
+		out, _, thr := q.ExtractBatch(DefaultLazySlots, dist, nil)
+		if thr != want {
+			t.Fatalf("batch threshold %d, want %d", thr, want)
+		}
 		for _, v := range out {
 			if seen[v] || dist[v] > thr {
 				t.Fatalf("vertex %d extracted wrongly at thr=%d", v, thr)
@@ -109,26 +106,22 @@ func TestLazyOverflow(t *testing.T) {
 	}
 }
 
-// A threshold inside a bucket splits it: entries at or below come out,
-// fresh entries above are retained and extracted later.
+// A batch target met partway through a bucket still drains the whole
+// bucket: extraction never splits one, so every extracted distance lies
+// below every retained one.
 func TestLazyPartialBucket(t *testing.T) {
 	q := GetLazy(10, 0)
 	defer q.Release()
-	dist := []graph.Dist{12, 17, 19}
+	dist := []graph.Dist{12, 17, 19, 25}
 	for v, d := range dist {
 		q.Push(graph.VID(v), d)
 	}
-	out, _ := q.ExtractBelow(17, dist, nil)
-	if len(out) != 2 {
-		t.Fatalf("split extract = %v", out)
+	out, _, thr := q.ExtractBatch(1, dist, nil)
+	if len(out) != 3 || thr != 20 {
+		t.Fatalf("batch = %v at threshold %d, want the whole bucket (20]", out, thr)
 	}
-	for _, v := range out {
-		if dist[v] > 17 {
-			t.Fatalf("vertex %d beyond threshold", v)
-		}
-	}
-	out, _ = q.ExtractBelow(20, dist, nil)
-	if len(out) != 1 || out[0] != 2 || q.Len() != 0 {
+	out, _, _ = q.ExtractBatch(1, dist, nil)
+	if len(out) != 1 || out[0] != 3 || q.Len() != 0 {
 		t.Fatalf("remainder = %v, len=%d", out, q.Len())
 	}
 }
@@ -158,14 +151,17 @@ func TestLazyExtractBatch(t *testing.T) {
 			t.Fatalf("extracted %d above threshold %d", dist[v], thr)
 		}
 	}
-	if got := q.MinDist(dist); got != graph.Inf && got <= thr {
-		t.Fatalf("retained minimum %d not above threshold %d", got, thr)
-	}
-	// Draining the rest in batches visits every remaining vertex once.
+	// Draining the rest in batches visits every remaining vertex once,
+	// each above the first batch's threshold.
 	total := len(out)
 	for q.Len() > 0 {
-		out, _, _ = q.ExtractBatch(25, dist, nil)
-		total += len(out)
+		rest, _, _ := q.ExtractBatch(25, dist, nil)
+		for _, v := range rest {
+			if dist[v] <= thr {
+				t.Fatalf("retained %d not above threshold %d", dist[v], thr)
+			}
+		}
+		total += len(rest)
 	}
 	if total != n {
 		t.Fatalf("extracted %d of %d", total, n)
@@ -184,9 +180,9 @@ func TestLazyStartThreshold(t *testing.T) {
 	dist := []graph.Dist{33, 100}
 	q.Push(0, 33)
 	q.Push(1, 100)
-	out, _ := q.ExtractBelow(40, dist, nil)
-	if len(out) != 1 || out[0] != 0 {
-		t.Fatalf("out = %v", out)
+	out, _, thr := q.ExtractBatch(1, dist, nil)
+	if len(out) != 1 || out[0] != 0 || thr != 40 {
+		t.Fatalf("out = %v at threshold %d", out, thr)
 	}
 }
 
@@ -203,15 +199,15 @@ func TestLazyPoolReuse(t *testing.T) {
 		t.Fatalf("reused queue dirty: len=%d width=%d thr=%d", q.Len(), q.Width(), q.Threshold())
 	}
 	q.Push(0, 10)
-	out, _ := q.ExtractBelow(graph.Inf, []graph.Dist{10}, nil)
+	out, _, _ := q.ExtractBatch(1, []graph.Dist{10}, nil)
 	if len(out) != 1 {
 		t.Fatalf("out = %v", out)
 	}
 }
 
-// Property: for any push set (with stale entries mixed in) and any
-// ascending threshold schedule, the lazy queue extracts exactly the same
-// vertex sets as the flat queue.
+// Property: for any push set (with stale entries mixed in) and any batch
+// size schedule, each lazy batch holds exactly the vertices the flat queue
+// extracts at the batch's returned threshold.
 func TestLazyFlatEquivalence(t *testing.T) {
 	f := func(seed uint64, widthRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, seed*5+3))
@@ -231,14 +227,9 @@ func TestLazyFlatEquivalence(t *testing.T) {
 			fq.Push(graph.VID(v), rec)
 			lq.Push(graph.VID(v), rec)
 		}
-		thr := graph.Dist(0)
-		for step := 0; step < 12; step++ {
-			thr += graph.Dist(rng.Int64N(12_000) + 1)
-			if step == 11 {
-				thr = graph.Inf
-			}
+		for lq.Len() > 0 {
+			lOut, _, thr := lq.ExtractBatch(rng.IntN(40)+1, dist, nil)
 			fOut, _ := fq.ExtractBelow(thr, dist, nil)
-			lOut, _ := lq.ExtractBelow(thr, dist, nil)
 			if len(fOut) != len(lOut) {
 				return false
 			}
@@ -252,7 +243,8 @@ func TestLazyFlatEquivalence(t *testing.T) {
 				}
 			}
 		}
-		return fq.Len() == 0 && lq.Len() == 0
+		rest, _ := fq.ExtractBelow(graph.Inf, dist, nil)
+		return len(rest) == 0 && fq.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

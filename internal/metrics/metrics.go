@@ -30,11 +30,6 @@ type IterStat struct {
 	SimTime  time.Duration // cumulative simulated time at end of iteration
 	EnergyJ  float64       // cumulative simulated energy at end of iteration
 	AvgWatts float64       // average power during the iteration
-
-	// EdgeBalanced records the host-side advance scheduling choice: true
-	// when the edge-balanced partition ran, false for vertex-dynamic. The
-	// choice never affects simulated time or energy.
-	EdgeBalanced bool
 }
 
 // Profile is the ordered iteration log of one solver run.
@@ -65,18 +60,6 @@ func (p *Profile) Deltas() []float64 {
 		out[i] = it.Delta
 	}
 	return out
-}
-
-// EdgeBalancedIters counts the iterations scheduled on the edge-balanced
-// advance path.
-func (p *Profile) EdgeBalancedIters() int {
-	n := 0
-	for _, it := range p.Iters {
-		if it.EdgeBalanced {
-			n++
-		}
-	}
-	return n
 }
 
 // TotalEdges sums the relaxed-edge counts (the work metric used to quantify

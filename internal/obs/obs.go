@@ -11,8 +11,7 @@
 //   - Host-side only. Instrumentation reads the simulated machine clock and
 //     energy but never charges them; enabling observability must leave
 //     simulated time and energy bit-identical (the same invariant the
-//     EdgeBalanced scheduler keeps between vertex- and edge-balanced
-//     advance paths).
+//     advance keeps between its sequential and parallel paths).
 //   - Zero allocations in steady state. Every span, counter increment, and
 //     histogram observation after setup is atomic arithmetic plus writes
 //     into preallocated (or pool-recycled slab) storage, so the PR 2
@@ -32,10 +31,12 @@ import (
 	"time"
 )
 
-// Phase identifies which solver phase a span or event belongs to. The five
-// phases mirror the per-iteration structure of the near-far / self-tuning
-// loop: relax edges, compact the frontier, split near/far, update the
-// controller model, and build prefix sums for edge balancing.
+// Phase identifies which solver phase a span or event belongs to. The
+// first four phases mirror the per-iteration structure of the near-far /
+// self-tuning loop: relax edges, compact the frontier, split near/far, and
+// update the controller model. PhaseScan is kept so phase-indexed reports
+// keep their layout; no solver records it since the edge-balanced advance
+// and its prefix sum were removed.
 type Phase uint8
 
 const (
@@ -43,7 +44,7 @@ const (
 	PhaseFilter                  // frontier merge + dedup + filter charge
 	PhaseRebalance               // near/far bisection and far-queue extraction
 	PhaseController              // model update, delta selection, boundary maintenance
-	PhaseScan                    // exclusive prefix sum for edge-balanced advance
+	PhaseScan                    // unused: was the edge-balanced advance's prefix sum
 	numPhases
 )
 

@@ -116,52 +116,3 @@ func TestMinInt64Hammer(t *testing.T) {
 		}
 	}
 }
-
-// TestScanStress hammers the prefix-sum scan under the race detector: many
-// goroutines each drive their own Pool+Scan through repeated ExclusiveSum
-// rounds (the scan publishes per-call state to workers through the pool's
-// channel handoff — exactly the pattern this test gives -race surface area
-// over), and every round's total and a sampled set of prefix entries are
-// checked against the closed form. Run via `go test -race` (scripts/
-// check.sh does). Skipped under -short.
-func TestScanStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test; skipped under -short")
-	}
-	const (
-		goroutines = 4
-		rounds     = 40
-		n          = 30_000
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			p := NewPool(2 + g%3)
-			defer p.Close()
-			s := NewScan(p)
-			dst := make([]int64, n+1)
-			f := func(i int) int64 { return int64(i%7) + 1 }
-			for r := 0; r < rounds; r++ {
-				total, max := s.ExclusiveSum(n, dst, f)
-				var want int64
-				for i := 0; i < n; i++ {
-					want += int64(i%7) + 1
-				}
-				if total != want || max != 7 {
-					t.Errorf("round %d: total=%d max=%d, want %d 7", r, total, max, want)
-					return
-				}
-				for _, probe := range []int64{0, total / 3, total - 1} {
-					i := SearchPrefix(dst[:n+1], probe)
-					if dst[i] > probe || dst[i+1] <= probe {
-						t.Errorf("round %d: SearchPrefix(%d)=%d bad bracket", r, probe, i)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}

@@ -10,7 +10,6 @@ import (
 
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
-	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 )
@@ -20,7 +19,7 @@ import (
 // the settled set as the frontier. Settled vertices cannot be lowered
 // during an advance (their distances are already optimal), so the result
 // of one AdvanceRange over this state is schedule-independent — the exact
-// property the vertex/edge differential needs.
+// property the sequential/parallel differential needs.
 func settledState(t *testing.T, g *graph.Graph, src graph.VID) (dist []graph.Dist, front []graph.VID) {
 	t.Helper()
 	res, err := Dijkstra(g, src, nil)
@@ -74,30 +73,27 @@ func refAdvance(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi g
 	return want, updated, edges
 }
 
+// advancePaths pins each advance path in turn by overriding the
+// sequential frontier bound: MaxInt keeps every advance on the plain
+// kernel, 0 sends every frontier above one chunk to the pool (when the pool
+// has more than one worker).
+var advancePaths = []struct {
+	name   string
+	seqMax int
+}{{"sequential", math.MaxInt}, {"parallel", 0}}
+
 // TestAdvanceStrategiesAgree is the differential property test of the
 // advance paths: over random graphs (scale-free, uniform-random,
-// road-like) and random weight ranges, the sequential, vertex-dynamic and
-// edge-balanced paths must produce the same distance array and the same
-// deduplicated frontier set at every pool size, including 1, and must
-// charge the same edge count. The sequential case raises the auto
-// chooser's frontier bound past the test frontier, so it runs the plain
-// kernel on pools of every size.
+// road-like) and random weight ranges, the sequential and the parallel
+// vertex-chunk paths, and the default choice between them, must produce
+// the same distance array and the same deduplicated frontier set at every
+// pool size, including 1, and must charge the same edge count.
 func TestAdvanceStrategiesAgree(t *testing.T) {
-	// seqMax overrides the auto chooser's sequential frontier bound
-	// (-1 keeps the graph's default): 0 sends every auto advance above one
-	// chunk through the scan-based vertex/edge choice, MaxInt pins the
-	// plain sequential kernel.
-	advanceCases := []struct {
+	// seqMax -1 keeps the graph's default sequential frontier bound.
+	advanceCases := append([]struct {
 		name   string
-		force  Strategy
 		seqMax int
-	}{
-		{"vertex", StrategyVertex, -1},
-		{"edge", StrategyEdge, -1},
-		{"auto", StrategyAuto, -1},
-		{"auto-parallel", StrategyAuto, 0},
-		{"sequential", StrategyAuto, math.MaxInt},
-	}
+	}{{"default", -1}}, advancePaths...)
 	graphs := []*graph.Graph{
 		gen.RMAT(10, 8, 0.57, 0.19, 0.19, 1, 99, 3),
 		gen.ErdosRenyi(2000, 12000, 1, 50, 5),
@@ -113,7 +109,6 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 					pool := parallel.NewPool(ps)
 					dist := append([]graph.Dist(nil), dist0...)
 					kn := NewKernels(g, pool, nil, dist)
-					kn.Force = c.force
 					if c.seqMax >= 0 {
 						kn.seqMaxFront = c.seqMax
 					}
@@ -138,10 +133,7 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 								gi, wr, ps, c.name, v)
 						}
 					}
-					if c.force == StrategyEdge && ps > 1 && !adv.EdgeBalanced {
-						t.Errorf("graph %d pool %d: forced edge strategy did not run edge path", gi, ps)
-					}
-					if c.name != "auto" {
+					if c.name != "default" {
 						if wantSeq := ps == 1 || c.name == "sequential"; adv.Sequential != wantSeq {
 							t.Errorf("graph %d pool %d %s: sequential path %v, want %v", gi, ps, c.name, adv.Sequential, wantSeq)
 						}
@@ -154,69 +146,88 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestSolversAgreeUnderEdgeStrategy runs complete solves with the advance
-// strategy pinned each way (covering the mid-solve regime where frontier
-// vertices are still improving) and checks exact distances against the
-// Dijkstra oracle.
-func TestSolversAgreeUnderEdgeStrategy(t *testing.T) {
-	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 9)
+// TestSolversAgreeOnParallelPath runs complete NearFar and BellmanFord
+// solves of a scale-free graph at pool sizes 1 and 4 (covering the
+// mid-solve regime where frontier vertices are still improving) and checks
+// exact distances against the Dijkstra oracle. At pool size 4 the solves
+// must run parallel advances.
+func TestSolversAgreeOnParallelPath(t *testing.T) {
+	g := gen.RMAT(13, 8, 0.57, 0.19, 0.19, 1, 99, 9)
 	oracle, err := Dijkstra(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ps := range []int{1, 4} {
-		for _, strat := range []Strategy{StrategyVertex, StrategyEdge, StrategyAuto} {
-			pool := parallel.NewPool(ps)
-			opt := &Options{Pool: pool, Advance: strat}
-			nf, err := NearFar(g, 0, 30, opt)
-			if err != nil {
-				t.Fatalf("NearFar pool %d %v: %v", ps, strat, err)
-			}
-			bf, err := BellmanFord(g, 0, &Options{Pool: pool, Advance: strat})
-			if err != nil {
-				t.Fatalf("BellmanFord pool %d %v: %v", ps, strat, err)
-			}
-			for v, d := range oracle.Dist {
-				if nf.Dist[v] != d {
-					t.Fatalf("NearFar pool %d %v: dist[%d]=%d, want %d", ps, strat, v, nf.Dist[v], d)
-				}
-				if bf.Dist[v] != d {
-					t.Fatalf("BellmanFord pool %d %v: dist[%d]=%d, want %d", ps, strat, v, bf.Dist[v], d)
-				}
-			}
-			pool.Close()
+		pool := parallel.NewPool(ps)
+		sc := obs.New(0).NewScope("agree")
+		opt := &Options{Pool: pool, Scope: sc}
+		nf, err := NearFar(g, 0, 30, opt)
+		if err != nil {
+			t.Fatalf("NearFar pool %d: %v", ps, err)
 		}
+		bf, err := BellmanFord(g, 0, opt)
+		if err != nil {
+			t.Fatalf("BellmanFord pool %d: %v", ps, err)
+		}
+		for v, d := range oracle.Dist {
+			if nf.Dist[v] != d {
+				t.Fatalf("NearFar pool %d: dist[%d]=%d, want %d", ps, v, nf.Dist[v], d)
+			}
+			if bf.Dist[v] != d {
+				t.Fatalf("BellmanFord pool %d: dist[%d]=%d, want %d", ps, v, bf.Dist[v], d)
+			}
+		}
+		if n := parallelAdvances(sc); (n > 0) != (ps > 1) {
+			t.Errorf("pool %d: %d parallel advances", ps, n)
+		}
+		sc.Close()
+		pool.Close()
 	}
 }
 
-// TestAdaptiveSchedulerChoices checks the StrategyAuto decision on the two
-// canonical shapes: a scale-free input must route big skewed frontiers to
-// the edge-balanced path, and a road-like input (uniform degree <= 4, skew
-// far below the threshold) must stay entirely on the vertex path.
+// parallelAdvances counts the advances of a scope's solves that ran on the
+// pool rather than inline on the sequential kernel.
+func parallelAdvances(sc *obs.Scope) int64 {
+	adv, _ := sc.Registry().Value("sssp_advances_total")
+	seq, _ := sc.Registry().Value("sssp_sequential_advances_total")
+	return int64(adv - seq)
+}
+
+// TestAdaptiveSchedulerChoices checks the advance path choice on the two
+// canonical shapes at pool size 4: a scale-free solve must send its big
+// frontiers to the pool and keep its small ones on the sequential kernel,
+// and a road-like solve (small frontiers of degree <= 4) must run every
+// advance sequentially.
 func TestAdaptiveSchedulerChoices(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
+	counts := func(sc *obs.Scope) (adv, par int64) {
+		v, _ := sc.Registry().Value("sssp_advances_total")
+		return int64(v), parallelAdvances(sc)
+	}
 
 	wiki := gen.WikiLike(0.01, 42)
-	var prof metrics.Profile
-	res, err := NearFar(wiki, 0, 1000, &Options{Pool: pool, Profile: &prof})
+	sc := obs.New(0).NewScope("wiki")
+	defer sc.Close()
+	res, err := NearFar(wiki, 0, 1000, &Options{Pool: pool, Scope: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reached < 2 {
 		t.Fatalf("wiki solve reached %d vertices", res.Reached)
 	}
-	if n := prof.EdgeBalancedIters(); n == 0 {
-		t.Errorf("scale-free solve never took the edge-balanced path (%d iters)", prof.Len())
+	if adv, par := counts(sc); par == 0 || par == adv {
+		t.Errorf("scale-free solve: %d of %d advances parallel, want a mix", par, adv)
 	}
 
 	road := gen.Road(120, 120, 0.1, 1, 100, 11)
-	var roadProf metrics.Profile
-	if _, err := NearFar(road, 0, 200, &Options{Pool: pool, Profile: &roadProf}); err != nil {
+	roadSc := obs.New(0).NewScope("road")
+	defer roadSc.Close()
+	if _, err := NearFar(road, 0, 200, &Options{Pool: pool, Scope: roadSc}); err != nil {
 		t.Fatal(err)
 	}
-	if n := roadProf.EdgeBalancedIters(); n != 0 {
-		t.Errorf("road-like solve took the edge-balanced path %d times, want 0", n)
+	if adv, par := counts(roadSc); par != 0 {
+		t.Errorf("road-like solve: %d of %d advances parallel, want 0", par, adv)
 	}
 }
 
@@ -226,11 +237,11 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	for _, ps := range []int{1, 4} {
-		for _, strat := range []Strategy{StrategyVertex, StrategyEdge} {
+		for _, path := range advancePaths {
 			pool := parallel.NewPool(ps)
 			dist := newDist(g.NumVertices(), 0)
 			kn := NewKernels(g, pool, nil, dist)
-			kn.Force = strat
+			kn.seqMaxFront = path.seqMax
 			// Drive to convergence so buffers reach their high-water mark
 			// and the measured state is a genuine steady state.
 			front := []graph.VID{0}
@@ -251,7 +262,7 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 			kn.Release()
 			pool.Close()
 			if allocs != 0 {
-				t.Errorf("pool %d %v: Advance allocates %.1f per run, want 0", ps, strat, allocs)
+				t.Errorf("pool %d %s: Advance allocates %.1f per run, want 0", ps, path.name, allocs)
 			}
 		}
 	}
@@ -303,14 +314,14 @@ func TestBatchScratchReuse(t *testing.T) {
 	}
 }
 
-// TestEdgeAdvanceStress hammers the edge-balanced kernel under the race
-// detector: concurrent forced-edge solves on a shared hub-heavy graph, with
-// wide pools so every advance splits hub adjacency lists across workers
-// (prefix-sum publication, SearchPrefix clipping, per-worker buffers, and
-// the pooled scratch handoff all get -race surface area). Results are
-// checked against the Dijkstra oracle. Run via `go test -race`
-// (scripts/check.sh does). Skipped under -short.
-func TestEdgeAdvanceStress(t *testing.T) {
+// TestParallelAdvanceStress hammers the parallel advance under the race
+// detector: concurrent solves on a shared hub-heavy graph, with wide pools
+// whose workers claim vertex chunks of the big frontiers (chunk-cursor
+// publication, per-worker buffers, and the pooled scratch handoff all get
+// -race surface area). Results are checked against the Dijkstra oracle,
+// and every goroutine's solves must run parallel advances. Run via
+// `go test -race` (scripts/check.sh does). Skipped under -short.
+func TestParallelAdvanceStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; skipped under -short")
 	}
@@ -325,8 +336,10 @@ func TestEdgeAdvanceStress(t *testing.T) {
 		go func(i int) {
 			pool := parallel.NewPool(4 + i*2)
 			defer pool.Close()
+			sc := obs.New(0).NewScope("stress")
+			defer sc.Close()
 			for r := 0; r < 6; r++ {
-				opt := &Options{Pool: pool, Advance: StrategyEdge}
+				opt := &Options{Pool: pool, Scope: sc}
 				var res Result
 				var err error
 				if r%2 == 0 {
@@ -344,6 +357,10 @@ func TestEdgeAdvanceStress(t *testing.T) {
 						return
 					}
 				}
+			}
+			if parallelAdvances(sc) == 0 {
+				done <- fmt.Errorf("goroutine %d: no parallel advance", i)
+				return
 			}
 			done <- nil
 		}(i)

@@ -27,7 +27,6 @@ func BellmanFord(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
 	pool := opt.pool()
 	dist := newDist(g.NumVertices(), src)
 	kn := NewKernels(g, pool, opt.Machine, dist)
-	kn.Force = opt.Advance
 	sc, ownScope := opt.AcquireScope("bellmanford")
 	if ownScope {
 		defer sc.Close()

@@ -16,8 +16,8 @@ import (
 // light/heavy distinction into its two queues).
 //
 // Options.FarQueue selects the bucket store. FarFlat keeps the textbook
-// ad-hoc bucket array; the default (FarAuto → FarLazy, and FarRho too)
-// stores vertices in the pooled lazy bucketed queue and applies bucket
+// ad-hoc bucket array; the default (FarAuto, and FarRho too) stores
+// vertices in the pooled lazy bucketed queue and applies bucket
 // fusion: consecutive small buckets are drained together into one
 // relaxation round (up to fuseBatchTarget vertices), collapsing the
 // per-bucket barriers that dominate sparse bucket tails. Fused rounds
@@ -46,7 +46,6 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 	pool := opt.pool()
 	dist := newDist(g.NumVertices(), src)
 	kn := NewKernels(g, pool, opt.Machine, dist)
-	kn.Force = opt.Advance
 	sc, ownScope := opt.AcquireScope("deltastep")
 	if ownScope {
 		defer sc.Close()
@@ -63,7 +62,7 @@ func DeltaStepping(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options
 	guard := opt.maxIters(g)
 	spSolve := kn.Trace().BeginSolve()
 	defer func() { spSolve.End(int64(res.Iterations)) }()
-	fused := resolveFarQueue(opt.FarQueue, FarLazy) != FarFlat
+	fused := opt.FarQueue != FarFlat
 	if fused {
 		sc.SetStrategy("fused")
 	} else {

@@ -9,15 +9,15 @@ import (
 
 // FarQueueStrategy selects the far-queue structure and phase-advance
 // policy of the bucketed solvers (NearFar's stage 4, DeltaStepping's
-// bucket store). Like the advance Strategy, every choice computes exact
-// shortest-path distances and charges the simulated far-queue kernel per
-// scanned entry, so the strategies differ in host performance and phase
-// schedule, never in results.
+// bucket store). Every choice computes exact shortest-path distances and
+// charges the simulated far-queue kernel per scanned entry, so the
+// strategies differ in host performance and phase schedule, never in
+// results.
 type FarQueueStrategy uint8
 
 const (
-	// FarAuto (the zero value) picks per solver: rho for NearFar, lazy
-	// (with bucket fusion) for DeltaStepping — the fastest strategy for
+	// FarAuto (the zero value) picks per solver: rho for NearFar, the
+	// fused bucket store for DeltaStepping — the fastest strategy for
 	// each on the evaluation workloads.
 	FarAuto FarQueueStrategy = iota
 	// FarFlat is the paper baseline's unpartitioned queue: every phase
@@ -25,14 +25,9 @@ const (
 	// the fixed-delta baseline so paper-reproduction numbers keep the
 	// paper's algorithm shape.
 	FarFlat
-	// FarLazy stores entries in width-delta distance buckets with lazy
-	// deletion; phase advance drains the next non-empty buckets instead
-	// of rescanning, with the exact same threshold schedule as FarFlat
-	// (bit-identical flight replay through the fixed-delta recompute).
-	FarLazy
-	// FarRho adds rho-stepping's lazy batching on top of FarLazy: buckets
-	// are a fraction of delta wide and extraction drains consecutive
-	// buckets until the batch is large enough to saturate the workers.
+	// FarRho stores entries in lazy-deletion distance buckets a fraction
+	// of delta wide, and extraction drains consecutive buckets until the
+	// batch is large enough to saturate the workers (rho-stepping).
 	// Near-Dijkstra ordering slashes redundant relaxations at coarse
 	// deltas (the regime the simulated-time-tuned delta* lands in).
 	FarRho
@@ -43,8 +38,6 @@ func (s FarQueueStrategy) String() string {
 	switch s {
 	case FarFlat:
 		return "flat"
-	case FarLazy:
-		return "lazy"
 	case FarRho:
 		return "rho"
 	default:
@@ -59,12 +52,10 @@ func ParseFarQueue(s string) (FarQueueStrategy, error) {
 		return FarAuto, nil
 	case "flat":
 		return FarFlat, nil
-	case "lazy":
-		return FarLazy, nil
 	case "rho":
 		return FarRho, nil
 	default:
-		return 0, fmt.Errorf("sssp: unknown far-queue strategy %q (want auto, flat, lazy, or rho)", s)
+		return 0, fmt.Errorf("sssp: unknown far-queue strategy %q (want auto, flat, or rho)", s)
 	}
 }
 
@@ -90,14 +81,6 @@ const (
 	// per-bucket synchronization barriers that dominate sparse tails.
 	fuseBatchTarget = 1024
 )
-
-// resolveFarQueue maps FarAuto to the concrete per-solver default.
-func resolveFarQueue(s FarQueueStrategy, auto FarQueueStrategy) FarQueueStrategy {
-	if s == FarAuto {
-		return auto
-	}
-	return s
-}
 
 // rhoWidth is the FarRho bucket width for a solver delta.
 func rhoWidth(delta graph.Dist) graph.Dist {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestParseFarQueue(t *testing.T) {
-	for _, want := range []FarQueueStrategy{FarAuto, FarFlat, FarLazy, FarRho} {
+	for _, want := range []FarQueueStrategy{FarAuto, FarFlat, FarRho} {
 		got, err := ParseFarQueue(want.String())
 		if err != nil || got != want {
 			t.Fatalf("round trip %v: got %v, err %v", want, got, err)
@@ -22,8 +22,10 @@ func TestParseFarQueue(t *testing.T) {
 	if got, err := ParseFarQueue(""); err != nil || got != FarAuto {
 		t.Fatalf("empty: got %v, err %v", got, err)
 	}
-	if _, err := ParseFarQueue("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
+	for _, bad := range []string{"bogus", "lazy"} {
+		if _, err := ParseFarQueue(bad); err == nil {
+			t.Fatalf("strategy %q accepted", bad)
+		}
 	}
 }
 
@@ -55,16 +57,14 @@ func TestNearFarStrategiesBitIdentical(t *testing.T) {
 				t.Fatalf("%v flat δ=%d: %v", g, delta, err)
 			}
 			assertSameDistances(t, g, 0, ref.Dist, "nearfar-flat/"+g.Name())
-			for _, s := range []FarQueueStrategy{FarLazy, FarRho} {
-				res, err := NearFar(g, 0, delta, &Options{Pool: pool, FarQueue: s})
-				if err != nil {
-					t.Fatalf("%v %v δ=%d: %v", g, s, delta, err)
-				}
-				for v := range res.Dist {
-					if res.Dist[v] != ref.Dist[v] {
-						t.Fatalf("%v δ=%d: %v dist[%d] = %d, flat %d",
-							g, delta, s, v, res.Dist[v], ref.Dist[v])
-					}
+			res, err := NearFar(g, 0, delta, &Options{Pool: pool, FarQueue: FarRho})
+			if err != nil {
+				t.Fatalf("%v rho δ=%d: %v", g, delta, err)
+			}
+			for v := range res.Dist {
+				if res.Dist[v] != ref.Dist[v] {
+					t.Fatalf("%v δ=%d: rho dist[%d] = %d, flat %d",
+						g, delta, v, res.Dist[v], ref.Dist[v])
 				}
 			}
 		}
@@ -87,7 +87,7 @@ func TestDeltaSteppingFusedBitIdentical(t *testing.T) {
 				t.Fatalf("%v flat δ=%d: %v", g, delta, err)
 			}
 			assertSameDistances(t, g, 0, ref.Dist, "deltastep-flat/"+g.Name())
-			res, err := DeltaStepping(g, 0, delta, &Options{Pool: pool}) // auto → fused lazy
+			res, err := DeltaStepping(g, 0, delta, &Options{Pool: pool}) // auto → fused
 			if err != nil {
 				t.Fatalf("%v fused δ=%d: %v", g, delta, err)
 			}
@@ -109,7 +109,7 @@ func TestDeltaSteppingFusedBitIdentical(t *testing.T) {
 // so the phase schedule itself is timing-dependent.
 func TestFarQueueSimChargingDeterministic(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 1, 99, 21)
-	for _, s := range []FarQueueStrategy{FarFlat, FarLazy, FarRho} {
+	for _, s := range []FarQueueStrategy{FarFlat, FarRho} {
 		run := func(o *obs.Observer, rec *flight.Recorder) Result {
 			mach := sim.NewMachine(sim.TK1())
 			res, err := NearFar(g, 0, 32, &Options{Machine: mach, FarQueue: s, Obs: o, Flight: rec})
@@ -139,7 +139,7 @@ func TestFarQueueConcurrentStress(t *testing.T) {
 	pool := parallel.NewPool(8)
 	defer pool.Close()
 	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1, 99, 33)
-	for _, s := range []FarQueueStrategy{FarFlat, FarLazy, FarRho} {
+	for _, s := range []FarQueueStrategy{FarFlat, FarRho} {
 		res, err := NearFar(g, 0, 25, &Options{Pool: pool, FarQueue: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -154,7 +154,7 @@ func TestFarQueueConcurrentStress(t *testing.T) {
 }
 
 // TestLazyFarSteadyStateAllocs is the lazy far queue's allocation gate:
-// after one warm-up cycle seeds the slab pool, a full push → MinDist →
+// after one warm-up cycle seeds the slab pool, a full push →
 // batch-extract → release cycle (overflow redistribution included) must
 // allocate nothing. And on whole solves, attaching obs + flight must add
 // zero allocations over the plain run — the same default-on observability
@@ -181,7 +181,6 @@ func TestLazyFarSteadyStateAllocs(t *testing.T) {
 		for v := 0; v < n; v++ {
 			q.Push(graph.VID(v), dist[v])
 		}
-		_ = q.MinDist(dist)
 		o := out[:0]
 		for q.Len() > 0 {
 			o, _, _ = q.ExtractBatch(256, dist, o)

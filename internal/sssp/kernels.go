@@ -11,48 +11,18 @@ import (
 	"energysssp/internal/sim"
 )
 
-// Strategy selects the advance stage's load-balancing scheme.
-type Strategy uint8
-
-const (
-	// StrategyAuto picks per iteration between the sequential, the
-	// vertex-dynamic and the edge-balanced paths from the frontier's
-	// estimated edge count and degree skew.
-	StrategyAuto Strategy = iota
-	// StrategyVertex always partitions the frontier by vertex count with
-	// dynamic chunk scheduling (the classic path; best on small or
-	// uniform-degree frontiers such as road networks).
-	StrategyVertex
-	// StrategyEdge always partitions the frontier's edges equally across
-	// workers via a degree prefix sum (merge-path style; best on skewed
-	// frontiers where one hub would serialize a vertex chunk).
-	StrategyEdge
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyVertex:
-		return "vertex"
-	case StrategyEdge:
-		return "edge"
-	default:
-		return "auto"
-	}
-}
-
 // Advance scheduling parameters. The decision is deterministic in the
 // frontier, the graph and the pool size — never in timing — so repeated
 // runs take the same path and simulated accounting stays reproducible.
 const (
 	// advanceGrain is the vertex count per dynamically scheduled chunk on
-	// the vertex path. A frontier of at most one chunk always runs on the
+	// the parallel path. A frontier of at most one chunk always runs on the
 	// sequential path.
 	advanceGrain = 64
 	// seqCutoffEdges is the largest estimated frontier edge count
-	// (len(front) × the graph's mean out-degree) that StrategyAuto
-	// advances inline on the plain sequential kernel instead of launching
-	// the pool. Chosen by a sweep of 0, 2Ki, 4Ki, 8Ki, 16Ki, 32Ki, 64Ki
+	// (len(front) × the graph's mean out-degree) that the advance runs
+	// inline on the plain sequential kernel instead of launching the
+	// pool. Chosen by a sweep of 0, 2Ki, 4Ki, 8Ki, 16Ki, 32Ki, 64Ki
 	// and 1Mi over the road-nearfar, road-selftuning and wiki-selftuning
 	// benchmark workloads (bench/, 2 workers on a 2-CPU Xeon VM, go1.24,
 	// two seeds, 8 s each): road-nearfar's median solve fell from ~53 ms
@@ -62,31 +32,6 @@ const (
 	// with a 2x margin over the P=2500 road frontiers; larger values
 	// gained nothing.
 	seqCutoffEdges = 16384
-	// edgeShareMin is the minimum number of edges per worker for the edge
-	// partition to be worth its prefix-sum setup.
-	edgeShareMin = 1024
-	// skewFactor switches to the edge path when the maximum frontier
-	// degree exceeds this multiple of the mean degree — the regime where
-	// one hub serializes a 64-vertex chunk while other workers idle.
-	skewFactor = 8
-	// largeFrontierEdges switches to the edge path regardless of skew once
-	// the frontier carries this many edges: at that size the exact static
-	// split is as good as dynamic chunking and cheaper to schedule.
-	largeFrontierEdges = 1 << 20
-)
-
-// advancePath is the host-side schedule one advance runs on.
-type advancePath uint8
-
-const (
-	// pathSequential runs in the calling goroutine on the plain kernel:
-	// ordinary distance loads and stores, no pool launch, no degree scan.
-	pathSequential advancePath = iota
-	// pathVertex launches the pool on dynamically claimed vertex chunks.
-	pathVertex
-	// pathEdge launches the pool on equal edge shares over a degree
-	// prefix sum.
-	pathEdge
 )
 
 // Kernels bundles the relaxation machinery shared by the near-far baseline
@@ -102,16 +47,10 @@ type Kernels struct {
 	Pool *parallel.Pool
 	Mach *sim.Machine // nil disables simulation accounting
 	Dist []graph.Dist
-	// Force pins the advance strategy; StrategyAuto (the zero value)
-	// adapts per iteration. Host-side scheduling only: every strategy
-	// charges the advance by the same edge count (see AdvanceRange for
-	// the X²-charged filter).
-	Force Strategy
 
-	sc   *scratch
-	scan *parallel.Scan
-	// seqMaxFront is the largest frontier StrategyAuto advances on the
-	// sequential path: seqCutoffEdges over the graph's mean out-degree.
+	sc *scratch
+	// seqMaxFront is the largest frontier advanced on the sequential
+	// path: seqCutoffEdges over the graph's mean out-degree.
 	seqMaxFront int
 
 	// Observability handles, all nil when no observer is attached. Every
@@ -123,27 +62,23 @@ type Kernels struct {
 	obsAdvances *obs.Counter
 	obsEdges    *obs.Counter
 	obsUpdates  *obs.Counter
-	obsEdgeBal  *obs.Counter
 	obsSeq      *obs.Counter
 	obsX2       *obs.Histogram
 
-	// Per-call state published to the prebuilt worker closures. The
-	// closures are constructed once in NewKernels and passed by value to
+	// Per-call state published to the prebuilt worker closure. The
+	// closure is constructed once in NewKernels and passed by value to
 	// Pool.Run so the steady state performs zero allocations per advance.
-	front     []graph.VID
-	wlo, whi  graph.Weight
-	edgeTotal int64
-	next      atomic.Int64 // vertex-path dynamic chunk cursor
+	front    []graph.VID
+	wlo, whi graph.Weight
+	next     atomic.Int64 // dynamic chunk cursor of the parallel path
 
-	degreeOf     func(i int) int64
 	vertexWorker func(w int)
-	edgeWorker   func(w int)
 }
 
 // NewKernels prepares the engine. dist must be the solver's live distance
 // array (len == NumVertices), already initialized. The scratch (bitmap,
-// buffers, prefix array, counters) comes from a process-wide pool; pair
-// every NewKernels with a Release.
+// buffers, counters) comes from a process-wide pool; pair every NewKernels
+// with a Release.
 func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []graph.Dist) *Kernels {
 	kn := &Kernels{
 		G:    g,
@@ -151,13 +86,11 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		Mach: mach,
 		Dist: dist,
 		sc:   getScratch(g.NumVertices(), pool.Size()),
-		scan: parallel.NewScan(pool),
 	}
 	kn.seqMaxFront = g.NumVertices()
 	if m := g.NumEdges(); m > 0 {
 		kn.seqMaxFront = int(seqCutoffEdges * int64(g.NumVertices()) / m)
 	}
-	kn.degreeOf = func(i int) int64 { return kn.G.OutDegree(kn.front[i]) }
 	kn.vertexWorker = func(w int) {
 		front := kn.front
 		n := len(front)
@@ -196,51 +129,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		kn.sc.counts[w].x2 += x2
 		kn.sc.counts[w].edges += edges
 	}
-	kn.edgeWorker = func(w int) {
-		elo, ehi := parallel.EdgeShare(kn.edgeTotal, kn.Pool.Size(), w)
-		if elo >= ehi {
-			return
-		}
-		front := kn.front
-		prefix := kn.sc.prefix[:len(front)+1]
-		g := kn.G
-		dist := kn.Dist
-		wlo, whi := kn.wlo, kn.whi
-		buf := kn.sc.bufs[w]
-		var x2 int64
-		vi := parallel.SearchPrefix(prefix, elo)
-		for e := elo; e < ehi; {
-			for prefix[vi+1] <= e {
-				vi++ // skip consumed and zero-degree vertices
-			}
-			u := front[vi]
-			du := atomic.LoadInt64(&dist[u])
-			vs, ws := g.Neighbors(u)
-			segLo := int(e - prefix[vi])
-			segHi := len(vs)
-			if rem := ehi - e; int64(segHi-segLo) > rem {
-				segHi = segLo + int(rem)
-			}
-			for j := segLo; j < segHi; j++ {
-				if ws[j] < wlo || ws[j] > whi {
-					continue
-				}
-				nd := du + graph.Dist(ws[j])
-				v := vs[j]
-				if parallel.MinInt64(&dist[v], nd) {
-					x2++
-					buf = append(buf, v)
-				}
-			}
-			e += int64(segHi - segLo)
-		}
-		kn.sc.bufs[w] = buf
-		kn.sc.counts[w].x2 += x2
-		// Each worker examines exactly its edge share, so the summed
-		// Edges equals the frontier's total out-degree — the same count
-		// the vertex path reports.
-		kn.sc.counts[w].edges += ehi - elo
-	}
 	return kn
 }
 
@@ -267,8 +155,6 @@ func (kn *Kernels) Observe(s *obs.Scope) {
 		"edges examined by advance kernels")
 	kn.obsUpdates = reg.Counter("sssp_updates_total",
 		"successful distance updates (sum of per-iteration X2)")
-	kn.obsEdgeBal = reg.Counter("sssp_edge_balanced_advances_total",
-		"advances scheduled on the edge-balanced path")
 	kn.obsSeq = reg.Counter("sssp_sequential_advances_total",
 		"advances run inline on the sequential path")
 	kn.obsX2 = reg.Histogram("sssp_x2_updates",
@@ -323,9 +209,6 @@ type AdvanceResult struct {
 	Edges int64
 	// Dur is the simulated duration charged (zero without a machine).
 	Dur time.Duration
-	// EdgeBalanced reports whether the edge-balanced path ran this
-	// advance (false: vertex-dynamic or sequential).
-	EdgeBalanced bool
 	// Sequential reports whether the advance ran inline on the plain
 	// sequential kernel, without a pool launch.
 	Sequential bool
@@ -345,14 +228,13 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 // [wlo, whi]. Classic delta-stepping uses it for its light-edge
 // (weight <= delta) and heavy-edge (weight > delta) phases.
 //
-// The frontier is scheduled by one of three host-side paths — inline on
-// the plain sequential kernel, vertex-dynamic chunks, or an edge-balanced
-// static partition over a degree prefix sum — chosen per Force (adaptively
-// under StrategyAuto). All paths examine the same edge set and charge the
-// advance by it. The parallel paths relax with atomic-min, so their X²
-// (and the filter charge) depends on how the races resolve; the sequential
-// path's X² is a pure function of the frontier and the distances. On
-// every path Out holds each vertex whose distance fell exactly once, in
+// The frontier runs on one of two host-side paths — inline on the plain
+// sequential kernel, or on the pool over dynamically claimed vertex
+// chunks — chosen by sequential. Both paths examine the same edge set and
+// charge the advance by it. The parallel path relaxes with atomic-min, so
+// its X² (and the filter charge) depends on how the races resolve; the
+// sequential path's X² is a pure function of the frontier and the
+// distances. On both paths Out holds each vertex whose distance fell exactly once, in
 // the order of its first occurrence across the per-worker update lists
 // taken in worker order.
 func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) AdvanceResult {
@@ -363,20 +245,17 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 		sc.counts[w] = counters{}
 	}
 	kn.front, kn.wlo, kn.whi = front, wlo, whi
-	path := kn.planAdvance(len(front))
+	seq := kn.sequential(len(front))
 	kn.next.Store(0)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
-	switch path {
-	case pathSequential:
+	if seq {
 		kn.advanceSequential()
-	case pathVertex:
+	} else {
 		kn.Pool.Run(kn.vertexWorker)
-	case pathEdge:
-		kn.Pool.Run(kn.edgeWorker)
 	}
 	kn.front = nil
 
-	res := AdvanceResult{EdgeBalanced: path == pathEdge, Sequential: path == pathSequential}
+	res := AdvanceResult{Sequential: seq}
 	for w := 0; w < nw; w++ {
 		res.X2 += int(sc.counts[w].x2)
 		res.Edges += sc.counts[w].edges
@@ -410,10 +289,7 @@ func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) Advanc
 	kn.obsAdvances.Inc()
 	kn.obsEdges.Add(res.Edges)
 	kn.obsUpdates.Add(int64(res.X2))
-	switch path {
-	case pathEdge:
-		kn.obsEdgeBal.Inc()
-	case pathSequential:
+	if seq {
 		kn.obsSeq.Inc()
 	}
 	kn.obsX2.Observe(float64(res.X2))
@@ -517,50 +393,14 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// planAdvance decides the scheduling path for a frontier of n vertices and,
-// when the edge path is in play, builds the degree prefix sum (reused by
-// the edge workers). The decision depends only on the frontier, the graph,
-// and the pool size, so it is deterministic across runs.
-//
-// A single-worker pool always runs sequentially. Forced StrategyEdge
-// otherwise keeps the edge path at every frontier size, and forced
-// StrategyVertex the vertex path above one chunk. StrategyAuto runs
-// sequentially up to seqMaxFront vertices, a bound that needs no pass over
-// the frontier.
-func (kn *Kernels) planAdvance(n int) advancePath {
-	if kn.Pool.Size() == 1 || n == 0 {
-		return pathSequential
-	}
-	if kn.Force == StrategyEdge {
-		sp := kn.tr.Begin(obs.PhaseScan)
-		kn.edgeTotal, _ = kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
-		sp.End(int64(n))
-		if kn.edgeTotal == 0 {
-			return pathSequential
-		}
-		return pathEdge
-	}
-	if n <= advanceGrain || (kn.Force == StrategyAuto && n <= kn.seqMaxFront) {
-		return pathSequential
-	}
-	if kn.Force == StrategyVertex {
-		return pathVertex
-	}
-	sp := kn.tr.Begin(obs.PhaseScan)
-	total, maxDeg := kn.scan.ExclusiveSum(n, kn.sc.grownPrefix(n), kn.degreeOf)
-	sp.End(int64(n))
-	kn.edgeTotal = total
-	if total < int64(kn.Pool.Size())*edgeShareMin {
-		return pathVertex
-	}
-	mean := total / int64(n)
-	if mean < 1 {
-		mean = 1
-	}
-	if maxDeg >= skewFactor*mean || total >= largeFrontierEdges {
-		return pathEdge
-	}
-	return pathVertex
+// sequential reports whether a frontier of n vertices advances inline on
+// the plain kernel rather than on the pool: always for a one-worker pool,
+// and otherwise for a frontier of at most one chunk or at most seqMaxFront
+// vertices. The bound needs no pass over the frontier, and the decision
+// depends only on n, the graph and the pool size, so it is deterministic
+// across runs.
+func (kn *Kernels) sequential(n int) bool {
+	return kn.Pool.Size() == 1 || n <= advanceGrain || n <= kn.seqMaxFront
 }
 
 // Bisect is the host side of the bisect-frontier stage. It splits src

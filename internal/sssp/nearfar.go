@@ -22,12 +22,10 @@ import (
 //     threshold and extract qualifying far-queue vertices.
 //
 // Stage 4's structure and schedule depend on Options.FarQueue: the flat
-// queue rescans every entry per phase change (the paper baseline); the
-// lazy bucketed queue drains the next non-empty buckets at the identical
-// threshold schedule; rho (the FarAuto default) subdivides delta into fine
-// buckets and extracts batches big enough to keep the workers saturated,
-// trading the coarse delta band's redundant relaxations for near-Dijkstra
-// ordering. Stale far-queue entries are dropped lazily on every path; the
+// queue rescans every entry per phase change (the paper baseline); rho
+// (the FarAuto default) subdivides delta into fine buckets and extracts
+// batches big enough to keep the workers saturated, trading the coarse
+// delta band's redundant relaxations for near-Dijkstra ordering. Stale far-queue entries are dropped lazily on every path; the
 // livelock guard converts a queue bug into an error rather than a hang.
 func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Result, error) {
 	if opt == nil {
@@ -49,7 +47,6 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	pool := opt.pool()
 	dist := newDist(g.NumVertices(), src)
 	kn := NewKernels(g, pool, opt.Machine, dist)
-	kn.Force = opt.Advance
 	sc, ownScope := opt.AcquireScope("nearfar")
 	if ownScope {
 		defer sc.Close()
@@ -59,23 +56,20 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 	front := append(kn.FrontierBuf(), src)
 	thr := delta // the phase-(i+1) boundary (i starts at 0)
 
-	// Far-queue strategy selection. farLazy non-nil selects the bucketed
-	// queue (lazy or rho); otherwise the flat baseline queue runs.
-	kind := resolveFarQueue(opt.FarQueue, FarRho)
+	// Far-queue strategy selection. farLazy non-nil selects rho's
+	// bucketed queue; otherwise the flat baseline queue runs.
+	kind := opt.FarQueue
+	if kind == FarAuto {
+		kind = FarRho
+	}
 	var farFlat frontier.Flat
 	var farLazy *frontier.Lazy
 	var width graph.Dist
 	var batch int
-	switch kind {
-	case FarLazy:
-		width = delta
-		farLazy = frontier.GetLazy(width, thr)
-	case FarRho:
+	if kind == FarRho {
 		width = rhoWidth(delta)
 		batch = rhoBatch(pool.Size())
 		farLazy = frontier.GetLazy(width, thr)
-	}
-	if farLazy != nil {
 		defer farLazy.Release()
 	}
 	sc.SetStrategy(kind.String())
@@ -139,10 +133,9 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 			fr = flight.Record{
 				K:  int64(res.Iterations - 1),
 				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
-				FarLen:       int64(farLen()),
-				DeltaIn:      float64(thr),
-				JumpMin:      -1,
-				EdgeBalanced: adv.EdgeBalanced,
+				FarLen:  int64(farLen()),
+				DeltaIn: float64(thr),
+				JumpMin: -1,
 			}
 		}
 
@@ -151,7 +144,7 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		if len(front) == 0 && farLen() > 0 {
 			spQ := kn.tr.Begin(obs.PhaseRebalance)
 			var scanned int
-			if kind == FarRho {
+			if farLazy != nil {
 				// Rho batch extraction: drain whole buckets until the
 				// batch can saturate the workers. The threshold lands on
 				// the last drained bucket's boundary; the loop re-runs
@@ -162,32 +155,18 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 					scanned += s
 				}
 			} else {
-				// Flat/lazy: jump to the first delta multiple admitting
-				// the queue's minimum and extract. Flat's O(1) MinDist is
-				// a lower bound (a stale entry may undershoot), so retry:
-				// each failed extraction purges the stale minimum and
-				// tightens the next bound, and the telescoped jumps land
-				// on the same final threshold as an exact-minimum jump —
-				// which is what flight replay recomputes from the last
-				// recorded JumpMin. The lazy queue's MinDist is exact, so
-				// it takes one pass.
-				for len(front) == 0 && farLen() > 0 {
-					var minD graph.Dist
-					if farLazy != nil {
-						minD = farLazy.MinDist(dist)
-					} else {
-						minD = farFlat.MinDist(dist)
-					}
+				// Flat: jump to the first delta multiple admitting the
+				// queue's minimum and extract. The O(1) MinDist is a lower
+				// bound (a stale entry may undershoot), so retry: each
+				// failed extraction purges the stale minimum and tightens
+				// the next bound, and the telescoped jumps land on the
+				// same final threshold as an exact-minimum jump — which is
+				// what flight replay recomputes from the last recorded
+				// JumpMin.
+				for len(front) == 0 && farFlat.Len() > 0 {
+					minD := farFlat.MinDist(dist)
 					fr.JumpMin = int64(minD)
-					extract := func(t graph.Dist) (int, []graph.VID) {
-						if farLazy != nil {
-							out, s := farLazy.ExtractBelow(t, dist, front)
-							return s, out
-						}
-						out, s := farFlat.ExtractBelow(t, dist, front)
-						return s, out
-					}
-					var s int
+					t := graph.Inf // only stale entries remain: one cleanup scan
 					if minD < graph.Inf {
 						if minD > thr {
 							steps := (minD - thr + delta - 1) / delta
@@ -195,11 +174,10 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 						} else {
 							thr += delta
 						}
-						s, front = extract(thr)
-					} else {
-						// Only stale entries remain: one cleanup scan.
-						s, front = extract(graph.Inf)
+						t = thr
 					}
+					var s int
+					front, s = farFlat.ExtractBelow(t, dist, front)
 					scanned += s
 				}
 			}

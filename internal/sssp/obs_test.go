@@ -21,11 +21,11 @@ func TestObsSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	o := obs.New(obs.DefaultTraceEvents)
 	for _, ps := range []int{1, 4} {
-		for _, strat := range []Strategy{StrategyVertex, StrategyEdge} {
+		for _, path := range advancePaths {
 			pool := parallel.NewPool(ps)
 			dist := newDist(g.NumVertices(), 0)
 			kn := NewKernels(g, pool, nil, dist)
-			kn.Force = strat
+			kn.seqMaxFront = path.seqMax
 			sc := o.NewScope("allocgate")
 			kn.Observe(sc)
 			front := []graph.VID{0}
@@ -47,7 +47,7 @@ func TestObsSteadyStateAllocs(t *testing.T) {
 			sc.Close()
 			pool.Close()
 			if allocs != 0 {
-				t.Errorf("pool %d %v: observed Advance allocates %.1f per run, want 0", ps, strat, allocs)
+				t.Errorf("pool %d %s: observed Advance allocates %.1f per run, want 0", ps, path.name, allocs)
 			}
 		}
 	}

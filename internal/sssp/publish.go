@@ -54,7 +54,6 @@ func (p *Publisher) Publish(rec *flight.Record, edges int64) {
 			Delta: rec.DeltaOut, DHat: rec.D, AlphaHat: rec.Alpha,
 			FarSize: int(rec.FarSize), Edges: edges,
 			SimTime: time.Duration(rec.SimTimeNs), EnergyJ: rec.EnergyJ,
-			EdgeBalanced: rec.EdgeBalanced,
 		}
 		if dt := time.Duration(rec.SimTimeNs - p.prevSimNs); dt > 0 {
 			st.AvgWatts = (rec.EnergyJ - p.prevJ) / dt.Seconds()

@@ -18,9 +18,8 @@ type counters struct {
 
 // scratch is the distance-array-sized working memory of one Kernels value:
 // the filter bitmap, the per-worker update buffers, the filter output, the
-// bisect far-candidate buffer, the solver's frontier buffer, the degree
-// prefix array of the edge-balanced advance, and the per-worker counter
-// blocks. Scratch is pooled so batch solves (one Kernels per source,
+// bisect far-candidate buffer, the solver's frontier buffer, and the
+// per-worker counter blocks. Scratch is pooled so batch solves (one Kernels per source,
 // internal/sssp.Batch) stop re-allocating vertex-sized temporaries on
 // every solve.
 //
@@ -34,7 +33,6 @@ type scratch struct {
 	out    []graph.VID // the filter's deduplicated output (AdvanceResult.Out)
 	far    []graph.VID // Bisect's far-candidate buffer
 	front  []graph.VID // the solver's frontier (FrontierBuf/PutFrontierBuf)
-	prefix []int64
 	counts []counters
 }
 
@@ -87,15 +85,6 @@ func getScratch(n, workers int) *scratch {
 		s.counts = make([]counters, workers)
 	}
 	return s
-}
-
-// grownPrefix returns the prefix array resized to hold n+1 entries.
-func (s *scratch) grownPrefix(n int) []int64 {
-	if cap(s.prefix) < n+1 {
-		s.prefix = make([]int64, n+1)
-	}
-	s.prefix = s.prefix[:n+1]
-	return s.prefix
 }
 
 // putScratch returns s to the pool.

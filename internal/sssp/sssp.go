@@ -44,13 +44,8 @@ type Options struct {
 	// MaxIters overrides the livelock guard (0 selects a generous default
 	// derived from the graph size).
 	MaxIters int
-	// Advance pins the advance load-balancing strategy; StrategyAuto (the
-	// zero value) lets each iteration choose adaptively. The strategy is
-	// host-side scheduling only — simulated time/energy accounting is
-	// identical across strategies.
-	Advance Strategy
 	// FarQueue pins the far-queue structure and phase-advance policy for
-	// NearFar and DeltaStepping (flat, lazy, or rho); FarAuto (the zero
+	// NearFar and DeltaStepping (flat or rho); FarAuto (the zero
 	// value) selects each solver's fastest default. Every strategy
 	// computes exact distances and charges the simulated far-queue kernel
 	// per scanned entry; the flight header records which one ran so
@@ -60,7 +55,7 @@ type Options struct {
 	// solver derives its own per-solve Scope from it (closed when the
 	// solve finishes), so concurrent solves sharing one Observer get
 	// disjoint span trees and scoped metrics that aggregate into the
-	// fleet registry. Like Advance, it is host-side only — simulated time
+	// fleet registry. It is host-side only — simulated time
 	// and energy are bit-identical with Obs set or nil — and it preserves
 	// the zero-allocation steady state (gated by TestObsSteadyStateAllocs
 	// and TestSpanSteadyStateAllocs).

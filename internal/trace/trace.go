@@ -18,11 +18,10 @@ import (
 )
 
 // WriteProfileCSV writes one iteration-statistics row per solver iteration,
-// covering every IterStat field (including the EdgeBalanced scheduling
-// choice, so advance-path decisions can be correlated with the X series).
+// covering every IterStat field.
 func WriteProfileCSV(w io.Writer, p *metrics.Profile) error {
 	cw := csv.NewWriter(w)
-	header := []string{"k", "x1", "x2", "x3", "x4", "delta", "d_hat", "alpha_hat", "far_size", "edges", "sim_ns", "energy_j", "avg_watts", "edge_balanced"}
+	header := []string{"k", "x1", "x2", "x3", "x4", "delta", "d_hat", "alpha_hat", "far_size", "edges", "sim_ns", "energy_j", "avg_watts"}
 	if err := cw.Write(header); err != nil {
 		return err
 	}
@@ -41,7 +40,6 @@ func WriteProfileCSV(w io.Writer, p *metrics.Profile) error {
 			strconv.FormatInt(int64(it.SimTime), 10),
 			strconv.FormatFloat(it.EnergyJ, 'g', -1, 64),
 			strconv.FormatFloat(it.AvgWatts, 'g', -1, 64),
-			strconv.FormatBool(it.EdgeBalanced),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 
 func TestWriteProfileCSV(t *testing.T) {
 	var p metrics.Profile
-	p.Append(metrics.IterStat{K: 0, X1: 1, X2: 5, X3: 4, X4: 3, Delta: 2.5, Edges: 9, SimTime: time.Microsecond, EnergyJ: 0.001, AvgWatts: 4.5, EdgeBalanced: true})
+	p.Append(metrics.IterStat{K: 0, X1: 1, X2: 5, X3: 4, X4: 3, Delta: 2.5, Edges: 9, SimTime: time.Microsecond, EnergyJ: 0.001, AvgWatts: 4.5})
 	p.Append(metrics.IterStat{K: 1, X1: 3, X2: 8, X3: 8, X4: 8, Delta: 3})
 	var buf bytes.Buffer
 	if err := WriteProfileCSV(&buf, &p); err != nil {
@@ -32,17 +32,17 @@ func TestWriteProfileCSV(t *testing.T) {
 	if recs[0][0] != "k" || recs[0][6] != "d_hat" || recs[1][2] != "5" || recs[2][5] != "3" {
 		t.Fatalf("unexpected CSV contents: %v", recs)
 	}
-	if got := len(recs[0]); got != 14 {
-		t.Fatalf("header has %d columns, want 14: %v", got, recs[0])
+	if got := len(recs[0]); got != 13 {
+		t.Fatalf("header has %d columns, want 13: %v", got, recs[0])
 	}
-	if recs[0][13] != "edge_balanced" || recs[1][13] != "true" || recs[2][13] != "false" {
-		t.Fatalf("edge_balanced column wrong: header=%q rows=%q,%q", recs[0][13], recs[1][13], recs[2][13])
+	if recs[0][12] != "avg_watts" || recs[1][12] != "4.5" || recs[2][12] != "0" {
+		t.Fatalf("avg_watts column wrong: header=%q rows=%q,%q", recs[0][12], recs[1][12], recs[2][12])
 	}
 }
 
 func TestWriteProfileJSON(t *testing.T) {
 	var p metrics.Profile
-	p.Append(metrics.IterStat{K: 0, X1: 1, X2: 5, Delta: 2.5, Edges: 9, EdgeBalanced: true})
+	p.Append(metrics.IterStat{K: 0, X1: 1, X2: 5, Delta: 2.5, Edges: 9, AvgWatts: 4.5})
 	p.Append(metrics.IterStat{K: 1, X1: 3, X2: 8, Delta: 3})
 	var buf bytes.Buffer
 	if err := WriteProfileJSON(&buf, &p); err != nil {

@@ -60,19 +60,21 @@ trap 'rm -rf "$flightbin"' EXIT
 go build -o "$flightbin/flight" ./cmd/flight
 
 # Replay determinism on both advance paths: a recorded log must re-execute
-# the controller trajectory bit-identically.
+# the controller trajectory bit-identically. The cal run advances every
+# frontier on the sequential kernel; most of the wiki run's frontiers are
+# above the sequential cutoff and run on the 4-worker pool.
 "$flightbin/flight" record -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-    -advance vertex -o "$flightbin/vertex.jsonl" 2>/dev/null
-"$flightbin/flight" replay -q "$flightbin/vertex.jsonl"
-"$flightbin/flight" record -dataset wiki -scale 0.01 -seed 7 -P 500 -workers 4 \
-    -advance edge -o "$flightbin/edge.jsonl" 2>/dev/null
-"$flightbin/flight" replay -q "$flightbin/edge.jsonl"
+    -o "$flightbin/cal.jsonl" 2>/dev/null
+"$flightbin/flight" replay -q "$flightbin/cal.jsonl"
+"$flightbin/flight" record -dataset wiki -scale 0.05 -seed 7 -P 20000 -workers 4 \
+    -o "$flightbin/wiki.jsonl" 2>/dev/null
+"$flightbin/flight" replay -q "$flightbin/wiki.jsonl"
 
 # Same-seed diff: two runs of one configuration must produce bit-identical
 # logs, at -workers 1 and at -workers 4. Every advance of this configuration
-# falls below the auto chooser's sequential cutoff, so it runs inline on the
+# falls below the advance's sequential cutoff, so it runs inline on the
 # plain kernel at any pool size. Iterations above the cutoff run the parallel
-# atomic-min kernels, whose X2 still depends on how the races resolve
+# atomic-min kernel, whose X2 still depends on how the races resolve
 # (ROADMAP open item 1), so a configuration with such iterations may differ
 # between runs whenever the pool has more than one worker.
 for w in 1 4; do
