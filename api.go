@@ -8,11 +8,11 @@
 // controller so that the available parallelism tracks a user-chosen
 // set-point P — an algorithmic knob for trading performance against power.
 // Around it the package provides the fixed-delta near-far baseline
-// (Gunrock-style), classic delta-stepping, Bellman-Ford, and Dijkstra;
-// deterministic graph generators standing in for the paper's datasets; a
-// simulated Jetson TK1/TX1 GPU with DVFS and board-power models (the
-// hardware substitute documented in DESIGN.md); and an experiment harness
-// that regenerates every table and figure of the paper's evaluation.
+// (Gunrock-style) and the Dijkstra oracle; deterministic graph generators
+// standing in for the paper's datasets; a simulated Jetson TK1/TX1 GPU with
+// DVFS and board-power models (the hardware substitute documented in
+// DESIGN.md); and an experiment harness that regenerates every table and
+// figure of the paper's evaluation.
 //
 // Quick start:
 //
@@ -142,10 +142,6 @@ type Algorithm int
 const (
 	// Dijkstra is the sequential heap-based reference oracle.
 	Dijkstra Algorithm = iota
-	// BellmanFord is frontier-parallel label correcting (delta → ∞).
-	BellmanFord
-	// DeltaStepping is the classic Meyer–Sanders bucket algorithm.
-	DeltaStepping
 	// NearFar is the Gunrock-style fixed-delta baseline of the paper.
 	NearFar
 	// SelfTuning is the paper's contribution: near-far with the
@@ -158,10 +154,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case Dijkstra:
 		return "dijkstra"
-	case BellmanFord:
-		return "bellmanford"
-	case DeltaStepping:
-		return "deltastepping"
 	case NearFar:
 		return "nearfar"
 	case SelfTuning:
@@ -176,10 +168,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "dijkstra":
 		return Dijkstra, nil
-	case "bellmanford", "bellman-ford", "bf":
-		return BellmanFord, nil
-	case "deltastepping", "delta-stepping", "ds":
-		return DeltaStepping, nil
 	case "nearfar", "near-far", "nf":
 		return NearFar, nil
 	case "selftuning", "self-tuning", "st":
@@ -193,13 +181,13 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 type RunConfig struct {
 	// Algorithm selects the solver (default Dijkstra).
 	Algorithm Algorithm
-	// Delta is the fixed threshold for DeltaStepping and NearFar
-	// (0 selects the graph's average edge weight).
+	// Delta is the fixed threshold for NearFar (0 selects the graph's
+	// average edge weight).
 	Delta Dist
 	// SetPoint is the parallelism target for SelfTuning (required there).
 	SetPoint float64
 	// Workers sizes the goroutine pool (0 = single-threaded, -1 = all
-	// CPUs).
+	// CPUs); Run rejects more than 1024.
 	Workers int
 	// Relabel applies vertex-relabeling preprocessing before solving:
 	// "degree" renumbers hub-first by descending out-degree (scale-free
@@ -209,10 +197,9 @@ type RunConfig struct {
 	// per-vertex output (Dist, Parents) is mapped back to the caller's
 	// original vertex ids, so relabeling is invisible in the results.
 	Relabel string
-	// FarQueue pins the far-queue structure for NearFar and DeltaStepping:
-	// "flat" (the paper baseline's rescanning queue), "rho" (lazy-batched
-	// fine buckets), or ""/"auto" (per-solver fastest default). Exact
-	// distances either way.
+	// FarQueue pins the far-queue structure for NearFar: "flat" (the
+	// paper baseline's rescanning queue), "rho" (lazy-batched fine
+	// buckets), or ""/"auto" (rho). Exact distances either way.
 	FarQueue string
 	// Device attaches a simulated board ("TK1" or "TX1"; empty disables
 	// simulation).
@@ -360,6 +347,28 @@ func WriteEnergyReport(w io.Writer, o *Observer) error {
 	return o.WriteEnergyJSON(w)
 }
 
+// maxPoolWorkers bounds the worker count of every entry point. The
+// kernels size per-worker buffers by the pool size, and the first parallel
+// advance starts that many goroutines, so an unbounded count is an
+// unbounded allocation.
+const maxPoolWorkers = 1024
+
+// newPool builds the goroutine pool for a workers setting: negative
+// selects all CPUs, 0 and 1 run single-threaded (a nil pool), and n > 1
+// sizes the pool to n. A count above maxPoolWorkers is an error. The
+// caller closes a non-nil pool.
+func newPool(workers int) (*parallel.Pool, error) {
+	switch {
+	case workers > maxPoolWorkers:
+		return nil, fmt.Errorf("energysssp: %d workers exceeds the limit of %d", workers, maxPoolWorkers)
+	case workers < 0:
+		return parallel.NewPool(0), nil
+	case workers > 1:
+		return parallel.NewPool(workers), nil
+	}
+	return nil, nil
+}
+
 // Run executes one SSSP computation per cfg and returns its result and
 // instrumentation.
 func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
@@ -382,6 +391,14 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 		return nil, err
 	}
 	opt.FarQueue = fq
+	pool, err := newPool(cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	if pool != nil {
+		opt.Pool = pool
+		defer pool.Close()
+	}
 
 	// Relabeling preprocessing: solve on the cache-friendly renumbered CSR,
 	// map every per-vertex output back to original ids afterwards.
@@ -408,18 +425,6 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 	default:
 		return nil, fmt.Errorf("energysssp: unknown relabel order %q (want none, degree, or bfs)", cfg.Relabel)
 	}
-	var pool *parallel.Pool
-	switch {
-	case cfg.Workers < 0:
-		pool = parallel.NewPool(0)
-	case cfg.Workers > 1:
-		pool = parallel.NewPool(cfg.Workers)
-	}
-	if pool != nil {
-		opt.Pool = pool
-		defer pool.Close()
-	}
-
 	var mach *sim.Machine
 	if cfg.Device != "" {
 		dev, err := sim.DeviceByName(cfg.Device)
@@ -465,10 +470,6 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 	switch cfg.Algorithm {
 	case Dijkstra:
 		res, err = sssp.Dijkstra(runG, runSrc, opt)
-	case BellmanFord:
-		res, err = sssp.BellmanFord(runG, runSrc, opt)
-	case DeltaStepping:
-		res, err = sssp.DeltaStepping(runG, runSrc, delta, opt)
 	case NearFar:
 		res, err = sssp.NearFar(runG, runSrc, delta, opt)
 	case SelfTuning:
@@ -507,20 +508,22 @@ type PowerCapConfig = core.PowerCapConfig
 // RunPowerCapped runs the self-tuning solver with its set-point driven by
 // measured board power toward the cap (requires a Device; the DVFS
 // governor participates in the loop). It returns the run output and the
-// trace of set-point adjustments.
+// trace of set-point adjustments. workers follows RunConfig.Workers.
 func RunPowerCapped(g *Graph, src VID, pc PowerCapConfig, device string, workers int) (*RunOutput, []float64, error) {
 	dev, err := sim.DeviceByName(device)
 	if err != nil {
 		return nil, nil, err
 	}
+	pool, err := newPool(workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pool != nil {
+		defer pool.Close()
+	}
 	mach := sim.NewMachine(dev)
 	mach.SetGovernor(dvfs.NewOndemand())
-	opt := &sssp.Options{Machine: mach}
-	if workers != 0 && workers != 1 {
-		pool := parallel.NewPool(max(workers, 0))
-		defer pool.Close()
-		opt.Pool = pool
-	}
+	opt := &sssp.Options{Machine: mach, Pool: pool}
 	var prof metrics.Profile
 	opt.Profile = &prof
 	res, pTrace, err := core.SolveWithPowerCap(g, src, pc, opt)
@@ -565,14 +568,17 @@ func SaveDevice(w io.Writer, d *Device) error { return sim.WriteDeviceJSON(w, d)
 // average edge weight and returns the simulated-time-minimizing value on
 // the named device — how the baseline's per-input δ* is chosen throughout
 // the evaluation (the knob the paper replaces with the set-point P).
+// workers follows RunConfig.Workers.
 func TuneDelta(g *Graph, src VID, device string, workers int) (Dist, error) {
 	dev, err := sim.DeviceByName(device)
 	if err != nil {
 		return 0, err
 	}
-	var pool *parallel.Pool
-	if workers < 0 || workers > 1 {
-		pool = parallel.NewPool(max(workers, 0))
+	pool, err := newPool(workers)
+	if err != nil {
+		return 0, err
+	}
+	if pool != nil {
 		defer pool.Close()
 	}
 	avg := g.AvgWeight()
@@ -603,42 +609,18 @@ func TuneDelta(g *Graph, src VID, device string, workers int) (Dist, error) {
 	return best, nil
 }
 
-// P2PResult reports a point-to-point shortest-path query.
-type P2PResult = sssp.P2PResult
-
-// QueryDijkstra answers one s→t query with early-terminating Dijkstra.
-func QueryDijkstra(g *Graph, s, t VID) (P2PResult, error) {
-	return sssp.PointToPoint(g, s, t, nil)
-}
-
-// QueryBidirectional answers one s→t query with bidirectional search.
-// Pass a precomputed transpose to amortize it across queries (nil computes
-// one per call).
-func QueryBidirectional(g, transpose *Graph, s, t VID) (P2PResult, error) {
-	return sssp.BidirectionalP2P(g, transpose, s, t, nil)
-}
-
-// Router is a preprocessed point-to-point query index (ALT: A* with
-// landmark lower bounds), suited to repeated routing queries on road
-// networks.
-type Router = sssp.ALT
-
-// NewRouter preprocesses k landmarks (farthest-point selection seeded at
-// seed) for fast s→t queries via Router.Query.
-func NewRouter(g *Graph, k int, seed VID) (*Router, error) {
-	return sssp.NewALT(g, k, seed)
-}
-
 // KCoreResult reports a k-core decomposition.
 type KCoreResult = kcore.Result
 
 // KCore computes the k-core decomposition of g (viewed undirected).
 // setPoint > 0 caps the vertices peeled per round — the same parallelism
 // knob the paper's Section 6 proposes for this problem; 0 peels greedily.
+// workers follows RunConfig.Workers, except that a count above 1024 is
+// clamped to 1024 rather than rejected.
 func KCore(g *Graph, setPoint, workers int) KCoreResult {
 	opt := &kcore.Options{SetPoint: setPoint}
-	if workers < 0 || workers > 1 {
-		pool := parallel.NewPool(max(workers, 0))
+	//lint:ignore errcheck the count is clamped to maxPoolWorkers, so newPool cannot fail
+	if pool, _ := newPool(min(workers, maxPoolWorkers)); pool != nil {
 		defer pool.Close()
 		opt.Pool = pool
 	}
@@ -673,7 +655,8 @@ type PageRankConfig struct {
 	SetPoint float64
 	// Theta is the fixed residual threshold when SetPoint is zero.
 	Theta float64
-	// Workers sizes the goroutine pool (0/1 = sequential, -1 = all CPUs).
+	// Workers sizes the goroutine pool (0/1 = sequential, -1 = all CPUs);
+	// PageRank rejects more than 1024.
 	Workers int
 }
 
@@ -684,11 +667,13 @@ type PageRankResult = pagerank.Result
 // at a fixed residual threshold or under frontier-size control (see
 // PageRankConfig.SetPoint). Verify against PageRankReference in tests.
 func PageRank(g *Graph, cfg PageRankConfig) (PageRankResult, error) {
-	opt := &pagerank.Options{Damping: cfg.Damping, Eps: cfg.Eps}
-	if cfg.Workers < 0 || cfg.Workers > 1 {
-		pool := parallel.NewPool(max(cfg.Workers, 0))
+	pool, err := newPool(cfg.Workers)
+	if err != nil {
+		return PageRankResult{}, err
+	}
+	opt := &pagerank.Options{Damping: cfg.Damping, Eps: cfg.Eps, Pool: pool}
+	if pool != nil {
 		defer pool.Close()
-		opt.Pool = pool
 	}
 	if cfg.SetPoint > 0 {
 		return pagerank.SelfTuning(g, cfg.SetPoint, opt)

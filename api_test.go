@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 func TestAlgorithmStringsRoundTrip(t *testing.T) {
-	for _, a := range []Algorithm{Dijkstra, BellmanFord, DeltaStepping, NearFar, SelfTuning} {
+	for _, a := range []Algorithm{Dijkstra, NearFar, SelfTuning} {
 		back, err := ParseAlgorithm(a.String())
 		if err != nil || back != a {
 			t.Fatalf("round trip %v: %v %v", a, back, err)
@@ -22,10 +23,16 @@ func TestAlgorithmStringsRoundTrip(t *testing.T) {
 		t.Fatal("unknown algorithm String")
 	}
 	// Short names.
-	for s, want := range map[string]Algorithm{"nf": NearFar, "st": SelfTuning, "bf": BellmanFord, "ds": DeltaStepping} {
+	for s, want := range map[string]Algorithm{"nf": NearFar, "st": SelfTuning} {
 		got, err := ParseAlgorithm(s)
 		if err != nil || got != want {
 			t.Fatalf("short name %q: %v %v", s, got, err)
+		}
+	}
+	// Names of the removed Bellman-Ford and delta-stepping solvers.
+	for _, s := range []string{"bellmanford", "bellman-ford", "bf", "deltastepping", "delta-stepping", "ds"} {
+		if _, err := ParseAlgorithm(s); err == nil {
+			t.Fatalf("removed algorithm %q accepted", s)
 		}
 	}
 }
@@ -48,7 +55,7 @@ func TestRunAllAlgorithmsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{BellmanFord, DeltaStepping, NearFar, SelfTuning} {
+	for _, algo := range []Algorithm{NearFar, SelfTuning} {
 		cfg := RunConfig{Algorithm: algo, Workers: 4, SetPoint: 100}
 		out, err := Run(g, 0, cfg)
 		if err != nil {
@@ -108,6 +115,35 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, FarQueue: "lazy"}); err == nil {
 		t.Fatal("removed far-queue strategy lazy accepted")
+	}
+	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, Workers: maxPoolWorkers + 1}); err == nil {
+		t.Fatalf("Workers %d accepted", maxPoolWorkers+1)
+	}
+}
+
+// TestNewPoolBounds: every entry point's workers setting goes through
+// newPool, which keeps the documented semantics and refuses a count above
+// maxPoolWorkers without building a pool.
+func TestNewPoolBounds(t *testing.T) {
+	for _, tc := range []struct{ workers, size int }{
+		{-1, runtime.GOMAXPROCS(0)}, {0, 0}, {1, 0}, {2, 2}, {maxPoolWorkers, maxPoolWorkers},
+	} {
+		pool, err := newPool(tc.workers)
+		if err != nil {
+			t.Fatalf("workers %d: %v", tc.workers, err)
+		}
+		size := 0
+		if pool != nil {
+			size = pool.Size()
+			pool.Close()
+		}
+		if size != tc.size {
+			t.Errorf("workers %d: pool size %d, want %d (0 = no pool)", tc.workers, size, tc.size)
+		}
+	}
+	pool, err := newPool(maxPoolWorkers + 1)
+	if err == nil || pool != nil {
+		t.Fatalf("workers %d: pool %v, err %v; want no pool and an error", maxPoolWorkers+1, pool, err)
 	}
 }
 
@@ -260,36 +296,6 @@ func TestTuneDeltaAPI(t *testing.T) {
 	}
 }
 
-func TestP2PAPI(t *testing.T) {
-	g := Grid(12, 12, 1, 30, 6)
-	ref, err := Run(g, 0, RunConfig{Algorithm: Dijkstra})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, target := range []VID{5, 77, 143} {
-		d1, err := QueryDijkstra(g, 0, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := QueryBidirectional(g, nil, 0, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		router, err := NewRouter(g, 3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d3, err := router.Query(0, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Dist[target]
-		if d1.Dist != want || d2.Dist != want || d3.Dist != want {
-			t.Fatalf("t=%d: %d %d %d want %d", target, d1.Dist, d2.Dist, d3.Dist, want)
-		}
-	}
-}
-
 func TestKCoreAPI(t *testing.T) {
 	g := RMAT(8, 6, 1, 9, 2)
 	want := KCoreReference(g)
@@ -375,7 +381,7 @@ func TestRunRelabelOriginalIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range []string{"degree", "bfs"} {
-		for _, algo := range []Algorithm{Dijkstra, DeltaStepping, NearFar, SelfTuning} {
+		for _, algo := range []Algorithm{Dijkstra, NearFar, SelfTuning} {
 			out, err := Run(g, src, RunConfig{Algorithm: algo, Workers: 2, SetPoint: 64, Relabel: order})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", order, algo, err)
@@ -426,15 +432,13 @@ func TestRunFarQueueConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fq := range []string{"auto", "flat", "rho"} {
-		for _, algo := range []Algorithm{DeltaStepping, NearFar} {
-			out, err := Run(g, 0, RunConfig{Algorithm: algo, Workers: 2, FarQueue: fq})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", fq, algo, err)
-			}
-			for v := range out.Dist {
-				if out.Dist[v] != ref.Dist[v] {
-					t.Fatalf("%s/%v: dist[%d] = %d, want %d", fq, algo, v, out.Dist[v], ref.Dist[v])
-				}
+		out, err := Run(g, 0, RunConfig{Algorithm: NearFar, Workers: 2, FarQueue: fq})
+		if err != nil {
+			t.Fatalf("%s: %v", fq, err)
+		}
+		for v := range out.Dist {
+			if out.Dist[v] != ref.Dist[v] {
+				t.Fatalf("%s: dist[%d] = %d, want %d", fq, v, out.Dist[v], ref.Dist[v])
 			}
 		}
 	}

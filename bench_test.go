@@ -213,35 +213,25 @@ func BenchmarkOverhead(b *testing.B) {
 // ---- Solver microbenchmarks (host wall-clock performance of the Go
 // implementation itself, one graph edge-scale per op) ----
 
-func benchSolver(b *testing.B, algo Algorithm, d gen.Dataset) {
+func benchNearFar(b *testing.B, d gen.Dataset) {
 	e := env()
 	g := e.Graph(d)
 	src := e.Source(d)
+	delta := e.BestDelta(d, sim.TK1())
 	pool := parallel.NewPool(0)
 	defer pool.Close()
 	opt := &sssp.Options{Pool: pool}
 	b.SetBytes(int64(g.NumEdges()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		switch algo {
-		case BellmanFord:
-			_, err = sssp.BellmanFord(g, src, opt)
-		case DeltaStepping:
-			_, err = sssp.DeltaStepping(g, src, Dist(g.AvgWeight()), opt)
-		case NearFar:
-			_, err = sssp.NearFar(g, src, e.BestDelta(d, sim.TK1()), opt)
-		}
-		if err != nil {
+		if _, err := sssp.NearFar(g, src, delta, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBellmanFordCal(b *testing.B)   { benchSolver(b, BellmanFord, gen.Cal) }
-func BenchmarkDeltaSteppingCal(b *testing.B) { benchSolver(b, DeltaStepping, gen.Cal) }
-func BenchmarkNearFarCal(b *testing.B)       { benchSolver(b, NearFar, gen.Cal) }
-func BenchmarkNearFarWiki(b *testing.B)      { benchSolver(b, NearFar, gen.Wiki) }
+func BenchmarkNearFarCal(b *testing.B)  { benchNearFar(b, gen.Cal) }
+func BenchmarkNearFarWiki(b *testing.B) { benchNearFar(b, gen.Wiki) }
 
 // BenchmarkFarQueue compares the two far-queue strategies head to head on
 // the two dataset substitutes, at each graph's tuned δ*. flat is the paper's
@@ -309,7 +299,7 @@ func BenchmarkNearFarCalRelabeled(b *testing.B) {
 func benchAdvance(b *testing.B, g *Graph, workers int, o *obs.Observer) {
 	pool := parallel.NewPool(workers)
 	defer pool.Close()
-	res, err := sssp.BellmanFord(g, 0, &sssp.Options{Pool: pool})
+	res, err := sssp.Dijkstra(g, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +320,7 @@ func benchAdvance(b *testing.B, g *Graph, workers int, o *obs.Observer) {
 	kn.Advance(front) // warm the scratch buffers to their high-water mark
 	b.SetBytes(edges)
 	b.ReportAllocs()
-	// Collect setup garbage (graph generation, BellmanFord) before timing:
+	// Collect setup garbage (graph generation, Dijkstra) before timing:
 	// otherwise the first sub-benchmark pays the GC debt inside its window,
 	// skewing A/B pairs like BenchmarkObsAdvance.
 	runtime.GC()
@@ -384,7 +374,7 @@ func BenchmarkObsAdvance(b *testing.B) {
 func benchSpanAdvance(b *testing.B, g *Graph, o *obs.Observer) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	res, err := sssp.BellmanFord(g, 0, &sssp.Options{Pool: pool})
+	res, err := sssp.Dijkstra(g, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -502,32 +492,6 @@ func BenchmarkKCoreControlled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := KCore(g, 512, -1)
 		b.ReportMetric(float64(res.Degeneracy), "degeneracy")
-	}
-}
-
-// BenchmarkRouting measures point-to-point query latency on the road
-// network: plain Dijkstra versus the ALT index.
-func BenchmarkRoutingDijkstra(b *testing.B) {
-	g := CalLike(0.02, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := QueryDijkstra(g, 0, VID(g.NumVertices()-1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoutingALT(b *testing.B) {
-	g := CalLike(0.02, 42)
-	router, err := NewRouter(g, 8, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := router.Query(0, VID(g.NumVertices()-1)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

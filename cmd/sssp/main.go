@@ -28,13 +28,13 @@ func main() {
 		dataset   = flag.String("dataset", "cal", "generated dataset: cal or wiki")
 		scale     = flag.Float64("scale", 0.01, "dataset scale (1.0 = paper size)")
 		seed      = flag.Uint64("seed", 42, "generator seed")
-		algo      = flag.String("algo", "selftuning", "dijkstra|bellmanford|deltastepping|nearfar|selftuning")
-		delta     = flag.Int64("delta", 0, "fixed delta for deltastepping/nearfar (0 = avg edge weight)")
+		algo      = flag.String("algo", "selftuning", "dijkstra|nearfar|selftuning")
+		delta     = flag.Int64("delta", 0, "fixed delta for nearfar (0 = avg edge weight)")
 		setPoint  = flag.Float64("P", 1000, "parallelism set-point for selftuning")
 		source    = flag.Int("source", 0, "source vertex id")
 		workers   = flag.Int("workers", -1, "worker goroutines (-1 = all CPUs, 0/1 = sequential)")
 		relabel   = flag.String("relabel", "none", "vertex relabeling preprocessing: none|degree|bfs (results map back to original ids)")
-		farQueue  = flag.String("farqueue", "auto", "far-queue strategy for nearfar/deltastepping: auto|flat|rho")
+		farQueue  = flag.String("farqueue", "auto", "far-queue strategy for nearfar: auto|flat|rho")
 		device    = flag.String("device", "", "simulated board: TK1 or TX1 (empty = no simulation)")
 		freq      = flag.String("freq", "auto", "DVFS setting: auto or core/mem MHz (e.g. 852/924)")
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")

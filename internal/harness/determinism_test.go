@@ -35,8 +35,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// Across worker counts, compare only the tables whose advances never
 	// depend on scheduling. Figure 2 and the Wiki table take parallel
 	// advances whose X2 counts atomic-min wins, which depend on how the
-	// races resolve (ROADMAP open item 1, deterministic advance), so they
-	// can differ at 2 and 4 workers.
+	// races resolve (ROADMAP: deterministic advance), so they can differ
+	// at 2 and 4 workers.
 	want := render(1, Figure5, perfPowerCal)
 	for _, w := range []int{2, 4} {
 		if got := render(w, Figure5, perfPowerCal); got != want {

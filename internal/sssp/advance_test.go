@@ -18,7 +18,7 @@ import (
 // for every vertex within the D-ball of src (settled), Inf elsewhere, with
 // the settled set as the frontier. Settled vertices cannot be lowered
 // during an advance (their distances are already optimal), so the result
-// of one AdvanceRange over this state is schedule-independent — the exact
+// of one Advance over this state is schedule-independent — the exact
 // property the sequential/parallel differential needs.
 func settledState(t *testing.T, g *graph.Graph, src graph.VID) (dist []graph.Dist, front []graph.VID) {
 	t.Helper()
@@ -51,19 +51,16 @@ func settledState(t *testing.T, g *graph.Graph, src graph.VID) (dist []graph.Dis
 }
 
 // refAdvance computes the schedule-independent expected outcome of one
-// AdvanceRange over a settled state: dist'[v] = min(dist[v], min over
-// frontier u with edge u->v in [wlo,whi] of dist[u]+w), and the updated
-// set {v : dist'[v] < dist[v]}.
-func refAdvance(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi graph.Weight) (want []graph.Dist, updated map[graph.VID]bool, edges int64) {
+// Advance over a settled state: dist'[v] = min(dist[v], min over frontier
+// u with edge u->v of dist[u]+w), and the updated set
+// {v : dist'[v] < dist[v]}.
+func refAdvance(g *graph.Graph, dist []graph.Dist, front []graph.VID) (want []graph.Dist, updated map[graph.VID]bool, edges int64) {
 	want = append([]graph.Dist(nil), dist...)
 	updated = make(map[graph.VID]bool)
 	for _, u := range front {
 		vs, ws := g.Neighbors(u)
 		edges += int64(len(vs))
 		for j, v := range vs {
-			if ws[j] < wlo || ws[j] > whi {
-				continue
-			}
 			if nd := dist[u] + graph.Dist(ws[j]); nd < want[v] {
 				want[v] = nd
 				updated[v] = true
@@ -84,10 +81,11 @@ var advancePaths = []struct {
 
 // TestAdvanceStrategiesAgree is the differential property test of the
 // advance paths: over random graphs (scale-free, uniform-random,
-// road-like) and random weight ranges, the sequential and the parallel
-// vertex-chunk paths, and the default choice between them, must produce
-// the same distance array and the same deduplicated frontier set at every
-// pool size, including 1, and must charge the same edge count.
+// road-like) and frontiers (the whole settled set, and every third vertex
+// of it), the sequential and the parallel vertex-chunk paths, and the
+// default choice between them, must produce the same distance array and
+// the same deduplicated frontier set at every pool size, including 1, and
+// must charge the same edge count.
 func TestAdvanceStrategiesAgree(t *testing.T) {
 	// seqMax -1 keeps the graph's default sequential frontier bound.
 	advanceCases := append([]struct {
@@ -99,11 +97,14 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 		gen.ErdosRenyi(2000, 12000, 1, 50, 5),
 		gen.Road(40, 50, 0.1, 1, 100, 7),
 	}
-	ranges := [][2]graph.Weight{{1, 1<<31 - 1}, {1, 20}, {21, 1<<31 - 1}}
 	for gi, g := range graphs {
-		dist0, front := settledState(t, g, 0)
-		for _, wr := range ranges {
-			want, updated, wantEdges := refAdvance(g, dist0, front, wr[0], wr[1])
+		dist0, settled := settledState(t, g, 0)
+		var sparse []graph.VID
+		for i := 0; i < len(settled); i += 3 {
+			sparse = append(sparse, settled[i])
+		}
+		for fi, front := range [][]graph.VID{settled, sparse} {
+			want, updated, wantEdges := refAdvance(g, dist0, front)
 			for _, ps := range []int{1, 2, 3, 4} {
 				for _, c := range advanceCases {
 					pool := parallel.NewPool(ps)
@@ -112,25 +113,25 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 					if c.seqMax >= 0 {
 						kn.seqMaxFront = c.seqMax
 					}
-					adv := kn.AdvanceRange(front, wr[0], wr[1])
+					adv := kn.Advance(front)
 					if adv.Edges != wantEdges {
-						t.Errorf("graph %d range %v pool %d %s: edges %d, want %d",
-							gi, wr, ps, c.name, adv.Edges, wantEdges)
+						t.Errorf("graph %d front %d pool %d %s: edges %d, want %d",
+							gi, fi, ps, c.name, adv.Edges, wantEdges)
 					}
 					for v := range dist {
 						if dist[v] != want[v] {
-							t.Fatalf("graph %d range %v pool %d %s: dist[%d]=%d, want %d",
-								gi, wr, ps, c.name, v, dist[v], want[v])
+							t.Fatalf("graph %d front %d pool %d %s: dist[%d]=%d, want %d",
+								gi, fi, ps, c.name, v, dist[v], want[v])
 						}
 					}
 					if len(adv.Out) != len(updated) {
-						t.Fatalf("graph %d range %v pool %d %s: |Out|=%d, want %d",
-							gi, wr, ps, c.name, len(adv.Out), len(updated))
+						t.Fatalf("graph %d front %d pool %d %s: |Out|=%d, want %d",
+							gi, fi, ps, c.name, len(adv.Out), len(updated))
 					}
 					for _, v := range adv.Out {
 						if !updated[v] {
-							t.Fatalf("graph %d range %v pool %d %s: unexpected frontier vertex %d",
-								gi, wr, ps, c.name, v)
+							t.Fatalf("graph %d front %d pool %d %s: unexpected frontier vertex %d",
+								gi, fi, ps, c.name, v)
 						}
 					}
 					if c.name != "default" {
@@ -146,11 +147,12 @@ func TestAdvanceStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestSolversAgreeOnParallelPath runs complete NearFar and BellmanFord
-// solves of a scale-free graph at pool sizes 1 and 4 (covering the
-// mid-solve regime where frontier vertices are still improving) and checks
-// exact distances against the Dijkstra oracle. At pool size 4 the solves
-// must run parallel advances.
+// TestSolversAgreeOnParallelPath runs complete NearFar solves of a
+// scale-free graph, at a fixed delta and at the label-correcting delta
+// (Bellman-Ford's rounds), at pool sizes 1 and 4 (covering the mid-solve
+// regime where frontier vertices are still improving) and checks exact
+// distances against the Dijkstra oracle. At pool size 4 the solves must
+// run parallel advances.
 func TestSolversAgreeOnParallelPath(t *testing.T) {
 	g := gen.RMAT(13, 8, 0.57, 0.19, 0.19, 1, 99, 9)
 	oracle, err := Dijkstra(g, 0, nil)
@@ -161,20 +163,15 @@ func TestSolversAgreeOnParallelPath(t *testing.T) {
 		pool := parallel.NewPool(ps)
 		sc := obs.New(0).NewScope("agree")
 		opt := &Options{Pool: pool, Scope: sc}
-		nf, err := NearFar(g, 0, 30, opt)
-		if err != nil {
-			t.Fatalf("NearFar pool %d: %v", ps, err)
-		}
-		bf, err := BellmanFord(g, 0, opt)
-		if err != nil {
-			t.Fatalf("BellmanFord pool %d: %v", ps, err)
-		}
-		for v, d := range oracle.Dist {
-			if nf.Dist[v] != d {
-				t.Fatalf("NearFar pool %d: dist[%d]=%d, want %d", ps, v, nf.Dist[v], d)
+		for _, delta := range []graph.Dist{30, labelCorrectingDelta} {
+			res, err := NearFar(g, 0, delta, opt)
+			if err != nil {
+				t.Fatalf("NearFar δ=%d pool %d: %v", delta, ps, err)
 			}
-			if bf.Dist[v] != d {
-				t.Fatalf("BellmanFord pool %d: dist[%d]=%d, want %d", ps, v, bf.Dist[v], d)
+			for v, d := range oracle.Dist {
+				if res.Dist[v] != d {
+					t.Fatalf("NearFar δ=%d pool %d: dist[%d]=%d, want %d", delta, ps, v, res.Dist[v], d)
+				}
 			}
 		}
 		if n := parallelAdvances(sc); (n > 0) != (ps > 1) {
@@ -232,7 +229,7 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 }
 
 // TestAdvanceSteadyStateAllocs is the allocation regression gate of the
-// tentpole: once buffers have warmed up, AdvanceRange must perform zero
+// tentpole: once buffers have warmed up, Advance must perform zero
 // allocations per iteration on both scheduling paths at every pool size.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
@@ -340,13 +337,11 @@ func TestParallelAdvanceStress(t *testing.T) {
 			defer sc.Close()
 			for r := 0; r < 6; r++ {
 				opt := &Options{Pool: pool, Scope: sc}
-				var res Result
-				var err error
+				delta := graph.Dist(40)
 				if r%2 == 0 {
-					res, err = BellmanFord(g, 0, opt)
-				} else {
-					res, err = NearFar(g, 0, 40, opt)
+					delta = labelCorrectingDelta
 				}
+				res, err := NearFar(g, 0, delta, opt)
 				if err != nil {
 					done <- err
 					return
@@ -397,13 +392,12 @@ func TestMixedPathStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		adv0, seq0 := counter("sssp_advances_total"), counter("sssp_sequential_advances_total")
+		// Alternate the far queues: rho (the default) and the flat queue.
 		opt := &Options{Pool: pool, Obs: o}
-		var res Result
-		if r%2 == 0 {
-			res, err = NearFar(g, src, 1000, opt)
-		} else {
-			res, err = DeltaStepping(g, src, 1000, opt)
+		if r%2 == 1 {
+			opt.FarQueue = FarFlat
 		}
+		res, err := NearFar(g, src, 1000, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,19 +10,16 @@ import (
 )
 
 // relaxBranchy is the sequential relax kernel as it was written before its
-// loop was predicated: one data-dependent branch for the weight window, one
-// for the relax test and one for the dedup bit. It is the oracle of
+// loop was predicated: one data-dependent branch for the relax test and
+// one for the dedup bit. It is the oracle of
 // TestSequentialRelaxMatchesBranchyOracle. seen must be all false; the
 // entries of the returned out are left true.
-func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, wlo, whi graph.Weight, seen []bool) (out []graph.VID, x2, edges int64) {
+func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, seen []bool) (out []graph.VID, x2, edges int64) {
 	for _, u := range front {
 		du := dist[u]
 		vs, ws := g.Neighbors(u)
 		edges += int64(len(vs))
 		for j, v := range vs {
-			if ws[j] < wlo || ws[j] > whi {
-				continue
-			}
 			if nd := du + graph.Dist(ws[j]); nd < dist[v] {
 				dist[v] = nd
 				x2++
@@ -53,7 +50,7 @@ func bisectBranchy(src []graph.VID, thr graph.Dist, dist []graph.Dist) (near, pu
 
 // randomMultigraph draws a small graph with zero-degree vertices,
 // self-loops and parallel edges, and weights from a narrow range so that
-// ties and weights exactly at a window bound are common.
+// ties are common.
 func randomMultigraph(rng *rand.Rand) *graph.Graph {
 	n := 1 + rng.IntN(60)
 	var edges []graph.Edge
@@ -79,10 +76,8 @@ func randomMultigraph(rng *rand.Rand) *graph.Graph {
 
 // TestSequentialRelaxMatchesBranchyOracle runs the predicated sequential
 // kernel and the branching oracle side by side over random multigraphs for
-// several rounds each, under the full window of Advance, the light and
-// heavy windows of delta-stepping, and a one-weight window whose bounds
-// coincide. After every round the two must agree on dist, X², Edges and the
-// Out order.
+// several rounds each. After every round the two must agree on dist, X²,
+// Edges and the Out order.
 func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 	pool := parallel.NewPool(1)
 	defer pool.Close()
@@ -90,14 +85,6 @@ func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, seed^0xb1a5))
 		g := randomMultigraph(rng)
 		n := g.NumVertices()
-		delta := graph.Weight(1 + rng.IntN(12))
-		windows := [][2]graph.Weight{
-			{1, 1<<31 - 1},         // Advance
-			{1, delta},             // delta-stepping light edges
-			{delta + 1, 1<<31 - 1}, // heavy edges
-			{delta, delta},         // wlo == whi
-		}
-		win := windows[rng.IntN(len(windows))]
 		dist := make([]graph.Dist, n)
 		for v := range dist {
 			dist[v] = graph.Inf
@@ -117,23 +104,23 @@ func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 			}
 		}
 		for round := 0; round < 6 && len(front) > 0; round++ {
-			wantOut, wantX2, wantEdges := relaxBranchy(g, want, front, win[0], win[1], seen)
+			wantOut, wantX2, wantEdges := relaxBranchy(g, want, front, seen)
 			for _, v := range wantOut {
 				seen[v] = false
 			}
-			adv := kn.AdvanceRange(front, win[0], win[1])
+			adv := kn.Advance(front)
 			if !adv.Sequential {
 				t.Fatalf("seed %d: advance on a one-worker pool left the sequential path", seed)
 			}
 			if !slices.Equal(dist, want) {
-				t.Fatalf("seed %d round %d window %v: dist %v, oracle %v", seed, round, win, dist, want)
+				t.Fatalf("seed %d round %d: dist %v, oracle %v", seed, round, dist, want)
 			}
 			if int64(adv.X2) != wantX2 || adv.Edges != wantEdges {
-				t.Fatalf("seed %d round %d window %v: X2 %d Edges %d, oracle X2 %d Edges %d",
-					seed, round, win, adv.X2, adv.Edges, wantX2, wantEdges)
+				t.Fatalf("seed %d round %d: X2 %d Edges %d, oracle X2 %d Edges %d",
+					seed, round, adv.X2, adv.Edges, wantX2, wantEdges)
 			}
 			if !slices.Equal(adv.Out, wantOut) {
-				t.Fatalf("seed %d round %d window %v: Out %v, oracle %v", seed, round, win, adv.Out, wantOut)
+				t.Fatalf("seed %d round %d: Out %v, oracle %v", seed, round, adv.Out, wantOut)
 			}
 			front = slices.Clone(adv.Out)
 		}

@@ -8,17 +8,15 @@ import (
 )
 
 // FarQueueStrategy selects the far-queue structure and phase-advance
-// policy of the bucketed solvers (NearFar's stage 4, DeltaStepping's
-// bucket store). Every choice computes exact shortest-path distances and
-// charges the simulated far-queue kernel per scanned entry, so the
-// strategies differ in host performance and phase schedule, never in
-// results.
+// policy of NearFar's stage 4. Every choice computes exact shortest-path
+// distances and charges the simulated far-queue kernel per scanned entry,
+// so the strategies differ in host performance and phase schedule, never
+// in results.
 type FarQueueStrategy uint8
 
 const (
-	// FarAuto (the zero value) picks per solver: rho for NearFar, the
-	// fused bucket store for DeltaStepping — the fastest strategy for
-	// each on the evaluation workloads.
+	// FarAuto (the zero value) picks rho, the faster strategy on the
+	// evaluation workloads.
 	FarAuto FarQueueStrategy = iota
 	// FarFlat is the paper baseline's unpartitioned queue: every phase
 	// change rescans all entries. The evaluation harness pins this for
@@ -75,11 +73,6 @@ const (
 	rhoBatchPerWorker = 4 * advanceGrain
 	// rhoBatchMin floors the batch target for tiny pools.
 	rhoBatchMin = 512
-	// fuseBatchTarget is DeltaStepping's bucket-fusion threshold: the
-	// next buckets are fused into one relaxation round until their
-	// combined population reaches this many vertices, cutting the
-	// per-bucket synchronization barriers that dominate sparse tails.
-	fuseBatchTarget = 1024
 )
 
 // rhoWidth is the FarRho bucket width for a solver delta.

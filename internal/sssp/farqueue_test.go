@@ -71,36 +71,6 @@ func TestNearFarStrategiesBitIdentical(t *testing.T) {
 	}
 }
 
-// The fused lazy-bucket DeltaStepping path must match the textbook flat
-// bucket array bit for bit, at deltas spanning all-light to all-heavy.
-func TestDeltaSteppingFusedBitIdentical(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for _, g := range farQueueTestGraphs(t) {
-		avg := graph.Dist(g.AvgWeight())
-		if avg < 1 {
-			avg = 1
-		}
-		for _, delta := range []graph.Dist{1, avg, 64 * avg} {
-			ref, err := DeltaStepping(g, 0, delta, &Options{Pool: pool, FarQueue: FarFlat})
-			if err != nil {
-				t.Fatalf("%v flat δ=%d: %v", g, delta, err)
-			}
-			assertSameDistances(t, g, 0, ref.Dist, "deltastep-flat/"+g.Name())
-			res, err := DeltaStepping(g, 0, delta, &Options{Pool: pool}) // auto → fused
-			if err != nil {
-				t.Fatalf("%v fused δ=%d: %v", g, delta, err)
-			}
-			for v := range res.Dist {
-				if res.Dist[v] != ref.Dist[v] {
-					t.Fatalf("%v δ=%d: fused dist[%d] = %d, flat %d",
-						g, delta, v, res.Dist[v], ref.Dist[v])
-				}
-			}
-		}
-	}
-}
-
 // Simulated time and energy are part of the strategy contract: each
 // strategy charges the far-queue kernel per scanned entry, so attaching
 // obs + flight (host-side only) must not move them, and a strategy's
@@ -145,11 +115,6 @@ func TestFarQueueConcurrentStress(t *testing.T) {
 			t.Fatalf("%v: %v", s, err)
 		}
 		assertSameDistances(t, g, 0, res.Dist, "stress-nearfar-"+s.String())
-		dres, err := DeltaStepping(g, 0, 25, &Options{Pool: pool, FarQueue: s})
-		if err != nil {
-			t.Fatalf("deltastep %v: %v", s, err)
-		}
-		assertSameDistances(t, g, 0, dres.Dist, "stress-deltastep-"+s.String())
 	}
 }
 

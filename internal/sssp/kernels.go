@@ -68,9 +68,8 @@ type Kernels struct {
 	// Per-call state published to the prebuilt worker closure. The
 	// closure is constructed once in NewKernels and passed by value to
 	// Pool.Run so the steady state performs zero allocations per advance.
-	front    []graph.VID
-	wlo, whi graph.Weight
-	next     atomic.Int64 // dynamic chunk cursor of the parallel path
+	front []graph.VID
+	next  atomic.Int64 // dynamic chunk cursor of the parallel path
 
 	vertexWorker func(w int)
 }
@@ -96,7 +95,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		n := len(front)
 		g := kn.G
 		dist := kn.Dist
-		wlo, whi := kn.wlo, kn.whi
 		buf := kn.sc.bufs[w]
 		var x2, edges int64
 		for {
@@ -114,9 +112,6 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 				vs, ws := g.Neighbors(u)
 				edges += int64(len(vs))
 				for j, v := range vs {
-					if ws[j] < wlo || ws[j] > whi {
-						continue
-					}
 					nd := du + graph.Dist(ws[j])
 					if parallel.MinInt64(&dist[v], nd) {
 						x2++
@@ -216,17 +211,10 @@ type AdvanceResult struct {
 
 // Advance executes the advance and filter stages over the given frontier:
 // every outgoing edge of every frontier vertex is relaxed with a min
-// (atomic on the parallel paths), each worker lists its winning updates,
+// (atomic on the parallel path), each worker lists its winning updates,
 // the filter deduplicates the lists after the join, and the simulated
 // machine (if any) is charged an edge-parallel advance kernel plus a
 // vertex-parallel filter kernel.
-func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
-	return kn.AdvanceRange(front, 1, 1<<31-1)
-}
-
-// AdvanceRange is Advance restricted to edges whose weight lies in
-// [wlo, whi]. Classic delta-stepping uses it for its light-edge
-// (weight <= delta) and heavy-edge (weight > delta) phases.
 //
 // The frontier runs on one of two host-side paths — inline on the plain
 // sequential kernel, or on the pool over dynamically claimed vertex
@@ -237,14 +225,14 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 // distances. On both paths Out holds each vertex whose distance fell exactly once, in
 // the order of its first occurrence across the per-worker update lists
 // taken in worker order.
-func (kn *Kernels) AdvanceRange(front []graph.VID, wlo, whi graph.Weight) AdvanceResult {
+func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	nw := kn.Pool.Size()
 	sc := kn.sc
 	for w := 0; w < nw; w++ {
 		sc.bufs[w] = sc.bufs[w][:0]
 		sc.counts[w] = counters{}
 	}
-	kn.front, kn.wlo, kn.whi = front, wlo, whi
+	kn.front = front
 	seq := kn.sequential(len(front))
 	kn.next.Store(0)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
@@ -335,22 +323,22 @@ func (kn *Kernels) filter(nw int) []graph.VID {
 //
 // The relax loop is predicated rather than branched: about 43% of road
 // relaxations succeed, a rate at which a data-dependent branch mispredicts
-// constantly. Each edge computes b = (nd < dist[v]) & (wlo <= w <= whi),
-// stores nd through a pointer selected by b (dist[v], or a local sink, so a
-// failed relaxation dirties no distance line), writes v to the buffer
-// unconditionally and advances the count by b. The buffer then holds every
-// update in order, and the filter stage keeps the first occurrence of each
-// vertex. Deduplicating after the loop keeps the bitmap's
-// read-modify-write out of the relax loop, where it would chain each edge
-// to the previous edge's distance miss. The visit order is that of the
-// branching kernel, so X², Edges and the Out order are too.
+// constantly. Each edge computes b = nd < dist[v], stores nd through a
+// pointer selected by b (dist[v], or a local sink, so a failed relaxation
+// dirties no distance line), writes v to the buffer unconditionally and
+// advances the count by b. Every edge is a candidate: graph.New and
+// Validate reject weights below 1, so no weight test is needed. The buffer
+// then holds every update in order, and the filter stage keeps the first
+// occurrence of each vertex. Deduplicating after the loop keeps the
+// bitmap's read-modify-write out of the relax loop, where it would chain
+// each edge to the previous edge's distance miss. The visit order is that
+// of the branching kernel, so X², Edges and the Out order are too.
 // Writing unconditionally needs degree(u) spare slots before each frontier
 // vertex; the buffer grows amortised and lives in the pooled scratch.
 func (kn *Kernels) advanceSequential() {
 	front := kn.front
 	g := kn.G
 	dist := kn.Dist
-	wlo, whi := kn.wlo, kn.whi
 	buf := kn.sc.bufs[0]
 	n0 := len(buf)
 	n := n0
@@ -366,10 +354,9 @@ func (kn *Kernels) advanceSequential() {
 		}
 		out := buf[:cap(buf)]
 		for j, v := range vs {
-			w := ws[j]
-			nd := du + graph.Dist(w)
+			nd := du + graph.Dist(ws[j])
 			pd := &dist[v]
-			b := b2u(nd < *pd) & b2u(w >= wlo) & b2u(w <= whi)
+			b := b2u(nd < *pd)
 			p := &sink
 			if b != 0 { // compiled to a conditional move, not a branch
 				p = pd

@@ -23,8 +23,8 @@ type counters struct {
 // internal/sssp.Batch) stop re-allocating vertex-sized temporaries on
 // every solve.
 //
-// Invariant: a released scratch has an all-clear bitmap. AdvanceRange
-// clears every bit it sets before returning, so the invariant holds along
+// Invariant: a released scratch has an all-clear bitmap. Advance clears
+// every bit it sets before returning, so the invariant holds along
 // every solver path, including early livelock-guard exits (those happen
 // between Advance calls).
 type scratch struct {

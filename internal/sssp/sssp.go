@@ -1,10 +1,9 @@
 // Package sssp implements the single-source shortest path algorithms the
 // paper builds on and compares against: a sequential Dijkstra used as the
-// correctness oracle, a frontier-parallel Bellman-Ford, the classic
-// Meyer–Sanders delta-stepping, and the Gunrock-style near-far baseline
-// (Davidson et al.) with its advance / filter / bisect-frontier /
-// bisect-far-queue stages. The paper's self-tuning algorithm lives in
-// internal/core and reuses this package's kernels.
+// correctness oracle and the Gunrock-style near-far baseline (Davidson et
+// al.) with its advance / filter / bisect-frontier / bisect-far-queue
+// stages. The paper's self-tuning algorithm lives in internal/core and
+// reuses this package's kernels.
 //
 // All parallel solvers execute their kernels for real on a goroutine pool
 // and, when a simulated machine is attached, charge each kernel's work items
@@ -44,11 +43,10 @@ type Options struct {
 	// MaxIters overrides the livelock guard (0 selects a generous default
 	// derived from the graph size).
 	MaxIters int
-	// FarQueue pins the far-queue structure and phase-advance policy for
-	// NearFar and DeltaStepping (flat or rho); FarAuto (the zero
-	// value) selects each solver's fastest default. Every strategy
-	// computes exact distances and charges the simulated far-queue kernel
-	// per scanned entry; the flight header records which one ran so
+	// FarQueue pins the far-queue structure and phase-advance policy of
+	// NearFar (flat or rho); FarAuto (the zero value) selects rho. Every
+	// strategy computes exact distances and charges the simulated far-queue
+	// kernel per scanned entry; the flight header records which one ran so
 	// replay validates the matching schedule.
 	FarQueue FarQueueStrategy
 	// Obs, when non-nil, attaches the runtime observability plane. Each

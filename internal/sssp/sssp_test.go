@@ -56,11 +56,8 @@ func TestSourceValidation(t *testing.T) {
 	if _, err := Dijkstra(g, -1, nil); err == nil {
 		t.Fatal("negative source accepted by Dijkstra")
 	}
-	if _, err := BellmanFord(g, 4, nil); err == nil {
-		t.Fatal("out-of-range source accepted by BellmanFord")
-	}
-	if _, err := DeltaStepping(g, 9, 4, nil); err == nil {
-		t.Fatal("out-of-range source accepted by DeltaStepping")
+	if _, err := Dijkstra(g, 4, nil); err == nil {
+		t.Fatal("source == n accepted by Dijkstra")
 	}
 	if _, err := NearFar(g, 9, 4, nil); err == nil {
 		t.Fatal("out-of-range source accepted by NearFar")
@@ -69,8 +66,8 @@ func TestSourceValidation(t *testing.T) {
 
 func TestDeltaValidation(t *testing.T) {
 	g := line(4)
-	if _, err := DeltaStepping(g, 0, 0, nil); err == nil {
-		t.Fatal("delta=0 accepted by DeltaStepping")
+	if _, err := NearFar(g, 0, 0, nil); err == nil {
+		t.Fatal("delta=0 accepted by NearFar")
 	}
 	if _, err := NearFar(g, 0, -3, nil); err == nil {
 		t.Fatal("negative delta accepted by NearFar")
@@ -100,32 +97,6 @@ func testGraphs(t *testing.T) []*graph.Graph {
 		gen.RMAT(9, 6, 0.57, 0.19, 0.19, 1, 99, 5),
 		gen.ErdosRenyi(300, 2500, 1, 99, 6),
 		gen.BarabasiAlbert(400, 3, 1, 99, 7),
-	}
-}
-
-func TestBellmanFordMatchesDijkstra(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for _, g := range testGraphs(t) {
-		res, err := BellmanFord(g, 0, &Options{Pool: pool})
-		if err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-		assertSameDistances(t, g, 0, res.Dist, "bellmanford/"+g.Name())
-	}
-}
-
-func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	for _, g := range testGraphs(t) {
-		for _, delta := range []graph.Dist{1, 5, 37, 1000, 1 << 40} {
-			res, err := DeltaStepping(g, 0, delta, &Options{Pool: pool})
-			if err != nil {
-				t.Fatalf("%v delta=%d: %v", g, delta, err)
-			}
-			assertSameDistances(t, g, 0, res.Dist, "deltastep/"+g.Name())
-		}
 	}
 }
 
@@ -220,29 +191,45 @@ func TestNearFarProfileRecorded(t *testing.T) {
 	}
 }
 
-func TestBellmanFordEqualsNearFarInfiniteDelta(t *testing.T) {
+// labelCorrectingDelta is a near-far delta above every finite distance of
+// the test graphs. At it NearFar never pushes to its far queue and runs
+// the rounds of frontier-parallel Bellman-Ford: each round advances every
+// vertex the previous round updated.
+const labelCorrectingDelta graph.Dist = 1 << 45
+
+// TestNearFarInfiniteDeltaIsLabelCorrecting checks that equivalence
+// against plain Advance rounds: the same distances, round count, edge
+// count and update count.
+func TestNearFarInfiniteDeltaIsLabelCorrecting(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1500, 1, 50, 12)
-	bf, err := BellmanFord(g, 0, nil)
+	nf, err := NearFar(g, 0, labelCorrectingDelta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := NearFar(g, 0, 1<<45, nil)
-	if err != nil {
-		t.Fatal(err)
+	dist := newDist(g.NumVertices(), 0)
+	kn := NewKernels(g, parallel.NewPool(1), nil, dist)
+	defer kn.Release()
+	var rounds int
+	var edges, updates int64
+	for front := []graph.VID{0}; len(front) > 0; rounds++ {
+		adv := kn.Advance(front)
+		edges += adv.Edges
+		updates += int64(adv.X2)
+		front = append(front[:0], adv.Out...)
 	}
-	// Same distances and same iteration structure (no far-queue traffic).
-	for v := range bf.Dist {
-		if bf.Dist[v] != nf.Dist[v] {
+	for v := range dist {
+		if dist[v] != nf.Dist[v] {
 			t.Fatalf("dist mismatch at %d", v)
 		}
 	}
-	if nf.Iterations != bf.Iterations {
-		t.Fatalf("iterations differ: nf=%d bf=%d", nf.Iterations, bf.Iterations)
+	if nf.Iterations != rounds || nf.EdgesRelaxed != edges || nf.Updates != updates {
+		t.Fatalf("near-far iterations/edges/updates %d/%d/%d, label-correcting rounds %d/%d/%d",
+			nf.Iterations, nf.EdgesRelaxed, nf.Updates, rounds, edges, updates)
 	}
 }
 
-// Property: near-far and delta-stepping agree with Dijkstra on random
-// graphs with random deltas and sources.
+// Property: near-far agrees with Dijkstra on random graphs with random
+// deltas and sources, and at the label-correcting delta.
 func TestSolversAgreeProperty(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -270,16 +257,12 @@ func TestSolversAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ds, err := DeltaStepping(g, src, delta, &Options{Pool: pool})
-		if err != nil {
-			return false
-		}
-		bf, err := BellmanFord(g, src, &Options{Pool: pool})
+		lc, err := NearFar(g, src, labelCorrectingDelta, &Options{Pool: pool})
 		if err != nil {
 			return false
 		}
 		for v := 0; v < n; v++ {
-			if nf.Dist[v] != want.Dist[v] || ds.Dist[v] != want.Dist[v] || bf.Dist[v] != want.Dist[v] {
+			if nf.Dist[v] != want.Dist[v] || lc.Dist[v] != want.Dist[v] {
 				return false
 			}
 		}
@@ -324,20 +307,6 @@ func TestKernelsAdvanceCountsAndDedup(t *testing.T) {
 	adv2 := kn.Advance([]graph.VID{0})
 	if len(adv2.Out) != 4 {
 		t.Fatalf("bitmap not reset: Out = %v", adv2.Out)
-	}
-}
-
-func TestAdvanceRangeRespectsBounds(t *testing.T) {
-	g := graph.MustNew(3, []graph.Edge{{U: 0, V: 1, W: 3}, {U: 0, V: 2, W: 30}})
-	dist := []graph.Dist{0, graph.Inf, graph.Inf}
-	kn := NewKernels(g, parallel.NewPool(1), nil, dist)
-	adv := kn.AdvanceRange([]graph.VID{0}, 1, 10)
-	if adv.X2 != 1 || dist[1] != 3 || dist[2] != graph.Inf {
-		t.Fatalf("light relax wrong: X2=%d dist=%v", adv.X2, dist)
-	}
-	adv = kn.AdvanceRange([]graph.VID{0}, 11, 1<<31-1)
-	if adv.X2 != 1 || dist[2] != 30 {
-		t.Fatalf("heavy relax wrong: X2=%d dist=%v", adv.X2, dist)
 	}
 }
 

@@ -75,8 +75,8 @@ go build -o "$flightbin/flight" ./cmd/flight
 # falls below the advance's sequential cutoff, so it runs inline on the
 # plain kernel at any pool size. Iterations above the cutoff run the parallel
 # atomic-min kernel, whose X2 still depends on how the races resolve
-# (ROADMAP open item 1), so a configuration with such iterations may differ
-# between runs whenever the pool has more than one worker.
+# (ROADMAP: deterministic advance), so a configuration with such iterations
+# may differ between runs whenever the pool has more than one worker.
 for w in 1 4; do
   "$flightbin/flight" record -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
       -workers "$w" -o "$flightbin/run-a$w.jsonl" 2>/dev/null

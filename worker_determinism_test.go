@@ -15,8 +15,8 @@ import (
 // Iterations above the cutoff still run the parallel atomic-min kernels,
 // whose X² (successful updates, duplicates included) depends on how the
 // races resolve; the filter charge and the controller read X², so solves
-// with such iterations are not yet worker-count independent. That is
-// ROADMAP open item 1, which stays open.
+// with such iterations are not yet worker-count independent. That is the
+// ROADMAP item "deterministic advance", which stays open.
 func TestSequentialAdvanceWorkerIndependent(t *testing.T) {
 	g := CalLike(0.01, 42)
 	type run struct {
