@@ -9,7 +9,6 @@ import (
 	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 	"energysssp/internal/obs"
-	"energysssp/internal/parallel"
 	"energysssp/internal/sssp"
 )
 
@@ -52,231 +51,185 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 	return c
 }
 
-// Solve runs the self-tuning near-far SSSP from src. The returned result's
+// Solve runs the self-tuning near-far SSSP from src: sssp.Drive's loop with
+// the controlled schedule, in which cfg.Policy (the paper's Controller at
+// set-point P when nil) picks each iteration's threshold and the rebalancer
+// realizes it over the partitioned far queue. The returned result's
 // distances are exact shortest paths (the controller changes only the visit
 // schedule, never the relaxation semantics); the profile in opt, when
 // present, records the controlled parallelism trace.
 func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, error) {
-	if opt == nil {
-		opt = &sssp.Options{}
-	}
 	// NaN compares false against everything, so finiteness is checked
-	// explicitly; a non-finite P would reach int64(cfg.P) below.
+	// explicitly; a non-finite P would reach int64(cfg.P) in the live stats.
 	if math.IsNaN(cfg.P) || math.IsInf(cfg.P, 0) || (cfg.P < 1 && cfg.Policy == nil) {
 		return sssp.Result{}, fmt.Errorf("core: set-point P must be finite and >= 1, got %g", cfg.P)
 	}
-	if src < 0 || int(src) >= g.NumVertices() {
-		return sssp.Result{}, fmt.Errorf("%w: %d not in [0,%d)", sssp.ErrSource, src, g.NumVertices())
-	}
 	cfg = cfg.withDefaults(g)
+	if cfg.Policy == nil {
+		cfg.Policy = newController(g, cfg)
+	}
+	s := newControlled(cfg)
+	defer s.far.Release()
+	return sssp.Drive(g, src, "selftuning", cfg.P, s, opt)
+}
 
-	start := time.Now()
-	var startSim time.Duration
-	var startJ float64
-	if opt.Machine != nil {
-		startSim, startJ = opt.Machine.Now(), opt.Machine.Energy()
-	}
+// newController builds the paper's Controller for cfg (defaults applied).
+func newController(g *graph.Graph, cfg Config) *Controller {
+	avgDeg := float64(g.NumEdges()) / math.Max(1, float64(g.NumVertices()))
+	ctrl := NewController(cfg.P, avgDeg, 1)
+	ctrl.BootstrapIters = cfg.BootstrapIters
+	return ctrl
+}
 
-	pool := opt.Pool
-	if pool == nil {
-		pool = parallel.NewPool(1)
+// controlled is the self-tuning solver's sssp.Schedule: the paper's
+// replacement for the baseline's bisect-far-queue stage. After each bisect
+// the policy picks the next threshold (Eq. 6) and the rebalancer moves
+// vertices between the frontier and the partitioned far queue to realize
+// it, keeping the queue's partition boundaries (Eq. 7) when the policy
+// maintains them.
+type controlled struct {
+	cfg Config
+	// fpol checkpoints the policy into flight records (nil when the
+	// policy's decisions are not replayable); bm maintains the far queue's
+	// boundaries (nil when the policy keeps none or partitioning is off).
+	// Both are resolved once, so the steady state makes no type assertion.
+	fpol flightRecording
+	bm   boundaryMaintainer
+
+	kn  *sssp.Kernels
+	far *frontier.Partitioned
+	thr float64
+	// hdr is filled in Start; as a field of the already-allocated schedule
+	// it costs no allocation when the seed call through fpol makes it
+	// escape.
+	hdr flight.Header
+}
+
+func newControlled(cfg Config) *controlled {
+	s := &controlled{cfg: cfg, far: frontier.GetPartitioned(cfg.InitialDelta), thr: float64(cfg.InitialDelta)}
+	s.fpol, _ = cfg.Policy.(flightRecording)
+	if !cfg.DisablePartitioning {
+		s.bm, _ = cfg.Policy.(boundaryMaintainer)
 	}
-	dist := make([]graph.Dist, g.NumVertices())
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[src] = 0
-	kn := sssp.NewKernels(g, pool, opt.Machine, dist)
-	sc, ownScope := opt.AcquireScope("selftuning")
-	if ownScope {
-		defer sc.Close()
-	}
-	kn.Observe(sc)
-	defer kn.Release()
+	return s
+}
+
+// Start seeds the flight header before the first Observe, so replay can
+// reconstruct the identical initial controller.
+func (s *controlled) Start(kn *sssp.Kernels, sc *obs.Scope) (graph.Dist, flight.Header) {
+	s.kn = kn
 	sc.SetStrategy("partitioned")
-	sc.Live().SetSetPoint(int64(cfg.P))
+	sc.Live().SetSetPoint(int64(s.cfg.P))
+	s.hdr = flight.Header{Algorithm: "policy", InitialDelta: s.thr}
+	if s.fpol != nil {
+		s.hdr.Algorithm = "selftuning"
+		s.fpol.flightSeed(&s.hdr)
+	}
+	return s.cfg.InitialDelta, s.hdr
+}
+
+func (s *controlled) push(vs []graph.VID) {
+	dist := s.kn.Dist
+	for _, v := range vs {
+		s.far.Push(v, dist[v])
+	}
+}
+
+// Next defers the bisect's far side, then runs the controller step and the rebalancer under
+// the controller span, charging the far-queue scans and the controller's
+// host time.
+func (s *controlled) Next(deferred, near []graph.VID, x1, x2 int, rec *flight.Record) ([]graph.VID, graph.Dist) {
+	s.push(deferred)
+	kn, far, dist := s.kn, s.far, s.kn.Dist
 	tr := kn.Trace() // nil-safe when no observer is attached
+	thr := s.thr
+	x4 := len(near)
 
-	policy := cfg.Policy
-	if policy == nil {
-		avgDeg := float64(g.NumEdges()) / math.Max(1, float64(g.NumVertices()))
-		ctrl := NewController(cfg.P, avgDeg, 1)
-		ctrl.BootstrapIters = cfg.BootstrapIters
-		policy = ctrl
+	spC := tr.Begin(obs.PhaseController)
+	s.cfg.Policy.Observe(x1, x2)
+	q := QueueState{X4: x4, Delta: thr, FarLen: far.Len()}
+	if pb, ps, ok := firstNonEmptyPartition(far); ok {
+		q.PartBound, q.PartSize = pb, ps
+	}
+	rawThr := s.cfg.Policy.NextDelta(q)
+	newThr := rawThr
+	if newThr < 1 {
+		newThr = 1 // defend against hostile policies
+	}
+	if newThr > float64(graph.Inf) {
+		newThr = float64(graph.Inf)
+	}
+	if rec != nil {
+		// Snapshot the decision inputs and the post-decision model
+		// state now, before SetApplied advances the BISECT-MODEL —
+		// replay re-executes the same Observe → NextDelta prefix and
+		// compares against exactly this checkpoint.
+		rec.FarLen, rec.PartBound, rec.PartSize = int64(q.FarLen), int64(q.PartBound), int64(q.PartSize)
+		rec.DeltaIn, rec.RawDelta = thr, rawThr
+		if s.fpol != nil {
+			s.fpol.flightModels(rec)
+		}
 	}
 
-	far := frontier.GetPartitioned(cfg.InitialDelta)
-	defer far.Release()
-	thr := float64(cfg.InitialDelta)
-	front := append(kn.FrontierBuf(), src)
-
-	// One flight record per iteration feeds every attached sink (none
-	// while !pub.Active()). Seed the flight header before the first
-	// Observe so replay can reconstruct the identical initial controller.
-	// fpol is hoisted out of the loop so the steady state performs no type
-	// assertions.
-	pub := sssp.NewPublisher(opt, sc, cfg.P)
-	var fpol flightRecording
-	if fp, ok := policy.(flightRecording); ok {
-		fpol = fp
+	// Rebalancer: realize the new threshold by moving vertices
+	// between frontier and far queue.
+	front := near
+	if newThr > thr {
+		front = far.PopBelow(distOf(newThr), dist, front)
+	} else if newThr < thr {
+		var farC []graph.VID
+		front, farC = kn.Bisect(front, distOf(newThr), front)
+		s.push(farC)
 	}
-	if opt.Flight != nil {
-		fh := flight.Header{
-			Algorithm:    "policy",
-			Vertices:     int64(g.NumVertices()),
-			Edges:        int64(g.NumEdges()),
-			Source:       int64(src),
-			InitialDelta: float64(cfg.InitialDelta),
-		}
-		if fpol != nil {
-			fh.Algorithm = "selftuning"
-			fpol.flightSeed(&fh)
-		}
-		opt.Flight.SetHeader(fh)
-	}
-	var fr flight.Record
+	appliedDelta := newThr - thr
+	thr = newThr
 
-	var res sssp.Result
-	guard := optMaxIters(opt, g)
-	spSolve := tr.BeginSolve()
-	defer func() { spSolve.End(int64(res.Iterations)) }()
-
-	for len(front) > 0 {
-		if res.Iterations++; res.Iterations > guard {
-			kn.PutFrontierBuf(front)
-			return res, sssp.ErrLivelock
+	// If the frontier drained, jump to the next populated region —
+	// the analogue of the baseline's phase advance. The jump is part
+	// of the applied Δδ so the BISECT-MODEL sees the true change.
+	if len(front) == 0 && far.Len() > 0 {
+		minD := far.MinDist(dist)
+		if rec != nil {
+			rec.JumpMin = int64(minD)
 		}
-		spIter := tr.BeginIter(res.Iterations - 1)
-		x1 := len(front)
-		adv := kn.Advance(front)
-		res.EdgesRelaxed += adv.Edges
-		res.Updates += int64(adv.X2)
-
-		// bisect-frontier: split the filter output around the threshold.
-		spB := tr.Begin(obs.PhaseRebalance)
-		near, farC := kn.Bisect(adv.Out, distOf(thr), front)
-		for _, v := range farC {
-			far.Push(v, dist[v])
-		}
-		simB := kn.SimNow()
-		durB := kn.ChargeBisect(len(adv.Out))
-		spB.EndSim(int64(len(adv.Out)), simB, durB)
-		x4 := len(near)
-
-		// Controller step (host side).
-		spC := tr.Begin(obs.PhaseController)
-		policy.Observe(x1, adv.X2)
-		q := QueueState{X4: x4, Delta: thr, FarLen: far.Len()}
-		if pb, ps, ok := firstNonEmptyPartition(far); ok {
-			q.PartBound, q.PartSize = pb, ps
-		}
-		rawThr := policy.NextDelta(q)
-		newThr := rawThr
-		if newThr < 1 {
-			newThr = 1 // defend against hostile policies
-		}
-		if newThr > float64(graph.Inf) {
-			newThr = float64(graph.Inf)
-		}
-		if pub.Active() {
-			// Snapshot the decision inputs and the post-decision model
-			// state now, before SetApplied advances the BISECT-MODEL —
-			// replay re-executes the same Observe → NextDelta prefix and
-			// compares against exactly this checkpoint.
-			fr = flight.Record{
-				K:  int64(res.Iterations - 1),
-				X1: int64(x1), X2: int64(adv.X2), X3: int64(len(adv.Out)), X4: int64(x4),
-				FarLen: int64(q.FarLen), PartBound: int64(q.PartBound), PartSize: int64(q.PartSize),
-				DeltaIn: thr, RawDelta: rawThr,
-				JumpMin: -1,
+		if minD < graph.Inf {
+			if float64(minD) > thr {
+				appliedDelta += float64(minD) - thr
+				thr = float64(minD)
 			}
-			if fpol != nil {
-				fpol.flightModels(&fr)
-			}
-		}
-
-		// Rebalancer: realize the new threshold by moving vertices
-		// between frontier and far queue.
-		front = near
-		if newThr > thr {
-			front = far.PopBelow(distOf(newThr), dist, front)
-		} else if newThr < thr {
-			var farC []graph.VID
-			front, farC = kn.Bisect(front, distOf(newThr), front)
-			for _, v := range farC {
-				far.Push(v, dist[v])
-			}
-		}
-		appliedDelta := newThr - thr
-		thr = newThr
-
-		// If the frontier drained, jump to the next populated region —
-		// the analogue of the baseline's phase advance. The jump is part
-		// of the applied Δδ so the BISECT-MODEL sees the true change.
-		if len(front) == 0 && far.Len() > 0 {
-			minD := far.MinDist(dist)
-			fr.JumpMin = int64(minD)
-			if minD < graph.Inf {
-				if float64(minD) > thr {
-					appliedDelta += float64(minD) - thr
-					thr = float64(minD)
-				}
-				front = far.PopBelow(distOf(thr), dist, front)
-			} else {
-				// Stale-only content: one cleanup scan empties it.
-				front = far.PopBelow(graph.Inf, dist, front)
-			}
-		}
-		policy.SetApplied(appliedDelta, float64(x4))
-		if bm, ok := policy.(boundaryMaintainer); ok && !cfg.DisablePartitioning {
-			bm.MaintainBoundaries(far, thr)
-		}
-		scanned := far.ScannedAndReset()
-		simQ := kn.SimNow()
-		durQ := kn.ChargeFarQueue(scanned)
-		tr.Mark(obs.PhaseRebalance, int64(scanned), simQ, durQ)
-		simH := kn.SimNow()
-		kn.ChargeHost(cfg.ControllerCost)
-		spC.EndSim(int64(adv.X2), simH, kn.SimNow()-simH)
-
-		if pub.Active() {
-			fr.DeltaOut = thr
-			fr.AppliedDelta = appliedDelta
-			fr.FarSize = int64(far.Len())
-			fr.NumParts = int64(far.NumPartitions())
-			nb := 0
-			for i := 0; i < far.NumPartitions() && nb < flight.MaxBounds; i++ {
-				if b := far.Bound(i); b < graph.Inf {
-					fr.Bounds[nb] = int64(b)
-					nb++
-				}
-			}
-			if opt.Machine != nil {
-				fr.SimTimeNs = int64(opt.Machine.Now() - startSim)
-				fr.EnergyJ = opt.Machine.Energy() - startJ
-			}
-			pub.Publish(&fr, adv.Edges)
-		}
-		spIter.End(int64(adv.X2))
-	}
-
-	kn.PutFrontierBuf(front)
-	res.Dist = dist
-	res.WallTime = time.Since(start)
-	res.Reached = 0
-	for _, d := range dist {
-		if d < graph.Inf {
-			res.Reached++
+			front = far.PopBelow(distOf(thr), dist, front)
+		} else {
+			// Stale-only content: one cleanup scan empties it.
+			front = far.PopBelow(graph.Inf, dist, front)
 		}
 	}
-	if opt.Machine != nil {
-		res.SimTime = opt.Machine.Now() - startSim
-		res.EnergyJ = opt.Machine.Energy() - startJ
-		if res.SimTime > 0 {
-			res.AvgPowerW = res.EnergyJ / res.SimTime.Seconds()
+	s.cfg.Policy.SetApplied(appliedDelta, float64(x4))
+	if s.bm != nil {
+		s.bm.MaintainBoundaries(far, thr)
+	}
+	scanned := far.ScannedAndReset()
+	simQ := kn.SimNow()
+	durQ := kn.ChargeFarQueue(scanned)
+	tr.Mark(obs.PhaseRebalance, int64(scanned), simQ, durQ)
+	simH := kn.SimNow()
+	kn.ChargeHost(s.cfg.ControllerCost)
+	spC.EndSim(int64(x2), simH, kn.SimNow()-simH)
+
+	if rec != nil {
+		rec.DeltaOut = thr
+		rec.AppliedDelta = appliedDelta
+		rec.FarSize = int64(far.Len())
+		rec.NumParts = int64(far.NumPartitions())
+		nb := 0
+		for i := 0; i < far.NumPartitions() && nb < flight.MaxBounds; i++ {
+			if b := far.Bound(i); b < graph.Inf {
+				rec.Bounds[nb] = int64(b)
+				nb++
+			}
 		}
 	}
-	return res, nil
+	s.thr = thr
+	return front, distOf(thr)
 }
 
 // ControllerOverhead reports the wall-clock controller cost of a run, for
@@ -286,30 +239,59 @@ type ControllerOverhead struct {
 	TotalTime      time.Duration
 }
 
-// SolveInstrumented runs Solve and reports two wall-clock times: the
-// whole solve (TotalTime) and a synthetic controller replay
-// (ControllerTime). The replay drives a fresh Controller through one
-// Observe → NextDelta step per iteration of the solve, on generated
-// inputs rather than the solve's own, so it measures what the controller's
-// arithmetic costs at that iteration count, not the time the solve spent
-// in its controller phase.
+// SolveInstrumented runs Solve with the paper's Controller (cfg.Policy
+// must be nil) and reports two wall-clock times: the whole solve
+// (TotalTime) and the host time the solve spent inside the controller's
+// Observe, NextDelta, SetApplied and MaintainBoundaries calls
+// (ControllerTime), which the solve's own time bounds. The timing is
+// host-side only: distances, iterations, simulated figures and the flight
+// log equal a plain Solve's.
 func SolveInstrumented(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, ControllerOverhead, error) {
+	if cfg.Policy != nil || !(cfg.P >= 1) || math.IsInf(cfg.P, 0) {
+		return sssp.Result{}, ControllerOverhead{}, fmt.Errorf("core: SolveInstrumented times the paper's controller: want no Policy and a finite set-point P >= 1, got P=%g", cfg.P)
+	}
 	start := time.Now()
+	cfg = cfg.withDefaults(g)
+	policy := &timedPolicy{Controller: newController(g, cfg)}
+	cfg.Policy = policy
 	res, err := Solve(g, src, cfg, opt)
 	total := time.Since(start)
 	if err != nil {
 		return res, ControllerOverhead{}, err
 	}
-	ov := ControllerOverhead{TotalTime: total}
-	iters := res.Iterations
-	ctrl := NewController(cfg.P, 8, 1)
-	replayStart := time.Now()
-	for k := 0; k < iters; k++ {
-		ctrl.Observe(k%1000+1, (k%1000+1)*8)
-		_ = ctrl.NextDelta(QueueState{X4: k % 1000, Delta: float64(k%4096 + 1), PartBound: graph.Dist(k%8192 + 2048), PartSize: k % 512})
-	}
-	ov.ControllerTime = time.Since(replayStart)
-	return res, ov, nil
+	return res, ControllerOverhead{ControllerTime: policy.spent, TotalTime: total}, nil
+}
+
+// timedPolicy is the paper's Controller with a stopwatch on every call the
+// solve makes into it. Embedding keeps the flight checkpoints, so the
+// instrumented log is the plain one. The solve keeps the Eq. 7 boundaries
+// only through a policy with MaintainBoundaries, so that call is forwarded
+// (and timed) too.
+type timedPolicy struct {
+	*Controller
+	spent time.Duration
+}
+
+func (p *timedPolicy) lap(t time.Time) { p.spent += time.Since(t) }
+
+func (p *timedPolicy) Observe(x1, x2 int) {
+	defer p.lap(time.Now())
+	p.Controller.Observe(x1, x2)
+}
+
+func (p *timedPolicy) NextDelta(q QueueState) float64 {
+	defer p.lap(time.Now())
+	return p.Controller.NextDelta(q)
+}
+
+func (p *timedPolicy) SetApplied(dd, x4 float64) {
+	defer p.lap(time.Now())
+	p.Controller.SetApplied(dd, x4)
+}
+
+func (p *timedPolicy) MaintainBoundaries(q *frontier.Partitioned, delta float64) {
+	defer p.lap(time.Now())
+	p.Controller.MaintainBoundaries(q, delta)
 }
 
 func distOf(x float64) graph.Dist {
@@ -329,11 +311,4 @@ func firstNonEmptyPartition(q *frontier.Partitioned) (graph.Dist, int, bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-func optMaxIters(opt *sssp.Options, g *graph.Graph) int {
-	if opt.MaxIters > 0 {
-		return opt.MaxIters
-	}
-	return 64*(g.NumVertices()+int(g.NumEdges())) + 1_000_000
 }

@@ -44,9 +44,9 @@ type Graph struct {
 	Wgt    []Weight
 
 	name string
-	// meanW is meanWeight(Wgt), computed once by the builders (New and
-	// Transpose, through which every other builder and reader goes)
-	// before the graph is shared, so concurrent readers need no
+	// meanW is meanWeight(Wgt), computed once by the builder (New,
+	// through which every other builder and reader goes) before the
+	// graph is shared, so concurrent readers need no
 	// synchronisation. meanOf and meanN are the base and length of the
 	// weight slice it was computed for; AvgWeight trusts meanW only while
 	// Wgt is still that slice, and scans otherwise (a struct-literal
@@ -169,36 +169,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Transpose returns the reverse graph (every arc flipped).
-func (g *Graph) Transpose() *Graph {
-	n := g.NumVertices()
-	t := &Graph{
-		RowPtr: make([]int64, n+1),
-		Col:    make([]VID, len(g.Col)),
-		Wgt:    make([]Weight, len(g.Wgt)),
-		name:   g.name,
-	}
-	for _, v := range g.Col {
-		t.RowPtr[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int64, n)
-	copy(next, t.RowPtr[:n])
-	for u := 0; u < n; u++ {
-		vs, ws := g.Neighbors(VID(u))
-		for i, v := range vs {
-			p := next[v]
-			next[v]++
-			t.Col[p] = VID(u)
-			t.Wgt[p] = ws[i]
-		}
-	}
-	t.cacheMeanWeight()
-	return t
 }
 
 // Symmetrize returns an undirected version of g: for every arc (u,v,w) both

@@ -56,19 +56,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	g := diamond()
-	tt := g.Transpose().Transpose()
-	if !g.Equal(tt) {
-		t.Fatal("transpose twice != identity")
-	}
-	tr := g.Transpose()
-	vs, _ := tr.Neighbors(3)
-	if len(vs) != 2 {
-		t.Fatalf("transpose in-neighbors of 3: %v", vs)
-	}
-}
-
 func TestSymmetrize(t *testing.T) {
 	g := MustNew(3, []Edge{{0, 1, 3}, {1, 0, 7}, {1, 2, 2}})
 	u := g.Symmetrize()
@@ -180,47 +167,6 @@ func TestNewPreservesEdgesProperty(t *testing.T) {
 		}
 		for k, v := range ci {
 			if co[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: transpose flips every edge, and double transpose preserves the
-// edge multiset (within-row ordering may legitimately change).
-func TestTransposeProperty(t *testing.T) {
-	count := func(es []Edge) map[Edge]int {
-		c := map[Edge]int{}
-		for _, e := range es {
-			c[e]++
-		}
-		return c
-	}
-	f := func(seed uint64, nRaw, mRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		m := int(mRaw) % 300
-		g := MustNew(n, randomEdges(n, m, seed))
-		tr := g.Transpose()
-		if tr.Validate() != nil || tr.NumEdges() != g.NumEdges() {
-			return false
-		}
-		orig := count(g.Edges())
-		flipped := count(tr.Edges())
-		for e, c := range orig {
-			if flipped[Edge{U: e.V, V: e.U, W: e.W}] != c {
-				return false
-			}
-		}
-		back := count(tr.Transpose().Edges())
-		if len(back) != len(orig) {
-			return false
-		}
-		for e, c := range orig {
-			if back[e] != c {
 				return false
 			}
 		}

@@ -55,7 +55,6 @@ func TestAvgWeightCachedMatchesScan(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		g := randomWeighted(seed)
 		check("New", g, true)
-		check("Transpose", g.Transpose(), true)
 		check("Symmetrize", g.Symmetrize(), true)
 		perm := make([]VID, g.NumVertices())
 		for i, p := range rand.New(rand.NewPCG(seed, 1)).Perm(len(perm)) {

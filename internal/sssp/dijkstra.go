@@ -10,22 +10,13 @@ import (
 // Dijkstra computes single-source shortest paths with a binary heap. It is
 // the sequential, work-optimal reference every parallel solver is
 // differential-tested against. Options are accepted for interface symmetry
-// but only the (absent) machine matters: Dijkstra charges nothing — it
-// stands in for a CPU-side oracle, not a GPU kernel.
-func Dijkstra(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
-	if opt == nil {
-		opt = &Options{}
-	}
+// and ignored: Dijkstra charges nothing — it stands in for a CPU-side
+// oracle, not a GPU kernel — so its simulated time and energy are zero.
+func Dijkstra(g *graph.Graph, src graph.VID, _ *Options) (Result, error) {
 	if err := checkSource(g, src); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	var startSim time.Duration
-	var startJ float64
-	if opt.Machine != nil {
-		startSim, startJ = opt.Machine.Now(), opt.Machine.Energy()
-	}
-
 	dist := newDist(g.NumVertices(), src)
 	pq := &pqueue{items: []pqItem{{v: src, d: 0}}}
 	var res Result
@@ -46,8 +37,8 @@ func Dijkstra(g *graph.Graph, src graph.VID, opt *Options) (Result, error) {
 			}
 		}
 	}
-	res.Dist = dist
-	finishResult(&res, opt, start, startSim, startJ)
+	res.Dist, res.WallTime = dist, time.Since(start)
+	res.Reached = countReached(dist)
 	return res, nil
 }
 

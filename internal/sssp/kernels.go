@@ -181,14 +181,14 @@ func (kn *Kernels) Release() {
 	}
 }
 
-// FrontierBuf returns the pooled frontier buffer, empty, for the solver
+// frontierBuf returns the pooled frontier buffer, empty, for the solver
 // to grow its frontier in. It does not alias any other buffer of the
-// kernels. Hand the grown buffer back with PutFrontierBuf before Release.
-func (kn *Kernels) FrontierBuf() []graph.VID { return kn.sc.front[:0] }
+// kernels. Hand the grown buffer back with putFrontierBuf before Release.
+func (kn *Kernels) frontierBuf() []graph.VID { return kn.sc.front[:0] }
 
-// PutFrontierBuf keeps buf as the pooled frontier buffer, so its capacity
+// putFrontierBuf keeps buf as the pooled frontier buffer, so its capacity
 // survives Release for the next solve. buf must not be used afterwards.
-func (kn *Kernels) PutFrontierBuf(buf []graph.VID) { kn.sc.front = buf[:0] }
+func (kn *Kernels) putFrontierBuf(buf []graph.VID) { kn.sc.front = buf[:0] }
 
 // AdvanceResult reports one advance+filter execution.
 type AdvanceResult struct {
@@ -419,9 +419,9 @@ func (kn *Kernels) Bisect(src []graph.VID, thr graph.Dist, near []graph.VID) (ne
 	return nb[:nn], fb[:nf]
 }
 
-// ChargeBisect charges the bisect-frontier kernel over items work items,
+// chargeBisect charges the bisect-frontier kernel over items work items,
 // attributing the joules to the rebalance phase.
-func (kn *Kernels) ChargeBisect(items int) time.Duration {
+func (kn *Kernels) chargeBisect(items int) time.Duration {
 	if kn.Mach == nil {
 		return 0
 	}

@@ -8,12 +8,12 @@ import (
 	"energysssp/internal/obs"
 )
 
-// Publisher passes each iteration's flight record to every sink attached
+// publisher passes each iteration's flight record to every sink attached
 // to a solve: the flight recorder, the Profile, the scope's live stats and
 // the controller-health gauges. The record is the one per-iteration record;
-// every other view is derived from it here. The zero Publisher has no sink;
-// while Active reports false the solver skips filling the record.
-type Publisher struct {
+// every other view is derived from it here. The zero publisher has no sink;
+// while active reports false the loop skips filling the record.
+type publisher struct {
 	rec    *flight.Recorder
 	prof   *metrics.Profile
 	live   *obs.SolveStats
@@ -25,12 +25,12 @@ type Publisher struct {
 	prevJ     float64
 }
 
-// NewPublisher returns the publisher for a solve with options opt and
+// newPublisher returns the publisher for a solve with options opt and
 // scope sc (nil: none). setPoint is the controller's P for the health
 // gauges (0 when the solve has none). It is returned by value so a solve
 // allocates nothing for it.
-func NewPublisher(opt *Options, sc *obs.Scope, setPoint float64) Publisher {
-	return Publisher{
+func newPublisher(opt *Options, sc *obs.Scope, setPoint float64) publisher {
+	return publisher{
 		rec:    opt.Flight,
 		prof:   opt.Profile,
 		live:   sc.Live(),
@@ -38,15 +38,15 @@ func NewPublisher(opt *Options, sc *obs.Scope, setPoint float64) Publisher {
 	}
 }
 
-// Active reports whether any sink is attached.
-func (p *Publisher) Active() bool {
+// active reports whether any sink is attached.
+func (p *publisher) active() bool {
 	return p.rec != nil || p.prof != nil || p.live != nil
 }
 
-// Publish hands one finished iteration's record to every sink. edges is
+// publish hands one finished iteration's record to every sink. edges is
 // the iteration's relaxed-edge count, which the Profile carries and the
 // flight schema does not.
-func (p *Publisher) Publish(rec *flight.Record, edges int64) {
+func (p *publisher) publish(rec *flight.Record, edges int64) {
 	p.rec.Append(rec)
 	if p.prof != nil {
 		st := metrics.IterStat{

@@ -32,7 +32,7 @@ type scratch struct {
 	bufs   [][]graph.VID
 	out    []graph.VID // the filter's deduplicated output (AdvanceResult.Out)
 	far    []graph.VID // Bisect's far-candidate buffer
-	front  []graph.VID // the solver's frontier (FrontierBuf/PutFrontierBuf)
+	front  []graph.VID // the solver's frontier (frontierBuf/putFrontierBuf)
 	counts []counters
 }
 

@@ -2,8 +2,9 @@
 // paper builds on and compares against: a sequential Dijkstra used as the
 // correctness oracle and the Gunrock-style near-far baseline (Davidson et
 // al.) with its advance / filter / bisect-frontier / bisect-far-queue
-// stages. The paper's self-tuning algorithm lives in internal/core and
-// reuses this package's kernels.
+// stages. Drive is the one near-far loop: NearFar plugs in its flat or rho
+// far-queue Schedule, and the paper's self-tuning algorithm (internal/core)
+// plugs in its controller and rebalancer.
 //
 // All parallel solvers execute their kernels for real on a goroutine pool
 // and, when a simulated machine is attached, charge each kernel's work items
@@ -78,12 +79,11 @@ func (o *Options) pool() *parallel.Pool {
 	return parallel.NewPool(1)
 }
 
-// AcquireScope returns the per-solve observability scope and whether the
+// acquireScope returns the per-solve observability scope and whether the
 // solver owns it (owns == must Close when the solve finishes): the
 // caller-supplied Scope is borrowed, one derived from Obs is owned, and with
-// neither the scope is nil (a no-op). Exported for internal/core, which
-// builds on this package's kernels and follows the same scoping protocol.
-func (o *Options) AcquireScope(alg string) (*obs.Scope, bool) {
+// neither the scope is nil (a no-op).
+func (o *Options) acquireScope(alg string) (*obs.Scope, bool) {
 	if o.Scope != nil {
 		return o.Scope, false
 	}

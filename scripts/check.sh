@@ -70,19 +70,29 @@ go build -o "$flightbin/flight" ./cmd/flight
     -o "$flightbin/wiki.jsonl" 2>/dev/null
 "$flightbin/flight" replay -q "$flightbin/wiki.jsonl"
 
+# The near-far schedule (rho far queue) runs through the same loop with its
+# own stage 4; its log must replay too.
+"$flightbin/flight" record -algo nearfar -dataset cal -scale 0.01 -seed 42 -device TK1 \
+    -o "$flightbin/nearfar.jsonl" 2>/dev/null
+"$flightbin/flight" replay -q "$flightbin/nearfar.jsonl"
+
 # Same-seed diff: two runs of one configuration must produce bit-identical
-# logs, at -workers 1 and at -workers 4. Every advance of this configuration
-# falls below the advance's sequential cutoff, so it runs inline on the
-# plain kernel at any pool size. Iterations above the cutoff run the parallel
-# atomic-min kernel, whose X2 still depends on how the races resolve
-# (ROADMAP: deterministic advance), so a configuration with such iterations
-# may differ between runs whenever the pool has more than one worker.
+# logs, at -workers 1 and at -workers 4, for the self-tuning and the near-far
+# schedule. Every advance of these configurations falls below the advance's
+# sequential cutoff (near-far's largest frontier is 245 vertices, the cutoff
+# about 6.7k), so it runs inline on the plain kernel at any pool size.
+# Iterations above the cutoff run the parallel atomic-min kernel, whose X2
+# still depends on how the races resolve (ROADMAP: deterministic advance), so
+# a configuration with such iterations may differ between runs whenever the
+# pool has more than one worker.
 for w in 1 4; do
-  "$flightbin/flight" record -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-      -workers "$w" -o "$flightbin/run-a$w.jsonl" 2>/dev/null
-  "$flightbin/flight" record -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-      -workers "$w" -o "$flightbin/run-b$w.jsonl" 2>/dev/null
-  "$flightbin/flight" diff "$flightbin/run-a$w.jsonl" "$flightbin/run-b$w.jsonl" >/dev/null
+  for algo in selftuning nearfar; do
+    "$flightbin/flight" record -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
+        -workers "$w" -o "$flightbin/run-a$w.jsonl" 2>/dev/null
+    "$flightbin/flight" record -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
+        -workers "$w" -o "$flightbin/run-b$w.jsonl" 2>/dev/null
+    "$flightbin/flight" diff "$flightbin/run-a$w.jsonl" "$flightbin/run-b$w.jsonl" >/dev/null
+  done
 done
 
 # Reference diff: a fresh record of the committed log's configuration must
