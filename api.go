@@ -100,8 +100,6 @@ type (
 	FlightReplayReport = flight.ReplayReport
 	// FlightFinding is one detected controller pathology (see FlightFindings).
 	FlightFinding = flight.Finding
-	// Health is the /healthz payload (see Observer.HealthSnapshot).
-	Health = obs.Health
 )
 
 // Inf is the distance of unreachable vertices.
@@ -226,7 +224,8 @@ type RunConfig struct {
 	// the SelfTuning and NearFar algorithms, exportable with
 	// WriteFlightLog, re-executable with ReplayFlight, and comparable with
 	// DiffFlightLogs. When Obs is also set, the recorder is served live at
-	// the observer's /flight endpoint. Host-side only and allocation-free
+	// the observer's /flight endpoint once the solve has validated its
+	// configuration and inputs; a rejected Run leaves /flight as it was. Host-side only and allocation-free
 	// in the steady state, like Obs.
 	FlightLog *FlightRecorder
 }
@@ -283,10 +282,8 @@ func NewObserver(traceEvents int) *Observer { return obs.New(traceEvents) }
 
 // ServeMetrics starts an HTTP server for o on addr: Prometheus text at
 // /metrics (fleet totals plus per-solve label sets), the Perfetto trace at
-// /trace, the live NDJSON telemetry stream at /events, the attached flight
-// log at /flight, and health JSON at /healthz (uptime, scope counts, last
-// finding). Use port 0 to pick a free port (see MetricsServer.Addr); close
-// when done.
+// /trace, and the attached flight log at /flight. Use port 0 to pick a free
+// port (see MetricsServer.Addr); close when done.
 func ServeMetrics(addr string, o *Observer) (*MetricsServer, error) { return obs.Serve(addr, o) }
 
 // NewFlightRecorder constructs a controller flight recorder whose
@@ -337,9 +334,9 @@ func WriteTrace(w io.Writer, o *Observer) error {
 }
 
 // WriteEnergyReport writes o's energy-attribution artifact as JSON:
-// simulated joules per solver phase, per advance/far-queue strategy, and
-// the fleet total. The per-phase figures reconcile with the simulator's
-// own energy accounting to within one ULP per charge.
+// simulated joules per solver phase and the fleet total. The per-phase
+// figures reconcile with the simulator's own energy accounting to within
+// one ULP per charge.
 func WriteEnergyReport(w io.Writer, o *Observer) error {
 	if o == nil {
 		return fmt.Errorf("energysssp: WriteEnergyReport requires a non-nil Observer")
@@ -373,19 +370,6 @@ func newPool(workers int) (*parallel.Pool, error) {
 // instrumentation.
 func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 	opt := &sssp.Options{Obs: cfg.Obs, Flight: cfg.FlightLog}
-	if cfg.FlightLog != nil {
-		cfg.Obs.SetFlight(cfg.FlightLog) // nil-safe when no observer is attached
-		if hub := cfg.Obs.Hub(); hub != nil {
-			// Promote the offline detectors to online: every appended flight
-			// record streams through them, and a first threshold crossing
-			// surfaces immediately as a /events finding instead of waiting
-			// for a post-run FlightFindings pass. Both use the default
-			// thresholds.
-			cfg.FlightLog.SetOnline(flight.NewOnlineDetector(flight.DetectOptions{}, func(f flight.Finding) {
-				hub.Publish(obs.Event{Type: "finding", Kind: string(f.Kind), Iter: f.FirstK, Detail: f.Detail})
-			}))
-		}
-	}
 	fq, err := sssp.ParseFarQueue(cfg.FarQueue)
 	if err != nil {
 		return nil, err

@@ -119,6 +119,37 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, Workers: maxPoolWorkers + 1}); err == nil {
 		t.Fatalf("Workers %d accepted", maxPoolWorkers+1)
 	}
+
+	// A Run that fails its config or input checks leaves the observer's
+	// /flight on the recorder it had.
+	o := NewObserver(0)
+	recA, recB := NewFlightRecorder(0), NewFlightRecorder(0)
+	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, Obs: o, FlightLog: recA}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		src VID
+		cfg RunConfig
+	}{
+		{0, RunConfig{Algorithm: NearFar, FarQueue: "lazy"}},
+		{0, RunConfig{Algorithm: NearFar, Workers: maxPoolWorkers + 1}},
+		{0, RunConfig{Algorithm: NearFar, Relabel: "zigzag"}},
+		{0, RunConfig{Algorithm: NearFar, Device: "RTX"}},
+		{0, RunConfig{Algorithm: NearFar, Device: "TK1", Freq: "9/9"}},
+		{0, RunConfig{Algorithm: NearFar, PowerTrace: true}},
+		{0, RunConfig{Algorithm: Algorithm(42)}},
+		{0, RunConfig{Algorithm: SelfTuning, SetPoint: math.NaN()}},
+		{99, RunConfig{Algorithm: SelfTuning, SetPoint: 200}},
+		{99, RunConfig{Algorithm: NearFar}},
+	} {
+		bad.cfg.Obs, bad.cfg.FlightLog = o, recB
+		if _, err := Run(g, bad.src, bad.cfg); err == nil {
+			t.Fatalf("source %d, %+v accepted", bad.src, bad.cfg)
+		}
+		if got := o.Flight(); got != recA {
+			t.Fatalf("failing Run (source %d, %+v) re-pointed /flight to %p, want recorder A %p", bad.src, bad.cfg, got, recA)
+		}
+	}
 }
 
 // TestNewPoolBounds: every entry point's workers setting goes through

@@ -367,8 +367,8 @@ func BenchmarkObsAdvance(b *testing.B) {
 
 // benchSpanAdvance measures a driver-shaped iteration: the same steady-state
 // advance as benchAdvance, but each op additionally opens and closes an
-// iteration span, records a kernel mark, and publishes live solve stats —
-// the full per-iteration span traffic a real solver generates. Compared
+// iteration span and records a kernel mark — the full per-iteration span
+// traffic a real solver generates. Compared
 // against the off leg (identical loop, no scope), the delta prices the
 // hierarchical tracer itself.
 func benchSpanAdvance(b *testing.B, g *Graph, o *obs.Observer) {
@@ -399,7 +399,6 @@ func benchSpanAdvance(b *testing.B, g *Graph, o *obs.Observer) {
 		spIter := tr.BeginIter(i)
 		adv := kn.Advance(front)
 		tr.Mark(obs.PhaseRebalance, int64(len(front)), 0, 0)
-		sc.Live().Iteration(int64(i), int64(len(front)), 0, int64(adv.X2), 0, 0)
 		spIter.End(int64(adv.X2))
 	}
 	cycle(0) // warm the first span slab and scratch high-water marks

@@ -40,10 +40,10 @@ func main() {
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")
 		check     = flag.Bool("check", false, "verify distances against the Dijkstra oracle")
 		tune      = flag.Bool("tune", false, "sweep fixed deltas and report the time-minimizing one (requires -device)")
-		obsListen = flag.String("obs-listen", "", "serve live observability on this address (e.g. :9090): /metrics, /trace, /events, /healthz, /flight")
+		obsListen = flag.String("obs-listen", "", "serve observability on this address while the solve runs (e.g. :9090): /metrics, /trace, /flight")
 		traceOut  = flag.String("trace-out", "", "write the solve's phase timeline as Perfetto/Chrome trace JSON to this path")
 		flightOut = flag.String("flight-out", "", "write the controller flight log as JSONL to this path (replay with 'flight replay')")
-		energyOut = flag.String("energy-out", "", "write the per-phase/per-strategy energy attribution as JSON to this path (requires -device)")
+		energyOut = flag.String("energy-out", "", "write the per-phase energy attribution and total as JSON to this path (requires -device)")
 	)
 	flag.Parse()
 
@@ -105,7 +105,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "sssp: metrics server:", err)
 			}
 		}()
-		fmt.Printf("observability: http://%s/metrics (Perfetto timeline at /trace, live NDJSON stream at /events)\n",
+		fmt.Printf("observability: http://%s/metrics (Perfetto timeline at /trace, flight log at /flight)\n",
 			srv.Addr())
 	}
 

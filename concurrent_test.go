@@ -197,8 +197,8 @@ func TestConcurrentSolvesIsolated(t *testing.T) {
 
 // TestEnergyReportReconciles: the per-phase energy attribution written by
 // WriteEnergyReport must telescope back to the machine's own end-minus-start
-// figure for the solve within 1 ULP, and the per-strategy ledger must carry
-// the whole total under the solver's declared strategy.
+// figure for the solve within 1 ULP. The report carries phases and the
+// total only: which strategy spent the joules is the flight header's to say.
 func TestEnergyReportReconciles(t *testing.T) {
 	g := CalLike(0.01, 7)
 	o := NewObserver(0)
@@ -211,11 +211,12 @@ func TestEnergyReportReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep struct {
-		Phases     map[string]float64 `json:"phases"`
-		Strategies map[string]float64 `json:"strategies"`
-		TotalJ     float64            `json:"total_joules"`
+		Phases map[string]float64 `json:"phases"`
+		TotalJ float64            `json:"total_joules"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("energy report not JSON: %v\n%s", err, buf.String())
 	}
 
@@ -232,13 +233,6 @@ func TestEnergyReportReconciles(t *testing.T) {
 	}
 	if len(rep.Phases) < 2 {
 		t.Errorf("energy attribution covers %d phases, want several: %v", len(rep.Phases), rep.Phases)
-	}
-	var stratSum float64
-	for _, v := range rep.Strategies {
-		stratSum += v
-	}
-	if diff := math.Abs(stratSum - out.EnergyJ); diff > ulp {
-		t.Errorf("strategy ledger %v vs machine %v: diff %g", stratSum, out.EnergyJ, diff)
 	}
 	if err := WriteEnergyReport(&buf, nil); err == nil {
 		t.Fatal("WriteEnergyReport(nil observer) should error")

@@ -60,7 +60,7 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 // present, records the controlled parallelism trace.
 func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, error) {
 	// NaN compares false against everything, so finiteness is checked
-	// explicitly; a non-finite P would reach int64(cfg.P) in the live stats.
+	// explicitly.
 	if math.IsNaN(cfg.P) || math.IsInf(cfg.P, 0) || (cfg.P < 1 && cfg.Policy == nil) {
 		return sssp.Result{}, fmt.Errorf("core: set-point P must be finite and >= 1, got %g", cfg.P)
 	}
@@ -116,10 +116,8 @@ func newControlled(cfg Config) *controlled {
 
 // Start seeds the flight header before the first Observe, so replay can
 // reconstruct the identical initial controller.
-func (s *controlled) Start(kn *sssp.Kernels, sc *obs.Scope) (graph.Dist, flight.Header) {
+func (s *controlled) Start(kn *sssp.Kernels) (graph.Dist, flight.Header) {
 	s.kn = kn
-	sc.SetStrategy("partitioned")
-	sc.Live().SetSetPoint(int64(s.cfg.P))
 	s.hdr = flight.Header{Algorithm: "policy", InitialDelta: s.thr}
 	if s.fpol != nil {
 		s.hdr.Algorithm = "selftuning"

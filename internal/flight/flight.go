@@ -22,7 +22,6 @@ package flight
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 // SchemaVersion is the flight-log record schema version. It is embedded in
@@ -173,7 +172,6 @@ type Recorder struct {
 	haveHdr bool
 	ring    []Record
 	seq     uint64
-	online  atomic.Pointer[OnlineDetector]
 }
 
 // NewRecorder returns a recorder whose ring holds capacity records
@@ -199,16 +197,6 @@ func (r *Recorder) SetHeader(h Header) {
 	r.haveHdr = true
 	r.seq = 0
 	r.mu.Unlock()
-	r.online.Load().Reset(h)
-}
-
-// SetOnline attaches (or, with nil, detaches) an online detector that
-// observes every appended record. The recorder rearms it on SetHeader.
-func (r *Recorder) SetOnline(d *OnlineDetector) {
-	if r == nil {
-		return
-	}
-	r.online.Store(d)
 }
 
 // Header returns the current header (zero until SetHeader).
@@ -234,9 +222,6 @@ func (r *Recorder) Append(rec *Record) {
 	r.ring[r.seq%uint64(len(r.ring))] = *rec
 	r.seq++
 	r.mu.Unlock()
-	// Outside r.mu: the detector has its own lock and may call back into
-	// an emit func that must not nest under the recorder's.
-	r.online.Load().Observe(rec)
 }
 
 // Len reports how many records are currently retained (<= Cap).

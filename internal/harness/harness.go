@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"energysssp/internal/core"
@@ -42,13 +41,6 @@ type Config struct {
 	// the harness launches. Host-side only: simulated time and energy are
 	// bit-identical with or without it.
 	Obs *obs.Observer
-	// Relabel renumbers every generated dataset before the experiments
-	// run: "degree" (hub-first), "bfs" (wavefront order rooted at the
-	// generator's maximum-out-degree vertex), or ""/"none". Relabeling
-	// changes only vertex ids — degree and weight distributions, and
-	// hence every simulated-cost figure, are invariant; what it moves is
-	// host cache behavior, which the relabel benchmarks measure.
-	Relabel string
 }
 
 // DefaultConfig returns the configuration used by the benchmarks.
@@ -94,47 +86,14 @@ func NewEnv(cfg Config) *Env {
 // Close releases the worker pool.
 func (e *Env) Close() { e.Pool.Close() }
 
-// Graph returns (and caches) the dataset at the configured scale, relabeled
-// per Config.Relabel.
+// Graph returns (and caches) the dataset at the configured scale.
 func (e *Env) Graph(d gen.Dataset) *graph.Graph {
 	if g, ok := e.graphs[d]; ok {
 		return g
 	}
 	g := d.Generate(e.Cfg.Scale, e.Cfg.Seed)
-	if perm := relabelPerm(g, e.Cfg.Relabel); perm != nil {
-		rg, err := g.Relabel(perm)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err)) // own permutation; cannot happen
-		}
-		g = rg
-	}
 	e.graphs[d] = g
 	return g
-}
-
-// relabelPerm builds the Config.Relabel permutation for a raw dataset, or
-// nil for the identity. BFS is rooted at the maximum-out-degree vertex —
-// the same vertex Source selects — so the wavefront layout radiates from
-// where the experiments start.
-func relabelPerm(g *graph.Graph, order string) []graph.VID {
-	switch strings.ToLower(order) {
-	case "", "none":
-		return nil
-	case "degree":
-		return g.DegreeOrder()
-	case "bfs":
-		root := graph.VID(0)
-		var best int64 = -1
-		for u := 0; u < g.NumVertices(); u++ {
-			if deg := g.OutDegree(graph.VID(u)); deg > best {
-				best = deg
-				root = graph.VID(u)
-			}
-		}
-		return g.BFSOrder(root)
-	default:
-		panic(fmt.Sprintf("harness: unknown relabel order %q (want none, degree, or bfs)", order))
-	}
 }
 
 // Source returns the primary deterministic, well-connected source vertex

@@ -386,31 +386,3 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 		}
 	}
 }
-
-func TestEnvRelabel(t *testing.T) {
-	raw := NewEnv(Config{Scale: 0.002, Seed: 7, Workers: 1})
-	defer raw.Close()
-	for _, order := range []string{"degree", "bfs"} {
-		e := NewEnv(Config{Scale: 0.002, Seed: 7, Workers: 1, Relabel: order})
-		g, rg := raw.Graph(gen.Cal), e.Graph(gen.Cal)
-		// Relabeling is an isomorphism: structural invariants unchanged.
-		if rg.NumVertices() != g.NumVertices() || rg.NumEdges() != g.NumEdges() || rg.MaxDegree() != g.MaxDegree() {
-			t.Fatalf("%s: invariants moved: %v vs %v", order, rg, g)
-		}
-		// The maximum-degree source exists in both labelings with the same
-		// degree (it is the same vertex under a different id).
-		if rg.OutDegree(e.Source(gen.Cal)) != g.OutDegree(raw.Source(gen.Cal)) {
-			t.Fatalf("%s: source degree moved", order)
-		}
-		e.Close()
-	}
-	if relabelPerm(raw.Graph(gen.Cal), "none") != nil || relabelPerm(raw.Graph(gen.Cal), "") != nil {
-		t.Fatal("identity relabel should return nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown relabel order did not panic")
-		}
-	}()
-	relabelPerm(raw.Graph(gen.Cal), "zigzag")
-}

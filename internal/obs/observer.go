@@ -34,8 +34,8 @@ const retiredScopes = 16
 
 // Observer is the fleet-level observability handle threaded through
 // Options/RunConfig: the parent of every per-solve Scope. It owns the fleet
-// registry (scope metrics chain into it), the fleet energy meter, the
-// /events hub, and the ring of recently retired scopes. A nil *Observer
+// registry (scope metrics chain into it), the fleet energy meter, and the
+// ring of recently retired scopes. A nil *Observer
 // disables all instrumentation; solvers derive their own Scope from it per
 // run, so concurrent solves never share a tracer.
 type Observer struct {
@@ -47,9 +47,7 @@ type Observer struct {
 	flightMu sync.Mutex
 	flight   FlightSource
 
-	hub    *Hub
 	energy *EnergyMeter // fleet meter: scope meters chain here
-	start  time.Time    // construction time, the /healthz uptime epoch
 
 	// solveSeconds is the fleet solve-latency histogram, observed once per
 	// retired scope.
@@ -59,12 +57,8 @@ type Observer struct {
 	scopes      []*Scope // active (unclosed) scopes
 	retired     []*Scope // most recent closed scopes, oldest first
 	evictedAgg  [numPhases]PhaseTotals
-	evicted     int64 // scopes pushed out of the retired ring
 	nextScopeID int64
 	traceEvents int
-
-	stratMu sync.Mutex
-	stratJ  map[string]float64 // closed-scope joules by strategy
 }
 
 // New returns an Observer whose scopes each get a span budget of
@@ -77,19 +71,13 @@ func New(traceEvents int) *Observer {
 	}
 	o := &Observer{
 		Reg:         NewRegistry(),
-		hub:         newHub(),
-		start:       time.Now(),
 		traceEvents: traceEvents,
-		stratJ:      make(map[string]float64),
 	}
 	o.energy = NewEnergyMeter(nil)
 	RegisterRuntimeMetrics(o.Reg)
 	RegisterBuildInfo(o.Reg)
 	registerEnergyMetrics(o.Reg, o.energy)
 	o.registerFleetPhaseMetrics()
-	hub := o.hub
-	o.Reg.GaugeFunc("obs_events_dropped_total", "hub events dropped on slow subscribers",
-		func() float64 { return float64(hub.Dropped()) })
 	o.solveSeconds = o.Reg.Histogram("sssp_solve_seconds",
 		"end-to-end solve latency (scope open to close)",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30})
@@ -126,13 +114,11 @@ func (o *Observer) NewScope(name string) *Scope {
 	o.mu.Lock()
 	o.scopes = append(o.scopes, s)
 	o.mu.Unlock()
-	o.hub.Publish(Event{Type: "solve-start", Solve: name})
 	return s
 }
 
-// retire moves a closed scope from the active set into the retired ring,
-// folds its joules into the fleet per-strategy totals, and publishes the
-// solve-end event. Called exactly once per scope, from Scope.Close.
+// retire moves a closed scope from the active set into the retired ring and
+// observes its latency. Called exactly once per scope, from Scope.Close.
 func (o *Observer) retire(s *Scope) {
 	if o == nil {
 		return
@@ -151,7 +137,6 @@ func (o *Observer) retire(s *Scope) {
 		copy(o.retired, o.retired[1:])
 		o.retired[len(o.retired)-1] = nil
 		o.retired = o.retired[:len(o.retired)-1]
-		o.evicted++
 		for p := Phase(0); p < numPhases; p++ {
 			t := evicted.tracer.Totals(p)
 			o.evictedAgg[p].Count += t.Count
@@ -165,51 +150,12 @@ func (o *Observer) retire(s *Scope) {
 		evicted.tracer.Release()
 	}
 
-	strat := s.Strategy()
-	if strat == "" {
-		strat = "none"
-	}
-	o.stratMu.Lock()
-	if _, seen := o.stratJ[strat]; !seen {
-		key := strat
-		o.Reg.GaugeFunc(`obs_strategy_joules_total{strategy="`+key+`"}`,
-			"simulated joules attributed per advance/far-queue strategy",
-			func() float64 { return o.strategyJoules(key) })
-	}
-	o.stratJ[strat] += s.energy.TotalJoules()
-	o.stratMu.Unlock()
-
 	o.solveSeconds.Observe(time.Since(s.opened).Seconds())
-
-	o.hub.Publish(Event{
-		Type:    "solve-end",
-		Solve:   s.name,
-		Iter:    s.live.Iter(),
-		EnergyJ: s.energy.TotalJoules(),
-	})
-}
-
-// strategyTotals snapshots per-strategy joules: closed-scope banked totals
-// plus the live contribution of active scopes.
-func (o *Observer) strategyTotals() map[string]float64 {
-	out := make(map[string]float64)
-	o.stratMu.Lock()
-	for k, v := range o.stratJ {
-		out[k] += v
-	}
-	o.stratMu.Unlock()
-	for _, s := range o.activeScopes() {
-		strat := s.Strategy()
-		if strat == "" {
-			strat = "none"
-		}
-		out[strat] += s.energy.TotalJoules()
-	}
-	return out
 }
 
 // WriteEnergyJSON writes the fleet energy-attribution artifact: simulated
-// joules per solver phase, per declared strategy, and the fleet total.
+// joules per solver phase and the fleet total. The solve's flight header
+// names its strategy (Algorithm, FarQueue).
 func (o *Observer) WriteEnergyJSON(w io.Writer) error {
 	if o == nil {
 		return nil
@@ -223,41 +169,12 @@ func (o *Observer) WriteEnergyJSON(w io.Writer) error {
 		}
 	}
 	report := struct {
-		Phases     map[string]float64 `json:"phases"`
-		Strategies map[string]float64 `json:"strategies"`
-		TotalJ     float64            `json:"total_joules"`
-	}{phases, o.strategyTotals(), o.energy.TotalJoules()}
+		Phases map[string]float64 `json:"phases"`
+		TotalJ float64            `json:"total_joules"`
+	}{phases, o.energy.TotalJoules()}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// strategyJoules returns closed-scope joules banked under strat plus the
-// live contribution of active scopes that have declared that strategy.
-// Allocation-free: every /metrics scrape reads the per-strategy gauge
-// funcs, so the active-scope walk stays under o.mu instead of copying.
-func (o *Observer) strategyJoules(strat string) float64 {
-	o.stratMu.Lock()
-	j := o.stratJ[strat]
-	o.stratMu.Unlock()
-	o.mu.Lock()
-	for _, s := range o.scopes {
-		if s.Strategy() == strat {
-			j += s.energy.TotalJoules()
-		}
-	}
-	o.mu.Unlock()
-	return j
-}
-
-// activeScopes snapshots the active scope list.
-func (o *Observer) activeScopes() []*Scope {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]*Scope(nil), o.scopes...)
 }
 
 // allScopes snapshots active then retired scopes.
@@ -270,35 +187,6 @@ func (o *Observer) allScopes() []*Scope {
 	out := make([]*Scope, 0, len(o.scopes)+len(o.retired))
 	out = append(out, o.scopes...)
 	return append(out, o.retired...)
-}
-
-// Hub returns the /events fan-out hub (nil, a no-op, on a nil observer).
-func (o *Observer) Hub() *Hub {
-	if o == nil {
-		return nil
-	}
-	return o.hub
-}
-
-// Uptime is the host time elapsed since the observer was constructed — the
-// process-lifetime proxy /healthz reports.
-func (o *Observer) Uptime() time.Duration {
-	if o == nil {
-		return 0
-	}
-	return time.Since(o.start)
-}
-
-// ScopeCounts reports the fleet's scope population: currently active solves,
-// closed solves still held in the retired ring, and solves whose span trees
-// have been evicted (their totals live on in the eviction accumulator).
-func (o *Observer) ScopeCounts() (active, retired int, evicted int64) {
-	if o == nil {
-		return 0, 0, 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.scopes), len(o.retired), o.evicted
 }
 
 // Energy returns the fleet energy meter.

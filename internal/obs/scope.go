@@ -1,76 +1,15 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
 
-// SolveStats is a scope's live iteration snapshot: a handful of atomics the
-// solver driver overwrites once per iteration (no allocation, no lock) and
-// the /events heartbeat reads at its own cadence. A nil *SolveStats is a
-// no-op.
-type SolveStats struct {
-	iter      atomic.Int64
-	frontier  atomic.Int64
-	farLen    atomic.Int64
-	x2        atomic.Int64
-	deltaBits atomic.Uint64
-	setPoint  atomic.Int64
-	simNs     atomic.Int64
-}
-
-// Iteration publishes one iteration's stats: the iteration index, frontier
-// size entering the advance, far-queue length after the split, the relaxed
-// near-set size X2, the delta in effect, and the cumulative simulated time.
-func (s *SolveStats) Iteration(iter, frontier, farLen, x2 int64, delta float64, simNs int64) {
-	if s == nil {
-		return
-	}
-	s.iter.Store(iter)
-	s.frontier.Store(frontier)
-	s.farLen.Store(farLen)
-	s.x2.Store(x2)
-	s.deltaBits.Store(math.Float64bits(delta))
-	s.simNs.Store(simNs)
-}
-
-// SetSetPoint publishes the controller's frontier set point (0 when the
-// solve has no controller).
-func (s *SolveStats) SetSetPoint(p int64) {
-	if s == nil {
-		return
-	}
-	s.setPoint.Store(p)
-}
-
-func (s *SolveStats) Iter() int64     { return nilStat(s, &s.iter) }
-func (s *SolveStats) Frontier() int64 { return nilStat(s, &s.frontier) }
-func (s *SolveStats) FarLen() int64   { return nilStat(s, &s.farLen) }
-func (s *SolveStats) X2() int64       { return nilStat(s, &s.x2) }
-func (s *SolveStats) SetPoint() int64 { return nilStat(s, &s.setPoint) }
-func (s *SolveStats) SimNs() int64    { return nilStat(s, &s.simNs) }
-
-func (s *SolveStats) Delta() float64 {
-	if s == nil {
-		return 0
-	}
-	return math.Float64frombits(s.deltaBits.Load())
-}
-
-func nilStat(s *SolveStats, v *atomic.Int64) int64 {
-	if s == nil {
-		return 0
-	}
-	return v.Load()
-}
-
 // Scope is one solve's private observability surface: its own span tracer,
-// a registry whose counters/histograms chain into the fleet registry, an
-// energy meter chaining into the fleet meter, and the live stats block the
-// /events heartbeat reads. Concurrent solves hold disjoint scopes, so their
-// span trees and metric values never interleave; the fleet observer still
-// sees every write through the chains. A nil *Scope is a no-op and all its
+// a registry whose counters/histograms chain into the fleet registry, and
+// an energy meter chaining into the fleet meter. Concurrent solves hold
+// disjoint scopes, so their span trees and metric values never interleave;
+// the fleet observer still sees every write through the chains. A nil *Scope is a no-op and all its
 // accessors return nil no-op handles.
 type Scope struct {
 	name   string
@@ -78,11 +17,9 @@ type Scope struct {
 	tracer *Tracer
 	reg    *Registry
 	energy *EnergyMeter
-	live   SolveStats
 
-	strategy atomic.Pointer[string]
-	closed   atomic.Bool
-	opened   time.Time // host clock at NewScope, for the solve-latency histogram
+	closed atomic.Bool
+	opened time.Time // host clock at NewScope, for the solve-latency histogram
 }
 
 // Name returns the scope's label value on fleet expositions.
@@ -117,14 +54,6 @@ func (s *Scope) Energy() *EnergyMeter {
 	return s.energy
 }
 
-// Live returns the scope's live iteration stats block.
-func (s *Scope) Live() *SolveStats {
-	if s == nil {
-		return nil
-	}
-	return &s.live
-}
-
 // PoolStats forwards to the owning observer's worker-pool stats: worker
 // busy time is a process-level resource, not a per-solve one.
 func (s *Scope) PoolStats() *PoolStats {
@@ -134,39 +63,7 @@ func (s *Scope) PoolStats() *PoolStats {
 	return s.parent.PoolStats()
 }
 
-// SetStrategy records which advance/far-queue strategy the solve settled
-// on; fleet per-strategy joule gauges aggregate under this key when the
-// scope closes.
-func (s *Scope) SetStrategy(strategy string) {
-	if s == nil {
-		return
-	}
-	s.strategy.Store(&strategy)
-}
-
-// Strategy returns the recorded strategy ("" until SetStrategy).
-func (s *Scope) Strategy() string {
-	if s == nil {
-		return ""
-	}
-	if p := s.strategy.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// Publish stamps ev with the scope's solve name and fans it out to /events
-// subscribers.
-func (s *Scope) Publish(ev Event) {
-	if s == nil || s.parent == nil {
-		return
-	}
-	ev.Solve = s.name
-	s.parent.hub.Publish(ev)
-}
-
-// Close retires the scope: it leaves the observer's active set (heartbeats
-// stop), its strategy's fleet joule total absorbs the meter, and its span
+// Close retires the scope: it leaves the observer's active set and its span
 // tree moves to the retired ring where /trace can still render it until
 // eviction recycles the slabs. Close is idempotent and nil-safe; the
 // chained metrics remain valid (further writes still reach the fleet).

@@ -15,10 +15,10 @@ import (
 // its own far queue. Drive calls Next once per iteration, never once per
 // vertex.
 type Schedule interface {
-	// Start binds the schedule to the solve's kernels and scope (nil when
-	// unobserved). It returns the first bisect threshold and the
-	// schedule's flight-header fields; Drive adds the graph's.
-	Start(kn *Kernels, sc *obs.Scope) (graph.Dist, flight.Header)
+	// Start binds the schedule to the solve's kernels. It returns the
+	// first bisect threshold and the schedule's flight-header fields;
+	// Drive adds the graph's.
+	Start(kn *Kernels) (graph.Dist, flight.Header)
 	// Next defers far, the bisect's far side, takes its near side
 	// (X⁴ = len(near)) and the iteration's X¹ and X², and returns the next
 	// frontier, appended to near, and the next bisect threshold. It charges
@@ -57,13 +57,14 @@ func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedu
 	}
 	kn.Observe(sc)
 	defer kn.Release()
-	thr, hdr := s.Start(kn, sc)
+	thr, hdr := s.Start(kn)
 	front := append(kn.frontierBuf(), src)
 
 	pub := newPublisher(opt, sc, setPoint)
 	if opt.Flight != nil {
 		hdr.Vertices, hdr.Edges, hdr.Source = int64(g.NumVertices()), g.NumEdges(), int64(src)
 		opt.Flight.SetHeader(hdr)
+		opt.Obs.SetFlight(opt.Flight) // nil-safe; a rejected solve never gets here
 	}
 	var fr flight.Record
 

@@ -48,9 +48,8 @@ type phases struct {
 	delta, thr, width graph.Dist
 }
 
-func (p *phases) Start(kn *Kernels, sc *obs.Scope) (graph.Dist, flight.Header) {
+func (p *phases) Start(kn *Kernels) (graph.Dist, flight.Header) {
 	p.kn, p.thr = kn, p.delta // the phase-1 boundary
-	sc.SetStrategy(p.kind.String())
 	return p.thr, flight.Header{
 		Algorithm:  "nearfar",
 		FixedDelta: int64(p.delta),

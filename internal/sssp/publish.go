@@ -9,14 +9,13 @@ import (
 )
 
 // publisher passes each iteration's flight record to every sink attached
-// to a solve: the flight recorder, the Profile, the scope's live stats and
-// the controller-health gauges. The record is the one per-iteration record;
-// every other view is derived from it here. The zero publisher has no sink;
-// while active reports false the loop skips filling the record.
+// to a solve: the flight recorder, the Profile and the controller-health
+// gauges. The record is the one per-iteration record; every other view is
+// derived from it here. The zero publisher has no sink; while active
+// reports false the loop skips filling the record.
 type publisher struct {
 	rec    *flight.Recorder
 	prof   *metrics.Profile
-	live   *obs.SolveStats
 	health *health
 
 	// Cumulative simulated time and energy of the previous record, for the
@@ -33,14 +32,15 @@ func newPublisher(opt *Options, sc *obs.Scope, setPoint float64) publisher {
 	return publisher{
 		rec:    opt.Flight,
 		prof:   opt.Profile,
-		live:   sc.Live(),
 		health: newHealth(sc, setPoint),
 	}
 }
 
-// active reports whether any sink is attached.
+// active reports whether any sink is attached. A scope alone is not a
+// sink: it takes the record only through the health gauges, which exist
+// only for a solve with a set-point.
 func (p *publisher) active() bool {
-	return p.rec != nil || p.prof != nil || p.live != nil
+	return p.rec != nil || p.prof != nil || p.health != nil
 }
 
 // publish hands one finished iteration's record to every sink. edges is
@@ -61,6 +61,5 @@ func (p *publisher) publish(rec *flight.Record, edges int64) {
 		p.prevSimNs, p.prevJ = rec.SimTimeNs, rec.EnergyJ
 		p.prof.Append(st)
 	}
-	p.live.Iteration(rec.K, rec.X1, rec.FarSize, rec.X2, rec.DeltaOut, rec.SimTimeNs)
 	p.health.observe(rec)
 }

@@ -68,7 +68,8 @@ type Options struct {
 	// (the controller flight recorder). Host-side only, like Obs, and
 	// allocation-free in the steady state (gated by
 	// TestFlightSteadyStateAllocs). Supported by the self-tuning solver and
-	// the near-far baseline; other solvers ignore it.
+	// the near-far baseline; other solvers ignore it. Once the solve has
+	// validated its inputs, Obs (when set) serves the recorder at /flight.
 	Flight *flight.Recorder
 }
 

@@ -107,6 +107,13 @@ echo "==> fuzz the flight-log reader and everything that consumes its output"
 # run-diff; none of them may panic on any byte sequence the reader accepts.
 go test -run '^$' -fuzz '^FuzzFlightLog$' -fuzztime 30s ./internal/core/
 
+echo "==> fuzz Run's configuration surface"
+# RunConfig is caller input: every Algorithm value, Delta, SetPoint (NaN,
+# ±Inf, 0, negative), Workers in [-1, 4], and arbitrary Relabel, FarQueue,
+# Device and Freq strings must yield an error or Dijkstra's distances on
+# small random graphs, never a panic.
+go test -run '^$' -fuzz '^FuzzRunConfig$' -fuzztime 30s .
+
 echo "==> bench module: vet + quick smoke"
 # bench/ is a nested module, so the root go vet/build/test never see it,
 # yet it compiles against internal/obs, internal/parallel and internal/sssp.
