@@ -527,16 +527,6 @@ func Experiments(cfg ExperimentConfig) ([]*Table, error) {
 	return harness.RunAll(env)
 }
 
-// ControllerOverhead measures the Section 5.2 controller overhead on the
-// given graph: wall-clock controller time relative to total solve time.
-func ControllerOverhead(g *Graph, src VID, setPoint float64) (ctrl, total time.Duration, err error) {
-	_, ov, err := core.SolveInstrumented(g, src, core.Config{P: setPoint}, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ov.ControllerTime, ov.TotalTime, nil
-}
-
 // Devices lists the available simulated device presets.
 func Devices() []*Device { return []*Device{sim.TK1(), sim.TX1()} }
 

@@ -233,17 +233,6 @@ func TestGraphFactoriesAndIO(t *testing.T) {
 	}
 }
 
-func TestControllerOverheadAPI(t *testing.T) {
-	g := Grid(20, 20, 1, 50, 5)
-	ctrl, total, err := ControllerOverhead(g, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctrl <= 0 || total <= 0 || ctrl > total {
-		t.Fatalf("overhead: ctrl=%v total=%v", ctrl, total)
-	}
-}
-
 func TestRunWithPaths(t *testing.T) {
 	g := Grid(10, 10, 1, 20, 4)
 	out, err := Run(g, 0, RunConfig{Algorithm: SelfTuning, SetPoint: 64, Paths: true})

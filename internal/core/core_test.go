@@ -191,21 +191,6 @@ func TestSolveDisablePartitioning(t *testing.T) {
 	assertSameDistances(t, g, 0, res.Dist, "no-partitioning")
 }
 
-func TestSolveInstrumentedOverhead(t *testing.T) {
-	g := gen.Grid(15, 15, 1, 20, 46)
-	res, ov, err := SolveInstrumented(g, 0, Config{P: 200}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.TotalTime <= 0 || ov.ControllerTime <= 0 {
-		t.Fatalf("overhead: %+v", ov)
-	}
-	if ov.ControllerTime > ov.TotalTime {
-		t.Fatalf("controller time %v exceeds total %v", ov.ControllerTime, ov.TotalTime)
-	}
-	assertSameDistances(t, g, 0, res.Dist, "instrumented")
-}
-
 func TestControllerClampsAndBootstrap(t *testing.T) {
 	c := NewController(1000, 8, 1)
 	if c.P != 1000 {

@@ -126,18 +126,20 @@ func (s *controlled) Start(kn *sssp.Kernels) (graph.Dist, flight.Header) {
 	return s.cfg.InitialDelta, s.hdr
 }
 
-func (s *controlled) push(vs []graph.VID) {
+// Defer pushes the bisect's far side onto the partitioned far queue.
+func (s *controlled) Defer(far []graph.VID) {
 	dist := s.kn.Dist
-	for _, v := range vs {
+	for _, v := range far {
 		s.far.Push(v, dist[v])
 	}
 }
 
-// Next defers the bisect's far side, then runs the controller step and the rebalancer under
-// the controller span, charging the far-queue scans and the controller's
-// host time.
-func (s *controlled) Next(deferred, near []graph.VID, x1, x2 int, rec *flight.Record) ([]graph.VID, graph.Dist) {
-	s.push(deferred)
+// Next runs the controller step under the controller span, then realizes
+// the chosen threshold under one rebalance span, which charges the
+// far-queue scans. The controller's host time is charged after them and
+// marked to the controller phase: the machine sums energy in floating
+// point, so the charge order is part of every simulated figure.
+func (s *controlled) Next(near []graph.VID, x1, x2 int, rec *flight.Record) ([]graph.VID, graph.Dist) {
 	kn, far, dist := s.kn, s.far, s.kn.Dist
 	tr := kn.Trace() // nil-safe when no observer is attached
 	thr := s.thr
@@ -168,16 +170,18 @@ func (s *controlled) Next(deferred, near []graph.VID, x1, x2 int, rec *flight.Re
 			s.fpol.flightModels(rec)
 		}
 	}
+	spC.End(int64(x2))
 
 	// Rebalancer: realize the new threshold by moving vertices
 	// between frontier and far queue.
+	spR := tr.Begin(obs.PhaseRebalance)
 	front := near
 	if newThr > thr {
 		front = far.PopBelow(distOf(newThr), dist, front)
 	} else if newThr < thr {
 		var farC []graph.VID
 		front, farC = kn.Bisect(front, distOf(newThr), front)
-		s.push(farC)
+		s.Defer(farC)
 	}
 	appliedDelta := newThr - thr
 	thr = newThr
@@ -207,11 +211,10 @@ func (s *controlled) Next(deferred, near []graph.VID, x1, x2 int, rec *flight.Re
 	}
 	scanned := far.ScannedAndReset()
 	simQ := kn.SimNow()
-	durQ := kn.ChargeFarQueue(scanned)
-	tr.Mark(obs.PhaseRebalance, int64(scanned), simQ, durQ)
+	spR.EndSim(int64(scanned), simQ, kn.ChargeFarQueue(scanned))
 	simH := kn.SimNow()
 	kn.ChargeHost(s.cfg.ControllerCost)
-	spC.EndSim(int64(x2), simH, kn.SimNow()-simH)
+	tr.Mark(obs.PhaseController, 0, simH, kn.SimNow()-simH)
 
 	if rec != nil {
 		rec.DeltaOut = thr
@@ -228,68 +231,6 @@ func (s *controlled) Next(deferred, near []graph.VID, x1, x2 int, rec *flight.Re
 	}
 	s.thr = thr
 	return front, distOf(thr)
-}
-
-// ControllerOverhead reports the wall-clock controller cost of a run, for
-// the Section 5.2 overhead experiment.
-type ControllerOverhead struct {
-	ControllerTime time.Duration
-	TotalTime      time.Duration
-}
-
-// SolveInstrumented runs Solve with the paper's Controller (cfg.Policy
-// must be nil) and reports two wall-clock times: the whole solve
-// (TotalTime) and the host time the solve spent inside the controller's
-// Observe, NextDelta, SetApplied and MaintainBoundaries calls
-// (ControllerTime), which the solve's own time bounds. The timing is
-// host-side only: distances, iterations, simulated figures and the flight
-// log equal a plain Solve's.
-func SolveInstrumented(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.Result, ControllerOverhead, error) {
-	if cfg.Policy != nil || !(cfg.P >= 1) || math.IsInf(cfg.P, 0) {
-		return sssp.Result{}, ControllerOverhead{}, fmt.Errorf("core: SolveInstrumented times the paper's controller: want no Policy and a finite set-point P >= 1, got P=%g", cfg.P)
-	}
-	start := time.Now()
-	cfg = cfg.withDefaults(g)
-	policy := &timedPolicy{Controller: newController(g, cfg)}
-	cfg.Policy = policy
-	res, err := Solve(g, src, cfg, opt)
-	total := time.Since(start)
-	if err != nil {
-		return res, ControllerOverhead{}, err
-	}
-	return res, ControllerOverhead{ControllerTime: policy.spent, TotalTime: total}, nil
-}
-
-// timedPolicy is the paper's Controller with a stopwatch on every call the
-// solve makes into it. Embedding keeps the flight checkpoints, so the
-// instrumented log is the plain one. The solve keeps the Eq. 7 boundaries
-// only through a policy with MaintainBoundaries, so that call is forwarded
-// (and timed) too.
-type timedPolicy struct {
-	*Controller
-	spent time.Duration
-}
-
-func (p *timedPolicy) lap(t time.Time) { p.spent += time.Since(t) }
-
-func (p *timedPolicy) Observe(x1, x2 int) {
-	defer p.lap(time.Now())
-	p.Controller.Observe(x1, x2)
-}
-
-func (p *timedPolicy) NextDelta(q QueueState) float64 {
-	defer p.lap(time.Now())
-	return p.Controller.NextDelta(q)
-}
-
-func (p *timedPolicy) SetApplied(dd, x4 float64) {
-	defer p.lap(time.Now())
-	p.Controller.SetApplied(dd, x4)
-}
-
-func (p *timedPolicy) MaintainBoundaries(q *frontier.Partitioned, delta float64) {
-	defer p.lap(time.Now())
-	p.Controller.MaintainBoundaries(q, delta)
 }
 
 func distOf(x float64) graph.Dist {

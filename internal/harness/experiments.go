@@ -2,10 +2,14 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"time"
 
 	"energysssp/internal/core"
 	"energysssp/internal/gen"
 	"energysssp/internal/metrics"
+	"energysssp/internal/obs"
 	"energysssp/internal/sim"
 	"energysssp/internal/sssp"
 	"energysssp/internal/trace"
@@ -234,26 +238,30 @@ func Figure8(e *Env) (*trace.Table, error) {
 }
 
 // Overhead reproduces the Section 5.2 controller-overhead measurement:
-// wall-clock controller time per second of solver runtime.
+// wall-clock controller time per second of solver runtime. The controller
+// time is the solve's PhaseController span total (the policy's Observe and
+// NextDelta calls and the flight snapshot, not the rebalancer); the total
+// is the solve's wall time.
 func Overhead(e *Env) (*trace.Table, error) {
 	t := trace.NewTable("overhead_controller",
 		"dataset", "iterations", "controller_us", "total_ms", "us_per_second", "percent")
+	o := obs.New(1) // the phase totals are exact however few spans are kept
 	for _, d := range []gen.Dataset{gen.Cal, gen.Wiki} {
-		p := e.SetPoints(d)[1]
-		res, ov, err := core.SolveInstrumented(e.Graph(d), e.Source(d), core.Config{P: p}, &sssp.Options{Pool: e.Pool})
+		sc := o.NewScope("overhead")
+		res, err := core.Solve(e.Graph(d), e.Source(d), core.Config{P: e.SetPoints(d)[1]},
+			&sssp.Options{Pool: e.Pool, Scope: sc})
+		ctrl := time.Duration(sc.Tracer().Totals(obs.PhaseController).HostNs)
+		sc.Close()
 		if err != nil {
 			return nil, err
 		}
-		usPerS := 0.0
-		if ov.TotalTime > 0 {
-			usPerS = ov.ControllerTime.Seconds() * 1e6 / ov.TotalTime.Seconds()
-		}
+		total := res.WallTime
 		t.AddRow(d.String(),
 			res.Iterations,
-			ov.ControllerTime.Microseconds(),
-			float64(ov.TotalTime.Microseconds())/1e3,
-			usPerS,
-			100*ov.ControllerTime.Seconds()/ov.TotalTime.Seconds())
+			ctrl.Microseconds(),
+			float64(total.Microseconds())/1e3,
+			ctrl.Seconds()*1e6/total.Seconds(),
+			100*ctrl.Seconds()/total.Seconds())
 	}
 	return t, nil
 }
@@ -311,74 +319,81 @@ func Ablation(e *Env) (*trace.Table, error) {
 	return t, nil
 }
 
-// RunAll executes every experiment and returns all result tables in paper
-// order. It is the engine behind cmd/experiments.
-func RunAll(e *Env) ([]*trace.Table, error) {
-	var out []*trace.Table
-	t1, err := Table1(e)
-	if err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
-	}
-	out = append(out, t1)
+// Experiment is one named entry of the paper's evaluation: a table or a
+// figure and the tables that reproduce it.
+type Experiment struct {
+	Name string
+	Run  func(*Env) ([]*trace.Table, error)
+}
 
-	f1, err := Figure1(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure1: %w", err)
-	}
-	out = append(out, f1...)
+// Experiments is the whole evaluation in paper order. The figure names are
+// the paper's figure numbers.
+var Experiments = []Experiment{
+	{"table1", one(Table1)},
+	{"1", Figure1},
+	{"2", one(Figure2)},
+	{"3", Figure3},
+	{"5", one(Figure5)},
+	{"6", Figure6},
+	{"7", Figure7},
+	{"8", one(Figure8)},
+	{"overhead", one(Overhead)},
+	{"ablation", one(Ablation)},
+	{"trace", one(ControllerTrace)},
+}
 
-	f2, err := Figure2(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure2: %w", err)
+func one(f func(*Env) (*trace.Table, error)) func(*Env) ([]*trace.Table, error) {
+	return func(e *Env) ([]*trace.Table, error) {
+		t, err := f(e)
+		if err != nil {
+			return nil, err
+		}
+		return []*trace.Table{t}, nil
 	}
-	out = append(out, f2)
+}
 
-	f3, err := Figure3(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure3: %w", err)
+// Select returns the experiments a comma-separated list of names picks, in
+// paper order; "all" picks every experiment. An unknown name is an error
+// that lists the valid ones.
+func Select(names string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, n := range strings.Split(names, ",") {
+		n = strings.TrimSpace(n)
+		if n != "all" && !slices.ContainsFunc(Experiments, func(x Experiment) bool { return x.Name == n }) {
+			valid := make([]string, len(Experiments))
+			for i, x := range Experiments {
+				valid[i] = x.Name
+			}
+			return nil, fmt.Errorf("unknown experiment %q (want all or a comma-separated list of %s)",
+				n, strings.Join(valid, ", "))
+		}
+		want[n] = true
 	}
-	out = append(out, f3...)
-
-	f5, err := Figure5(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure5: %w", err)
+	if want["all"] {
+		return Experiments, nil
 	}
-	out = append(out, f5)
-
-	f6, err := Figure6(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure6: %w", err)
+	var out []Experiment
+	for _, x := range Experiments {
+		if want[x.Name] {
+			out = append(out, x)
+		}
 	}
-	out = append(out, f6...)
-
-	f7, err := Figure7(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure7: %w", err)
-	}
-	out = append(out, f7...)
-
-	f8, err := Figure8(e)
-	if err != nil {
-		return nil, fmt.Errorf("figure8: %w", err)
-	}
-	out = append(out, f8)
-
-	ov, err := Overhead(e)
-	if err != nil {
-		return nil, fmt.Errorf("overhead: %w", err)
-	}
-	out = append(out, ov)
-
-	ab, err := Ablation(e)
-	if err != nil {
-		return nil, fmt.Errorf("ablation: %w", err)
-	}
-	out = append(out, ab)
-
-	ct, err := ControllerTrace(e)
-	if err != nil {
-		return nil, fmt.Errorf("controller trace: %w", err)
-	}
-	out = append(out, ct)
 	return out, nil
 }
+
+// Run executes the experiments in order and returns their tables.
+func Run(e *Env, xs []Experiment) ([]*trace.Table, error) {
+	var out []*trace.Table
+	for _, x := range xs {
+		ts, err := x.Run(e)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", x.Name, err)
+		}
+		out = append(out, ts...)
+	}
+	return out, nil
+}
+
+// RunAll executes every experiment and returns all result tables in paper
+// order.
+func RunAll(e *Env) ([]*trace.Table, error) { return Run(e, Experiments) }

@@ -15,7 +15,6 @@ import (
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 	"energysssp/internal/metrics"
-	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 	"energysssp/internal/sim"
 	"energysssp/internal/sssp"
@@ -37,10 +36,6 @@ type Config struct {
 	// experiments (Figures 6–8) average over (default 1: the highest
 	// out-degree vertex, always inside the giant component).
 	Sources int
-	// Obs, when non-nil, attaches the observability layer to every solve
-	// the harness launches. Host-side only: simulated time and energy are
-	// bit-identical with or without it.
-	Obs *obs.Observer
 }
 
 // DefaultConfig returns the configuration used by the benchmarks.
@@ -272,7 +267,7 @@ func (e *Env) RunBaseline(d gen.Dataset, delta graph.Dist, mc MachineConfig) (ss
 	var prof metrics.Profile
 	mach := mc.NewMachine()
 	res, err := sssp.NearFar(e.Graph(d), e.Source(d), delta, &sssp.Options{
-		Pool: e.Pool, Machine: mach, Profile: &prof, Obs: e.Cfg.Obs, FarQueue: sssp.FarFlat,
+		Pool: e.Pool, Machine: mach, Profile: &prof, FarQueue: sssp.FarFlat,
 	})
 	return res, &prof, err
 }
@@ -283,7 +278,7 @@ func (e *Env) RunTuned(d gen.Dataset, p float64, mc MachineConfig) (sssp.Result,
 	var prof metrics.Profile
 	mach := mc.NewMachine()
 	res, err := core.Solve(e.Graph(d), e.Source(d), core.Config{P: p}, &sssp.Options{
-		Pool: e.Pool, Machine: mach, Profile: &prof, Obs: e.Cfg.Obs,
+		Pool: e.Pool, Machine: mach, Profile: &prof,
 	})
 	return res, &prof, err
 }
@@ -305,7 +300,7 @@ func (e *Env) runAvg(d gen.Dataset, mc MachineConfig,
 	var totalJ float64
 	for _, src := range sources {
 		mach := mc.NewMachine()
-		res, err := solve(src, &sssp.Options{Pool: e.Pool, Machine: mach, Obs: e.Cfg.Obs})
+		res, err := solve(src, &sssp.Options{Pool: e.Pool, Machine: mach})
 		if err != nil {
 			return AvgRun{}, err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -344,16 +345,36 @@ func TestFigure8PowerGrowsWithSetPoint(t *testing.T) {
 	}
 }
 
+// TestOverheadSmall checks the span-based overhead table: one row per
+// dataset for the solve at the middle set-point, whose controller span
+// total is a positive share of its wall time, below half of it.
 func TestOverheadSmall(t *testing.T) {
 	e := tinyEnv(t)
 	tab, err := Overhead(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range tab.Rows {
-		pct := parseF(t, r[5])
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "Cal" || tab.Rows[1][0] != "Wiki" {
+		t.Fatalf("rows %v, want Cal and Wiki", tab.Rows)
+	}
+	for i, d := range []gen.Dataset{gen.Cal, gen.Wiki} {
+		r := tab.Rows[i]
+		res, _, err := e.RunTuned(d, e.SetPoints(d)[1], MachineConfig{Device: sim.TK1(), Auto: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iters := parseF(t, r[1]); iters != float64(res.Iterations) {
+			t.Fatalf("%s: %v iterations, the tuned solve takes %d", d, iters, res.Iterations)
+		}
+		ctrlUs, totalMs, usPerS, pct := parseF(t, r[2]), parseF(t, r[3]), parseF(t, r[4]), parseF(t, r[5])
+		if totalMs <= 0 || ctrlUs > totalMs*1e3 {
+			t.Fatalf("%s: controller %v us of %v ms", d, ctrlUs, totalMs)
+		}
 		if pct <= 0 || pct > 50 {
-			t.Fatalf("controller overhead %v%% implausible", pct)
+			t.Fatalf("%s: controller overhead %v%% implausible", d, pct)
+		}
+		if math.Abs(usPerS/1e4-pct) > 1e-9*usPerS {
+			t.Fatalf("%s: %v us/s disagrees with %v%%", d, usPerS, pct)
 		}
 	}
 }

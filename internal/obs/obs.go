@@ -42,8 +42,8 @@ type Phase uint8
 const (
 	PhaseAdvance    Phase = iota // edge relaxation kernel
 	PhaseFilter                  // frontier merge + dedup + filter charge
-	PhaseRebalance               // near/far bisection and far-queue extraction
-	PhaseController              // model update, delta selection, boundary maintenance
+	PhaseRebalance               // near/far bisection, far-queue pushes and extraction, boundary maintenance
+	PhaseController              // model update and delta selection
 	PhaseScan                    // unused: was the edge-balanced advance's prefix sum
 	numPhases
 )

@@ -436,7 +436,7 @@ func registerTracerMetrics(r *Registry, t *Tracer) {
 
 // SummaryLine renders a one-line human summary: fleet per-phase host-time
 // shares plus controller health if a solve registered it. Used by
-// cmd/profile and cmd/sssp after a run.
+// cmd/sssp after a run.
 func (o *Observer) SummaryLine() string {
 	if o == nil {
 		return ""

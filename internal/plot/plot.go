@@ -1,8 +1,7 @@
 // Package plot renders experiment series as ASCII charts so the paper's
-// figures can be eyeballed straight from the terminal (cmd/profile and
-// cmd/powerbench expose it behind -plot). It deliberately depends only on
-// the standard library: line charts, bar histograms, and scatter plots with
-// labeled axes.
+// figures can be eyeballed straight from the terminal (cmd/experiments
+// exposes it behind -plot). It deliberately depends only on the standard
+// library: line charts, bar histograms, and scatter plots with labeled axes.
 //
 // All renderers buffer through a bufio.Writer (whose sticky error surfaces
 // at the final Flush) and report the first write failure, so a full chart

@@ -12,7 +12,7 @@ import (
 
 // Table renders a harness result table as the chart its figure corresponds
 // to, dispatching on the table name; unknown tables fall back to aligned
-// text. This is what cmd/profile and cmd/powerbench expose behind -plot.
+// text. This is what cmd/experiments exposes behind -plot.
 func Table(w io.Writer, t *trace.Table) error {
 	switch {
 	case t.Name == "fig1_profiles":

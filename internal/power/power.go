@@ -1,7 +1,5 @@
-// Package power provides the PowerMon-style measurement layer on top of the
-// simulated machine: fixed-rate resampling of the power trace (the real
-// PowerMon samples DC current at up to 1 kHz per channel) and summary
-// statistics used by the paper's power/performance figures.
+// Package power summarizes the simulated machine's piecewise-constant power
+// trace into the statistics the paper's power/performance figures report.
 package power
 
 import (
@@ -12,46 +10,6 @@ import (
 
 	"energysssp/internal/sim"
 )
-
-// DefaultRateHz matches the PowerMon device's maximum per-channel rate.
-const DefaultRateHz = 1000
-
-// Sample is one timestamped power reading.
-type Sample struct {
-	T     time.Duration
-	Watts float64
-}
-
-// Resample converts a piecewise-constant power trace into fixed-rate
-// samples, exactly what a PowerMon attached to the board's supply rail
-// would report. Gaps between segments (there are none in machine-produced
-// traces) would read as 0.
-func Resample(trace []sim.PowerSeg, rateHz int) []Sample {
-	if rateHz <= 0 {
-		rateHz = DefaultRateHz
-	}
-	if len(trace) == 0 {
-		return nil
-	}
-	period := time.Duration(float64(time.Second) / float64(rateHz))
-	end := trace[len(trace)-1].End
-	n := int(end/period) + 1
-	out := make([]Sample, 0, n)
-	seg := 0
-	for t := time.Duration(0); t <= end; t += period {
-		for seg < len(trace)-1 && t >= trace[seg].End {
-			seg++
-		}
-		w := 0.0
-		if t >= trace[seg].Start && t < trace[seg].End {
-			w = trace[seg].Watts
-		} else if t == trace[seg].End && seg == len(trace)-1 {
-			w = trace[seg].Watts
-		}
-		out = append(out, Sample{T: t, Watts: w})
-	}
-	return out
-}
 
 // Summary captures the distributional power statistics reported in the
 // paper's figures.

@@ -61,56 +61,24 @@ func TestSummarizeSkipsEmptySegments(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	trace := []sim.PowerSeg{seg(0, 10, 2), seg(10, 20, 8)}
-	samples := Resample(trace, 1000) // 1 per ms
-	if len(samples) != 21 {
-		t.Fatalf("got %d samples, want 21", len(samples))
-	}
-	if samples[0].Watts != 2 || samples[5].Watts != 2 {
-		t.Fatalf("early samples wrong: %+v", samples[:6])
-	}
-	if samples[15].Watts != 8 {
-		t.Fatalf("late sample wrong: %+v", samples[15])
-	}
-	// Default rate fallback.
-	if got := Resample(trace, 0); len(got) != 21 {
-		t.Fatalf("default rate gave %d samples", len(got))
-	}
-	if Resample(nil, 1000) != nil {
-		t.Fatal("nil trace should resample to nil")
-	}
-}
-
-func TestResampleGapReadsZero(t *testing.T) {
-	// A synthetic trace with a hole: samples inside the hole read 0 W,
-	// like a PowerMon channel with the supply disconnected.
-	trace := []sim.PowerSeg{seg(0, 5, 4), seg(10, 15, 6)}
-	samples := Resample(trace, 1000)
-	if samples[2].Watts != 4 || samples[12].Watts != 6 {
-		t.Fatalf("segment samples wrong: %+v %+v", samples[2], samples[12])
-	}
-	if samples[7].Watts != 0 {
-		t.Fatalf("gap sample = %v, want 0", samples[7].Watts)
-	}
-}
-
-func TestResampleAgreesWithSummary(t *testing.T) {
-	// Average of dense samples should approximate the exact average.
+// TestSummarizeMachineTrace: the summary of a machine's own trace must
+// account for the machine's whole clock and energy, with the average
+// between the extremes.
+func TestSummarizeMachineTrace(t *testing.T) {
 	m := sim.NewMachine(sim.TK1())
 	m.EnableTrace()
 	for i := 0; i < 50; i++ {
 		m.Kernel(sim.KernelAdvance, 200000)
 		m.Kernel(sim.KernelFilter, 50000)
 	}
-	sum := Summarize(m.Trace())
-	samples := Resample(m.Trace(), 100000)
-	var avg float64
-	for _, s := range samples {
-		avg += s.Watts
+	s := Summarize(m.Trace())
+	if s.Duration != m.Now() {
+		t.Fatalf("summary covers %v, machine clock %v", s.Duration, m.Now())
 	}
-	avg /= float64(len(samples))
-	if math.Abs(avg-sum.AvgWatts)/sum.AvgWatts > 0.05 {
-		t.Fatalf("resampled avg %.3f vs exact %.3f", avg, sum.AvgWatts)
+	if math.Abs(s.EnergyJ-m.Energy()) > 1e-9*m.Energy() {
+		t.Fatalf("summary energy %.12g J, machine %.12g J", s.EnergyJ, m.Energy())
+	}
+	if !(s.MinWatts <= s.AvgWatts && s.AvgWatts <= s.PeakWatts) || s.MinWatts == s.PeakWatts {
+		t.Fatalf("min/avg/peak %.3f/%.3f/%.3f", s.MinWatts, s.AvgWatts, s.PeakWatts)
 	}
 }

@@ -19,22 +19,26 @@ type Schedule interface {
 	// first bisect threshold and the schedule's flight-header fields;
 	// Drive adds the graph's.
 	Start(kn *Kernels) (graph.Dist, flight.Header)
-	// Next defers far, the bisect's far side, takes its near side
-	// (X⁴ = len(near)) and the iteration's X¹ and X², and returns the next
-	// frontier, appended to near, and the next bisect threshold. It charges
-	// its own far-queue and controller work under its own spans. rec is nil
-	// while no sink is attached; otherwise Drive has filled K, X¹–X⁴ and
-	// JumpMin = -1, and Next fills the schedule's fields.
-	Next(far, near []graph.VID, x1, x2 int, rec *flight.Record) ([]graph.VID, graph.Dist)
+	// Defer pushes far, the bisect's far side, onto the schedule's far
+	// queue. Drive calls it inside the bisect's rebalance span, before
+	// Next.
+	Defer(far []graph.VID)
+	// Next takes the bisect's near side (X⁴ = len(near)) and the
+	// iteration's X¹ and X², and returns the next frontier, appended to
+	// near, and the next bisect threshold. It charges its own far-queue
+	// and controller work under its own spans. rec is nil while no sink is
+	// attached; otherwise Drive has filled K, X¹–X⁴ and JumpMin = -1, and
+	// Next fills the schedule's fields.
+	Next(near []graph.VID, x1, x2 int, rec *flight.Record) ([]graph.VID, graph.Dist)
 }
 
 // Drive runs the near-far loop from src with schedule s. Each iteration
 // advances the frontier (relax and filter), bisects the filter output at
-// the schedule's threshold, charges the bisect, and hands both sides to
-// s.Next. alg names the solve's observability scope; setPoint is the
-// controller's parallelism set-point for the health gauges (0 without
-// one). The livelock guard turns a schedule that stops making progress
-// into ErrLivelock rather than a hang.
+// the schedule's threshold, defers the far side to s, charges the bisect,
+// and hands the near side to s.Next. alg names the solve's observability
+// scope; setPoint is the controller's parallelism set-point for the health
+// gauges (0 without one). The livelock guard turns a schedule that stops
+// making progress into ErrLivelock rather than a hang.
 func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedule, opt *Options) (Result, error) {
 	if opt == nil {
 		opt = &Options{}
@@ -84,9 +88,11 @@ func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedu
 		res.EdgesRelaxed += adv.Edges
 		res.Updates += int64(adv.X2)
 
-		// bisect-frontier: split the filter output around the threshold.
+		// bisect-frontier: split the filter output around the threshold
+		// and queue the far side.
 		spB := tr.Begin(obs.PhaseRebalance)
 		near, far := kn.Bisect(adv.Out, thr, front)
+		s.Defer(far)
 		simB := kn.SimNow()
 		durB := kn.chargeBisect(len(adv.Out))
 		spB.EndSim(int64(len(adv.Out)), simB, durB)
@@ -100,7 +106,7 @@ func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedu
 			}
 			rec = &fr
 		}
-		front, thr = s.Next(far, near, x1, adv.X2, rec)
+		front, thr = s.Next(near, x1, adv.X2, rec)
 		if rec != nil {
 			if opt.Machine != nil {
 				rec.SimTimeNs = int64(opt.Machine.Now() - startSim)

@@ -75,6 +75,13 @@ type flatSchedule struct {
 	far frontier.Flat
 }
 
+func (s *flatSchedule) Defer(far []graph.VID) {
+	dist := s.kn.Dist
+	for _, v := range far {
+		s.far.Push(v, dist[v])
+	}
+}
+
 // Next jumps, when the near frontier drained, to the first delta multiple
 // admitting the queue's minimum and extracts. The O(1) MinDist is a lower
 // bound (a stale entry may undershoot), so it retries: each failed
@@ -82,11 +89,8 @@ type flatSchedule struct {
 // telescoped jumps land on the same final threshold as an exact-minimum
 // jump — which is what flight replay recomputes from the last recorded
 // JumpMin.
-func (s *flatSchedule) Next(far, near []graph.VID, _, _ int, rec *flight.Record) ([]graph.VID, graph.Dist) {
+func (s *flatSchedule) Next(near []graph.VID, _, _ int, rec *flight.Record) ([]graph.VID, graph.Dist) {
 	dist := s.kn.Dist
-	for _, v := range far {
-		s.far.Push(v, dist[v])
-	}
 	farIn, thrIn := s.far.Len(), s.thr
 	front := near
 	if len(front) == 0 && s.far.Len() > 0 {
@@ -124,14 +128,18 @@ type rhoSchedule struct {
 	far *frontier.Lazy
 }
 
-// Next drains whole buckets, when the near frontier drained, until the
-// batch can saturate the workers. The threshold lands on the last drained
-// bucket's boundary; it drains again only when a drain came up all-stale.
-func (s *rhoSchedule) Next(far, near []graph.VID, _, _ int, rec *flight.Record) ([]graph.VID, graph.Dist) {
+func (s *rhoSchedule) Defer(far []graph.VID) {
 	dist := s.kn.Dist
 	for _, v := range far {
 		s.far.Push(v, dist[v])
 	}
+}
+
+// Next drains whole buckets, when the near frontier drained, until the
+// batch can saturate the workers. The threshold lands on the last drained
+// bucket's boundary; it drains again only when a drain came up all-stale.
+func (s *rhoSchedule) Next(near []graph.VID, _, _ int, rec *flight.Record) ([]graph.VID, graph.Dist) {
+	dist := s.kn.Dist
 	farIn, thrIn := s.far.Len(), s.thr
 	front := near
 	if len(front) == 0 && s.far.Len() > 0 {

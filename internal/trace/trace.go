@@ -1,5 +1,5 @@
-// Package trace serializes experiment outputs — iteration profiles, power
-// traces, and generic result tables — as CSV and JSON so the figures can be
+// Package trace serializes experiment outputs — iteration profiles and
+// generic result tables — as CSV and JSON so the figures can be
 // regenerated and replotted outside this repository.
 package trace
 
@@ -14,7 +14,6 @@ import (
 	"strconv"
 
 	"energysssp/internal/metrics"
-	"energysssp/internal/power"
 )
 
 // WriteProfileCSV writes one iteration-statistics row per solver iteration,
@@ -55,24 +54,6 @@ func WriteProfileJSON(w io.Writer, p *metrics.Profile) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p.Iters)
-}
-
-// WritePowerCSV writes PowerMon-style samples.
-func WritePowerCSV(w io.Writer, samples []power.Sample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ns", "watts"}); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := cw.Write([]string{
-			strconv.FormatInt(int64(s.T), 10),
-			strconv.FormatFloat(s.Watts, 'g', -1, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Table is a generic labeled result table (one per figure/table in the

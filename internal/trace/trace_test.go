@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"energysssp/internal/metrics"
-	"energysssp/internal/power"
 )
 
 func TestWriteProfileCSV(t *testing.T) {
@@ -57,24 +56,6 @@ func TestWriteProfileJSON(t *testing.T) {
 	}
 	if back[0] != p.Iters[0] || back[1] != p.Iters[1] {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, p.Iters)
-	}
-}
-
-func TestWritePowerCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WritePowerCSV(&buf, []power.Sample{
-		{T: time.Millisecond, Watts: 5.25},
-		{T: 2 * time.Millisecond, Watts: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[1][1] != "5.25" {
-		t.Fatalf("power csv: %v", recs)
 	}
 }
 

@@ -36,12 +36,12 @@ echo "==> go test -race (concurrent packages)"
 go test -race ./internal/parallel/... ./internal/frontier/... ./internal/sssp/... \
     ./internal/obs/... ./internal/flight/... ./internal/core/...
 
-echo "==> go test (solver packages) at GOMAXPROCS=1 and GOMAXPROCS=4"
+echo "==> go test (solver, harness and API packages) at GOMAXPROCS=1 and GOMAXPROCS=4"
 # The suite must pass whether the runtime gives the pools one thread or
 # several: one thread serializes every worker, four let the parallel
 # advances race for real.
-GOMAXPROCS=1 go test -count=1 ./internal/sssp/ ./internal/core/
-GOMAXPROCS=4 go test -count=1 ./internal/sssp/ ./internal/core/
+GOMAXPROCS=1 go test -count=1 ./internal/sssp/ ./internal/core/ ./internal/harness/ .
+GOMAXPROCS=4 go test -count=1 ./internal/sssp/ ./internal/core/ ./internal/harness/ .
 
 echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
@@ -101,6 +101,15 @@ done
 "$flightbin/flight" record -dataset cal -scale 0.005 -seed 42 -P 500 -device TK1 \
     -workers 1 -o "$flightbin/ref.jsonl" 2>/dev/null
 "$flightbin/flight" diff results/flight_cal_tk1.jsonl "$flightbin/ref.jsonl" >/dev/null
+
+echo "==> cmd/experiments: a selection runs, an unknown name fails"
+expbin="$(mktemp -d)"
+trap 'rm -rf "$flightbin" "$expbin"' EXIT
+go build -o "$expbin/experiments" ./cmd/experiments
+"$expbin/experiments" -fig 5,overhead -scale 0.005 -quiet >/dev/null
+if "$expbin/experiments" -fig nope >/dev/null 2>&1; then
+  echo "experiments -fig nope exited 0" >&2; exit 1
+fi
 
 echo "==> fuzz the flight-log reader and everything that consumes its output"
 # Flight logs are untrusted input to replay, the dashboard, the detector and
