@@ -82,8 +82,9 @@ type (
 	PowerSummary = power.Summary
 	// ExperimentConfig parameterizes the paper-evaluation harness.
 	ExperimentConfig = harness.Config
-	// Observer is the runtime observability handle: a phase-span tracer
-	// plus a metric registry (see NewObserver, RunConfig.Obs).
+	// Observer is the runtime observability handle: per-solve phase-span
+	// tracers plus one process-level metric registry and energy meter (see
+	// NewObserver, RunConfig.Obs).
 	Observer = obs.Observer
 	// MetricsServer serves an Observer over HTTP (see ServeMetrics).
 	MetricsServer = obs.Server
@@ -212,12 +213,12 @@ type RunConfig struct {
 	PowerTrace bool
 	// Paths derives the shortest-path tree (RunOutput.Parents) when true.
 	Paths bool
-	// Obs attaches a runtime observer (see NewObserver): phase spans,
-	// solver counters, and controller-health gauges, live-scrapable via
-	// ServeMetrics and exportable to Perfetto via WriteTrace. Host-side
-	// only: simulated time and energy are bit-identical with or without
-	// it, and the zero-allocation steady state is preserved. Nil (the
-	// default) disables all instrumentation.
+	// Obs attaches a runtime observer (see NewObserver): the solve's phase
+	// spans, exportable to Perfetto via WriteTrace, and its joules per
+	// phase, added to the observer's process-level totals that
+	// ServeMetrics exposes. Host-side only: simulated time and energy are
+	// bit-identical with or without it, and the zero-allocation steady
+	// state is preserved. Nil (the default) disables all instrumentation.
 	Obs *Observer
 	// FlightLog attaches a controller flight recorder (see
 	// NewFlightRecorder): one fixed-size record per solver iteration for
@@ -276,12 +277,12 @@ func ParseFreq(s string) (Freq, error) {
 // RunConfig.Obs (or sssp.Options.Obs), serve it with ServeMetrics, and
 // export its timeline with WriteTrace. One observer may be shared across
 // many runs — including concurrent ones: each solve gets its own scope, so
-// span trees stay disjoint while counters and joules aggregate into the
-// fleet totals.
+// span trees stay disjoint while phase totals and joules add up in the
+// observer.
 func NewObserver(traceEvents int) *Observer { return obs.New(traceEvents) }
 
 // ServeMetrics starts an HTTP server for o on addr: Prometheus text at
-// /metrics (fleet totals plus per-solve label sets), the Perfetto trace at
+// /metrics (process-level series only), the Perfetto trace at
 // /trace, and the attached flight log at /flight. Use port 0 to pick a free
 // port (see MetricsServer.Addr); close when done.
 func ServeMetrics(addr string, o *Observer) (*MetricsServer, error) { return obs.Serve(addr, o) }
@@ -334,7 +335,7 @@ func WriteTrace(w io.Writer, o *Observer) error {
 }
 
 // WriteEnergyReport writes o's energy-attribution artifact as JSON:
-// simulated joules per solver phase and the fleet total. The per-phase
+// simulated joules per solver phase and the total. The per-phase
 // figures reconcile with the simulator's own energy accounting to within
 // one ULP per charge.
 func WriteEnergyReport(w io.Writer, o *Observer) error {

@@ -153,6 +153,14 @@ func main() {
 	if out.Parallelism != nil {
 		fmt.Printf("parallelism: %v\n", *out.Parallelism)
 	}
+	if a == energysssp.SelfTuning && out.Profile != nil {
+		_, mean := out.Profile.TrackingError(*setPoint)
+		conv := "never"
+		if k := out.Profile.ConvergenceIter(); k >= 0 {
+			conv = fmt.Sprintf("at iteration %d", k)
+		}
+		fmt.Printf("controller: mean tracking error %.3f (|X2-P|/P), models converged %s\n", mean, conv)
+	}
 	if *device != "" {
 		fmt.Printf("simulated: time=%v energy=%.3fJ avg-power=%.2fW\n",
 			out.SimTime, out.EnergyJ, out.AvgPowerW)

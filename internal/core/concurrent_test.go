@@ -79,9 +79,8 @@ func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 }
 
 // parallelAdvances counts the advances of a scope's solves that ran on the
-// pool rather than inline on the sequential kernel.
+// pool rather than inline on the sequential kernel: the advance is the
+// only pool launch in a solve.
 func parallelAdvances(sc *obs.Scope) int64 {
-	adv, _ := sc.Registry().Value("sssp_advances_total")
-	seq, _ := sc.Registry().Value("sssp_sequential_advances_total")
-	return int64(adv - seq)
+	return sc.Observer().PoolStats().Launches()
 }

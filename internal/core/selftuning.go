@@ -70,7 +70,7 @@ func Solve(g *graph.Graph, src graph.VID, cfg Config, opt *sssp.Options) (sssp.R
 	}
 	s := newControlled(cfg)
 	defer s.far.Release()
-	return sssp.Drive(g, src, "selftuning", cfg.P, s, opt)
+	return sssp.Drive(g, src, "selftuning", s, opt)
 }
 
 // newController builds the paper's Controller for cfg (defaults applied).

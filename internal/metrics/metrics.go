@@ -80,9 +80,8 @@ const ModelConvergenceRelTol = 0.01
 // ControllerHealth computes the controller-health statistics one iteration
 // at a time: the set-point tracking error |X² − P| / P (last and mean) and
 // the iteration at which the model estimates converged. It is the one
-// implementation of both formulas; a recorded Profile, a flight log and the
-// live sssp_controller_* gauges all reduce through it. The zero value is
-// ready to use.
+// implementation of both formulas; a recorded Profile and a flight log
+// both reduce through it. The zero value is ready to use.
 type ControllerHealth struct {
 	errLast, errSum float64
 	n               int

@@ -14,9 +14,9 @@ import (
 // reconciles with the machine's own end-minus-start energy to within 1 ULP
 // — the acceptance bar for the energy-attribution plane.
 //
-// Like every handle in this package a nil *EnergyMeter is a no-op, and a
-// meter created under a Scope chains into the fleet meter so fleet
-// per-phase joules are the sum over all scopes ever.
+// Like every handle in this package a nil *EnergyMeter is a no-op; the
+// zero value is ready to use. An Observer owns one meter, charged by every
+// solve under it.
 //
 // The meter is host-side bookkeeping only: it reads energy values handed to
 // it and never touches the machine, so simulated time and energy stay
@@ -25,13 +25,6 @@ type EnergyMeter struct {
 	mu   sync.Mutex
 	sum  [numPhases]float64
 	comp [numPhases]float64 // Neumaier compensation terms
-	next *EnergyMeter       // fleet twin when owned by a Scope
-}
-
-// NewEnergyMeter returns a meter chaining into parent (nil for a fleet
-// meter).
-func NewEnergyMeter(parent *EnergyMeter) *EnergyMeter {
-	return &EnergyMeter{next: parent}
 }
 
 // twoDiff returns (s, e) with s = fl(a-b) and s+e == a-b exactly
@@ -70,7 +63,6 @@ func (m *EnergyMeter) Charge(p Phase, before, after float64) {
 	m.sum[p], m.comp[p] = neumaierAdd(m.sum[p], m.comp[p], hi)
 	m.sum[p], m.comp[p] = neumaierAdd(m.sum[p], m.comp[p], lo)
 	m.mu.Unlock()
-	m.next.Charge(p, before, after)
 }
 
 // PhaseJoules returns the joules attributed to phase p.

@@ -1,10 +1,10 @@
 // Package obs is a stdlib-only runtime observability plane for the solver:
 // a hierarchical span tracer (solve → iteration → phase → kernel) backed by
-// pooled fixed-size span slabs, an atomic metric registry with a Prometheus
-// text exporter, per-solve scopes that aggregate into a fleet-level parent,
-// an energy-attribution meter folding the simulated machine's charges into
-// per-phase joule counters, a live NDJSON event stream, an HTTP server, and
-// a Perfetto/Chrome trace-event JSON exporter.
+// pooled fixed-size span slabs, one span tracer per solve (a Scope) under a
+// process-level Observer that owns the atomic metric registry with its
+// Prometheus text exporter and the energy-attribution meter folding the
+// simulated machine's charges into per-phase joule counters, an HTTP
+// server, and a Perfetto/Chrome trace-event JSON exporter.
 //
 // Two invariants shape every API here:
 //
@@ -12,15 +12,15 @@
 //     energy but never charges them; enabling observability must leave
 //     simulated time and energy bit-identical (the same invariant the
 //     advance keeps between its sequential and parallel paths).
-//   - Zero allocations in steady state. Every span, counter increment, and
-//     histogram observation after setup is atomic arithmetic plus writes
-//     into preallocated (or pool-recycled slab) storage, so the PR 2
-//     "0 allocs/op per advance" guarantee survives with observability
+//   - Zero allocations in steady state. Every span, energy charge, gauge
+//     set and histogram observation after setup is atomic arithmetic plus
+//     writes into preallocated (or pool-recycled slab) storage, so the
+//     advance's "0 allocs/op" guarantee survives with observability
 //     enabled (gated by TestObsSteadyStateAllocs and
 //     TestSpanSteadyStateAllocs).
 //
-// Everything is nil-safe: a nil *Tracer, *Scope, *Registry, *Counter,
-// *Gauge, *Histogram, or *EnergyMeter is a no-op, so instrumented call
+// Everything is nil-safe: a nil *Tracer, *Scope, *Registry, *Gauge,
+// *Histogram, or *EnergyMeter is a no-op, so instrumented call
 // sites need no "if enabled" branches and the off path stays identical to
 // the on path.
 package obs
@@ -208,17 +208,20 @@ func NewTracer(capacity int) *Tracer {
 	}
 }
 
-// reserve claims the next span slot and stamps its identity; the caller
-// holds t.mu. It returns -1 when the budget is exhausted (the span is
-// dropped and counted). Growing into a new slab appends a pooled slab into
-// the capacity-preallocated slab list, so the steady state allocates
-// nothing once the process pool is warm.
+// reserve claims the next span slot, stamps its identity, and then reads
+// the host clock, so a span's start follows the tracer's own bookkeeping
+// and its HostNs does not include it. The caller holds t.mu. It returns
+// the slot (-1 when the budget is exhausted: the span is dropped and
+// counted) and the start, host time since the tracer epoch. Growing into
+// a new slab appends a pooled slab into the capacity-preallocated slab
+// list, so the steady state allocates nothing once the process pool is
+// warm.
 //
 //hot:alloc-free
-func (t *Tracer) reserve(kind SpanKind, p Phase, parent int32, start time.Duration) int32 {
+func (t *Tracer) reserve(kind SpanKind, p Phase, parent int32) (int32, time.Duration) {
 	if t.n >= t.max {
 		t.dropped++
-		return -1
+		return -1, time.Since(t.epoch)
 	}
 	if t.n>>spanSlabShift >= len(t.slabs) {
 		t.slabs = append(t.slabs, spanSlabPool.Get().(*spanSlab))
@@ -226,8 +229,9 @@ func (t *Tracer) reserve(kind SpanKind, p Phase, parent int32, start time.Durati
 	id := int32(t.n)
 	t.n++
 	ev := t.at(id)
+	start := time.Since(t.epoch)
 	*ev = SpanEvent{ID: id, Parent: parent, Kind: kind, Phase: p, Iter: t.curIter, StartNs: int64(start)}
-	return id
+	return id, start
 }
 
 func (t *Tracer) at(id int32) *SpanEvent {
@@ -239,7 +243,7 @@ func (t *Tracer) at(id int32) *SpanEvent {
 // nothing, as do spans dropped by an exhausted budget.
 type Span struct {
 	t     *Tracer
-	start time.Time
+	start time.Duration // host time since the tracer epoch
 	id    int32
 	kind  SpanKind
 	phase Phase
@@ -251,10 +255,9 @@ func (t *Tracer) BeginSolve() Span {
 	if t == nil {
 		return Span{}
 	}
-	start := time.Now()
 	t.mu.Lock()
 	t.curIter = -1
-	id := t.reserve(SpanSolve, 0, -1, start.Sub(t.epoch))
+	id, start := t.reserve(SpanSolve, 0, -1)
 	t.openSolve, t.openIter, t.openPhase = id, -1, -1
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanSolve}
@@ -265,10 +268,9 @@ func (t *Tracer) BeginIter(k int) Span {
 	if t == nil {
 		return Span{}
 	}
-	start := time.Now()
 	t.mu.Lock()
 	t.curIter = int32(k)
-	id := t.reserve(SpanIter, 0, t.openSolve, start.Sub(t.epoch))
+	id, start := t.reserve(SpanIter, 0, t.openSolve)
 	t.openIter, t.openPhase = id, -1
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanIter}
@@ -282,13 +284,12 @@ func (t *Tracer) Begin(p Phase) Span {
 	if t == nil {
 		return Span{}
 	}
-	start := time.Now()
 	t.mu.Lock()
 	parent := t.openIter
 	if parent < 0 {
 		parent = t.openSolve
 	}
-	id := t.reserve(SpanPhase, p, parent, start.Sub(t.epoch))
+	id, start := t.reserve(SpanPhase, p, parent)
 	t.openPhase = id
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanPhase, phase: p}
@@ -311,7 +312,7 @@ func (s Span) EndSim(items int64, simStart, simDur time.Duration) {
 	if t == nil {
 		return
 	}
-	host := time.Since(s.start)
+	host := time.Since(t.epoch) - s.start
 	t.mu.Lock()
 	if s.id >= 0 {
 		ev := t.at(s.id)
@@ -359,7 +360,7 @@ func (s Span) Kernel(items int64, simStart, simDur time.Duration) {
 		return
 	}
 	t.mu.Lock()
-	id := t.reserve(SpanKernel, s.phase, s.id, time.Since(t.epoch))
+	id, _ := t.reserve(SpanKernel, s.phase, s.id)
 	if id >= 0 {
 		ev := t.at(id)
 		ev.SimStartNs = int64(simStart)
@@ -386,7 +387,7 @@ func (t *Tracer) Mark(p Phase, items int64, simStart, simDur time.Duration) {
 	if parent < 0 {
 		parent = t.openSolve
 	}
-	id := t.reserve(SpanKernel, p, parent, time.Since(t.epoch))
+	id, _ := t.reserve(SpanKernel, p, parent)
 	if id >= 0 {
 		ev := t.at(id)
 		ev.SimStartNs = int64(simStart)

@@ -241,7 +241,6 @@ func TestTracerConcurrent(t *testing.T) {
 // TestSpanSteadyStateAllocs builds on.
 func TestTracerSteadyStateAllocs(t *testing.T) {
 	tr := NewTracer(1 << 14)
-	c := &Counter{}
 	g := &Gauge{}
 	hist := NewRegistry().Histogram("x", "", []float64{1, 10, 100})
 	// Warm the slab list past the first crossing so Get from a cold pool
@@ -259,7 +258,6 @@ func TestTracerSteadyStateAllocs(t *testing.T) {
 		tr.Mark(PhaseRebalance, 4, 1, 2)
 		iter.End(17)
 		solve.End(1)
-		c.Add(3)
 		g.Set(1.5)
 		hist.Observe(42)
 		tr.Reset()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,19 +26,19 @@ type FlightSource interface {
 }
 
 // retiredScopes is how many closed scopes the observer keeps around so
-// /trace and /metrics can still render recently finished solves; evicting
-// an older scope folds its phase totals into the fleet accumulator and
+// /trace can still render recently finished solves; evicting
+// an older scope folds its phase totals into the observer's accumulator and
 // recycles its span slabs.
 const retiredScopes = 16
 
-// Observer is the fleet-level observability handle threaded through
-// Options/RunConfig: the parent of every per-solve Scope. It owns the fleet
-// registry (scope metrics chain into it), the fleet energy meter, and the
-// ring of recently retired scopes. A nil *Observer
-// disables all instrumentation; solvers derive their own Scope from it per
-// run, so concurrent solves never share a tracer.
+// Observer is the process-level observability handle threaded through
+// Options/RunConfig: the parent of every per-solve Scope. It owns the one
+// metric registry, the one energy meter every solve charges, and the ring
+// of recently retired scopes. A nil *Observer disables all
+// instrumentation; solvers derive their own Scope from it per run, so
+// concurrent solves never share a tracer.
 type Observer struct {
-	Reg *Registry // fleet registry: scope counters/gauges/histograms chain here
+	Reg *Registry
 
 	poolOnce sync.Once
 	pool     PoolStats
@@ -47,9 +46,9 @@ type Observer struct {
 	flightMu sync.Mutex
 	flight   FlightSource
 
-	energy *EnergyMeter // fleet meter: scope meters chain here
+	energy *EnergyMeter
 
-	// solveSeconds is the fleet solve-latency histogram, observed once per
+	// solveSeconds is the solve-latency histogram, observed once per
 	// retired scope.
 	solveSeconds *Histogram
 
@@ -62,9 +61,9 @@ type Observer struct {
 }
 
 // New returns an Observer whose scopes each get a span budget of
-// traceEvents spans (DefaultTraceEvents if <= 0), with the fleet registry
-// preloaded with the Go runtime sampler, fleet phase aggregates, and fleet
-// energy attribution.
+// traceEvents spans (DefaultTraceEvents if <= 0), with the registry
+// preloaded with the Go runtime sampler, the per-phase aggregates over all
+// scopes, and the energy attribution.
 func New(traceEvents int) *Observer {
 	if traceEvents <= 0 {
 		traceEvents = DefaultTraceEvents
@@ -73,21 +72,20 @@ func New(traceEvents int) *Observer {
 		Reg:         NewRegistry(),
 		traceEvents: traceEvents,
 	}
-	o.energy = NewEnergyMeter(nil)
+	o.energy = &EnergyMeter{}
 	RegisterRuntimeMetrics(o.Reg)
 	RegisterBuildInfo(o.Reg)
 	registerEnergyMetrics(o.Reg, o.energy)
-	o.registerFleetPhaseMetrics()
+	o.registerPhaseMetrics()
 	o.solveSeconds = o.Reg.Histogram("sssp_solve_seconds",
 		"end-to-end solve latency (scope open to close)",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30})
 	return o
 }
 
-// NewScope opens a per-solve scope named name (or "solve-N" when empty).
-// The scope's registry, energy meter, and span tracer are private to the
-// solve; counters/gauges/histograms/joules chain into the fleet. Nil-safe:
-// a nil observer returns a nil (no-op) scope.
+// NewScope opens a per-solve scope named name (or "solve-N" when empty)
+// with its own span tracer. Nil-safe: a nil observer returns a nil (no-op)
+// scope.
 func (o *Observer) NewScope(name string) *Scope {
 	if o == nil {
 		return nil
@@ -105,12 +103,8 @@ func (o *Observer) NewScope(name string) *Scope {
 		name:   name,
 		parent: o,
 		tracer: NewTracer(o.traceEvents),
-		reg:    NewScopedRegistry(o.Reg, `solve="`+name+`"`),
-		energy: NewEnergyMeter(o.energy),
 		opened: time.Now(),
 	}
-	registerTracerMetrics(s.reg, s.tracer)
-	registerEnergyMetrics(s.reg, s.energy)
 	o.mu.Lock()
 	o.scopes = append(o.scopes, s)
 	o.mu.Unlock()
@@ -153,8 +147,8 @@ func (o *Observer) retire(s *Scope) {
 	o.solveSeconds.Observe(time.Since(s.opened).Seconds())
 }
 
-// WriteEnergyJSON writes the fleet energy-attribution artifact: simulated
-// joules per solver phase and the fleet total. The solve's flight header
+// WriteEnergyJSON writes the energy-attribution artifact: simulated
+// joules per solver phase and the total. The solve's flight header
 // names its strategy (Algorithm, FarQueue).
 func (o *Observer) WriteEnergyJSON(w io.Writer) error {
 	if o == nil {
@@ -189,7 +183,7 @@ func (o *Observer) allScopes() []*Scope {
 	return append(out, o.retired...)
 }
 
-// Energy returns the fleet energy meter.
+// Energy returns the energy meter every solve under o charges.
 func (o *Observer) Energy() *EnergyMeter {
 	if o == nil {
 		return nil
@@ -197,7 +191,7 @@ func (o *Observer) Energy() *EnergyMeter {
 	return o.energy
 }
 
-// PhaseTotals returns the fleet-wide aggregate for phase p: every active
+// PhaseTotals returns the aggregate for phase p over every active
 // and retired scope plus everything already evicted. Allocation-free (every
 // /metrics scrape reads the per-phase gauge funcs): Tracer.Totals is pure
 // atomic loads, so the walk stays under o.mu instead of copying the scope
@@ -238,10 +232,9 @@ func (o *Observer) TraceSnapshot() []ScopeSpans {
 	return out
 }
 
-// registerFleetPhaseMetrics exposes the fleet-wide per-phase aggregates on
-// the fleet registry under the same bare names scopes use (scope copies
-// render with a solve label, so the two never collide in an exposition).
-func (o *Observer) registerFleetPhaseMetrics() {
+// registerPhaseMetrics exposes the per-phase aggregates over all scopes
+// and the span retention on the registry.
+func (o *Observer) registerPhaseMetrics() {
 	hostTotal := func() int64 {
 		var tot int64
 		for q := Phase(0); q < numPhases; q++ {
@@ -368,75 +361,16 @@ func (o *Observer) Flight() FlightSource {
 	return o.flight
 }
 
-// WritePrometheus writes the fleet exposition: the fleet registry's metrics
-// bare, then every active and retired scope's metrics with a
-// solve="<name>" label injected, sharing HELP/TYPE headers per family.
+// WritePrometheus writes the registry's exposition.
 func (o *Observer) WritePrometheus(w io.Writer) error {
-	return o.WritePrometheusMatch(w, "")
-}
-
-// WritePrometheusMatch is WritePrometheus restricted to metrics whose
-// name contains match ("" = everything) — the ?match filter on /metrics.
-func (o *Observer) WritePrometheusMatch(w io.Writer, match string) error {
 	if o == nil {
 		return nil
 	}
-	fleet := filterEntries(o.Reg.snapshotEntries(), match)
-	bw := bufio.NewWriter(w)
-	seen := make(map[string]bool, len(fleet))
-	writeEntries(bw, fleet, "", seen)
-	for _, s := range o.allScopes() {
-		writeEntries(bw, filterEntries(s.reg.snapshotEntries(), match), s.reg.scopeLabel, seen)
-	}
-	return bw.Flush()
+	return o.Reg.WritePrometheus(w)
 }
 
-// registerTracerMetrics exposes one tracer's exact per-phase aggregates —
-// span counts, host seconds, charged sim seconds, and each phase's fraction
-// of the recorded host time — plus span retention. On a scope registry
-// these render with the scope's solve label; the fleet-wide twins are
-// registered by registerFleetPhaseMetrics.
-func registerTracerMetrics(r *Registry, t *Tracer) {
-	hostTotal := func() int64 {
-		var tot int64
-		for q := Phase(0); q < numPhases; q++ {
-			tot += t.Totals(q).HostNs
-		}
-		return tot
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		ph := p // capture per iteration
-		label := `{phase="` + p.String() + `"}`
-		r.GaugeFunc("obs_phase_spans_total"+label,
-			"spans recorded per solver phase",
-			func() float64 { return float64(t.Totals(ph).Count) })
-		r.GaugeFunc("obs_phase_host_seconds_total"+label,
-			"host wall time per solver phase",
-			func() float64 { return float64(t.Totals(ph).HostNs) / 1e9 })
-		r.GaugeFunc("obs_phase_sim_seconds_total"+label,
-			"charged simulated device time per solver phase",
-			func() float64 { return float64(t.Totals(ph).SimNs) / 1e9 })
-		r.GaugeFunc("obs_phase_host_fraction"+label,
-			"share of all recorded host span time spent in this phase",
-			func() float64 {
-				tot := hostTotal()
-				if tot == 0 {
-					return 0
-				}
-				return float64(t.Totals(ph).HostNs) / float64(tot)
-			})
-	}
-	r.GaugeFunc("obs_trace_events",
-		"spans currently retained",
-		func() float64 { return float64(t.Len()) })
-	r.GaugeFunc("obs_trace_dropped_total",
-		"spans dropped after the span budget filled",
-		func() float64 { return float64(t.Dropped()) })
-}
-
-// SummaryLine renders a one-line human summary: fleet per-phase host-time
-// shares plus controller health if a solve registered it. Used by
-// cmd/sssp after a run.
+// SummaryLine renders a one-line human summary: per-phase host-time
+// shares and the attributed joules. Used by cmd/sssp after a run.
 func (o *Observer) SummaryLine() string {
 	if o == nil {
 		return ""
@@ -462,12 +396,6 @@ func (o *Observer) SummaryLine() string {
 	}
 	if j := o.energy.TotalJoules(); j > 0 {
 		fmt.Fprintf(&b, " | %.3g J", j)
-	}
-	if v, ok := o.Reg.Value("sssp_controller_tracking_error_mean"); ok {
-		fmt.Fprintf(&b, " | ctrl err mean %.3f", v)
-	}
-	if v, ok := o.Reg.Value("sssp_controller_model_convergence_iters"); ok && v >= 0 {
-		fmt.Fprintf(&b, " conv@%d", int(v))
 	}
 	return b.String()
 }

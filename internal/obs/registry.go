@@ -12,52 +12,10 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing int64, padded to a cache line so
-// unrelated hot counters never false-share. A nil *Counter is a no-op, so
-// instrumented code can hold counter fields that are simply never set.
-// A counter registered on a scoped registry chains to its fleet twin:
-// every write lands in both, so the fleet total is always the sum of all
-// scopes ever created (including retired ones).
-type Counter struct {
-	v    atomic.Int64
-	_    [7]int64
-	next *Counter
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-	c.next.Inc()
-}
-
-// Add adds n (n must be >= 0 to keep the counter monotonic).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-	c.next.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a float64 that can go up and down, stored as atomic bits.
-// A nil *Gauge is a no-op. A gauge registered on a scoped registry chains
-// to its fleet twin with last-write-wins semantics: for a single active
-// solve the fleet value equals the scope value bit-for-bit.
+// A nil *Gauge is a no-op.
 type Gauge struct {
 	bits atomic.Uint64
-	_    [7]int64
-	next *Gauge
 }
 
 // Set replaces the gauge value.
@@ -66,7 +24,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-	g.next.Set(v)
 }
 
 // Value returns the current value.
@@ -85,10 +42,9 @@ type Histogram struct {
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	next    *Histogram    // fleet twin when registered on a scoped registry
 }
 
-// Observe records one sample here and in the chained fleet twin.
+// Observe records one sample.
 //
 //hot:alloc-free
 func (h *Histogram) Observe(v float64) {
@@ -108,7 +64,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.next.Observe(v)
 }
 
 // Count returns the number of observations.
@@ -180,8 +135,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindHistogram
 	kindFunc
 )
@@ -190,17 +144,15 @@ type entry struct {
 	name string // full exposition name, may embed {label="..."} syntax
 	help string
 	kind metricKind
-	c    *Counter
 	g    *Gauge
 	h    *Histogram
 	fn   func() float64
 }
 
 // Registry holds named metrics and writes them in Prometheus text
-// exposition format. Registration (Counter/Gauge/Histogram/GaugeFunc) is
-// idempotent by name: re-registering returns the existing metric, so a
-// per-solve Observe step can run many times against one registry and keep
-// accumulating. Registering an existing name as a different kind panics.
+// exposition format. Registration (Gauge/Histogram/GaugeFunc) is
+// idempotent by name: re-registering returns the existing metric.
+// Registering an existing name as a different kind panics.
 //
 // Names may embed Prometheus label syntax, e.g.
 // `obs_phase_host_seconds_total{phase="advance"}`; entries sharing the
@@ -213,27 +165,11 @@ type Registry struct {
 	entries []*entry
 	byName  map[string]*entry
 	hooks   []func()
-
-	// parent is non-nil for scoped registries: counters, gauges, and
-	// histograms registered here chain into the same-named metric on the
-	// parent. scopeLabel (e.g. `solve="nearfar-1"`) is injected into every
-	// entry name when the scope is rendered into a fleet exposition.
-	parent     *Registry
-	scopeLabel string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
-}
-
-// NewScopedRegistry returns a registry scoped under parent: counters and
-// histograms write through to parent (fleet totals = sum over scopes),
-// gauges write through with last-write-wins, and gauge funcs stay local.
-// label is the Prometheus label pair (without braces) identifying the scope
-// in fleet expositions, e.g. `solve="nearfar-1"`.
-func NewScopedRegistry(parent *Registry, label string) *Registry {
-	return &Registry{byName: make(map[string]*entry), parent: parent, scopeLabel: label}
 }
 
 func (r *Registry) lookupOrAdd(name, help string, kind metricKind) (*entry, bool) {
@@ -250,23 +186,6 @@ func (r *Registry) lookupOrAdd(name, help string, kind metricKind) (*entry, bool
 	return e, true
 }
 
-// Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, fresh := r.lookupOrAdd(name, help, kindCounter)
-	if fresh {
-		e.c = &Counter{}
-		if r.parent != nil {
-			e.c.next = r.parent.Counter(name, help)
-		}
-	}
-	return e.c
-}
-
 // Gauge registers (or returns the existing) gauge under name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
@@ -277,9 +196,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	e, fresh := r.lookupOrAdd(name, help, kindGauge)
 	if fresh {
 		e.g = &Gauge{}
-		if r.parent != nil {
-			e.g.next = r.parent.Gauge(name, help)
-		}
 	}
 	return e.g
 }
@@ -301,9 +217,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		e.h = &Histogram{
 			bounds:  append([]float64(nil), bounds...),
 			buckets: make([]atomic.Int64, len(bounds)+1),
-		}
-		if r.parent != nil {
-			e.h.next = r.parent.Histogram(name, help, bounds)
 		}
 	}
 	return e.h
@@ -332,8 +245,8 @@ func (r *Registry) OnScrape(fn func()) {
 	r.hooks = append(r.hooks, fn)
 }
 
-// Value returns the current value of the named metric (counter, gauge, or
-// gauge func; histograms report their observation count). Scrape hooks are
+// Value returns the current value of the named metric (gauge or gauge
+// func; histograms report their observation count). Scrape hooks are
 // not run, so hook-refreshed gauges return their last scraped value.
 func (r *Registry) Value(name string) (float64, bool) {
 	if r == nil {
@@ -346,8 +259,6 @@ func (r *Registry) Value(name string) (float64, bool) {
 		return 0, false
 	}
 	switch e.kind {
-	case kindCounter:
-		return float64(e.c.Value()), true
 	case kindGauge:
 		return e.g.Value(), true
 	case kindHistogram:
@@ -396,18 +307,6 @@ func (r *Registry) snapshotEntries() []*entry {
 	return entries
 }
 
-// withLabel injects an extra label pair (e.g. `solve="x"`) into a metric
-// name, merging with an existing label block when present.
-func withLabel(name, label string) string {
-	if label == "" {
-		return name
-	}
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:len(name)-1] + "," + label + "}"
-	}
-	return name + "{" + label + "}"
-}
-
 // histQuantiles are the summary quantiles every histogram exposes as a
 // derived `<name>_quantile{q="..."}` gauge family on /metrics.
 var histQuantiles = [...]struct {
@@ -415,90 +314,56 @@ var histQuantiles = [...]struct {
 	label string
 }{{0.5, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
 
-// writeEntries writes one registry's entries in Prometheus text format,
-// injecting extraLabel (may be empty) into every sample name. seen tracks
-// which families already emitted HELP/TYPE, shared across registries so a
-// fleet exposition rendering many scopes emits each header once.
-func writeEntries(bw *bufio.Writer, entries []*entry, extraLabel string, seen map[string]bool) {
-	for _, e := range entries {
-		fam := family(e.name)
-		if !seen[fam] {
-			seen[fam] = true
-			typ := "gauge"
-			switch e.kind {
-			case kindCounter:
-				typ = "counter"
-			case kindHistogram:
-				typ = "histogram"
-			}
-			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", fam, escapeHelp(e.help), fam, typ)
-		}
-		name := withLabel(e.name, extraLabel)
-		switch e.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "%s %d\n", name, e.c.Value())
-		case kindGauge:
-			fmt.Fprintf(bw, "%s %s\n", name, fnum(e.g.Value()))
-		case kindFunc:
-			fmt.Fprintf(bw, "%s %s\n", name, fnum(e.fn()))
-		case kindHistogram:
-			var cum int64
-			for i, b := range e.h.bounds {
-				cum += e.h.buckets[i].Load()
-				fmt.Fprintf(bw, "%s_bucket{le=%q%s} %d\n", e.name, fnum(b), labelSuffix(extraLabel), cum)
-			}
-			cum += e.h.buckets[len(e.h.bounds)].Load()
-			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"%s} %d\n", e.name, labelSuffix(extraLabel), cum)
-			fmt.Fprintf(bw, "%s_sum %s\n", name, fnum(e.h.Sum()))
-			fmt.Fprintf(bw, "%s_count %d\n", name, e.h.count.Load())
-			// Derived summary quantiles: a separate gauge family so the
-			// histogram TYPE stays honest, interpolated by the same
-			// estimator histogram_quantile uses (empty histogram → 0).
-			qfam := e.name + "_quantile"
-			if !seen[qfam] {
-				seen[qfam] = true
-				fmt.Fprintf(bw, "# HELP %s interpolated summary quantiles of %s\n# TYPE %s gauge\n", qfam, e.name, qfam)
-			}
-			for _, hq := range histQuantiles {
-				lbl := `q="` + hq.label + `"`
-				if extraLabel != "" {
-					lbl += "," + extraLabel
-				}
-				fmt.Fprintf(bw, "%s{%s} %s\n", qfam, lbl, fnum(e.h.Quantile(hq.q)))
-			}
-		}
-	}
-}
-
-func labelSuffix(label string) string {
-	if label == "" {
-		return ""
-	}
-	return "," + label
-}
-
-// filterEntries returns the entries whose name contains match; "" keeps
-// everything (and the original slice).
-func filterEntries(entries []*entry, match string) []*entry {
-	if match == "" {
-		return entries
-	}
-	out := entries[:0:0]
-	for _, e := range entries {
-		if strings.Contains(e.name, match) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // WritePrometheus writes every registered metric in Prometheus text
 // exposition format (version 0.0.4). Scrape hooks run first. Entries are
 // written sorted by name so output is deterministic. Histograms also emit
 // interpolated p50/p95/p99 `<name>_quantile` gauges.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	entries := r.snapshotEntries()
+	return r.WritePrometheusMatch(w, "")
+}
+
+// WritePrometheusMatch is WritePrometheus restricted to metrics whose
+// name contains match ("" = everything) — the ?match filter on /metrics.
+func (r *Registry) WritePrometheusMatch(w io.Writer, match string) error {
 	bw := bufio.NewWriter(w)
-	writeEntries(bw, entries, "", make(map[string]bool, len(entries)))
+	seen := make(map[string]bool)
+	for _, e := range r.snapshotEntries() {
+		if !strings.Contains(e.name, match) {
+			continue
+		}
+		fam := family(e.name)
+		if !seen[fam] {
+			seen[fam] = true
+			typ := "gauge"
+			if e.kind == kindHistogram {
+				typ = "histogram"
+			}
+			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", fam, escapeHelp(e.help), fam, typ)
+		}
+		switch e.kind {
+		case kindGauge:
+			fmt.Fprintf(bw, "%s %s\n", e.name, fnum(e.g.Value()))
+		case kindFunc:
+			fmt.Fprintf(bw, "%s %s\n", e.name, fnum(e.fn()))
+		case kindHistogram:
+			var cum int64
+			for i, b := range e.h.bounds {
+				cum += e.h.buckets[i].Load()
+				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", e.name, fnum(b), cum)
+			}
+			cum += e.h.buckets[len(e.h.bounds)].Load()
+			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", e.name, cum)
+			fmt.Fprintf(bw, "%s_sum %s\n", e.name, fnum(e.h.Sum()))
+			fmt.Fprintf(bw, "%s_count %d\n", e.name, e.h.count.Load())
+			// Derived summary quantiles: a separate gauge family so the
+			// histogram TYPE stays honest, interpolated by the same
+			// estimator histogram_quantile uses (empty histogram → 0).
+			qfam := e.name + "_quantile"
+			fmt.Fprintf(bw, "# HELP %s interpolated summary quantiles of %s\n# TYPE %s gauge\n", qfam, e.name, qfam)
+			for _, hq := range histQuantiles {
+				fmt.Fprintf(bw, "%s{q=%q} %s\n", qfam, hq.label, fnum(e.h.Quantile(hq.q)))
+			}
+		}
+	}
 	return bw.Flush()
 }

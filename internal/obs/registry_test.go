@@ -35,8 +35,6 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 // float formatting).
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "operations")
-	c.Add(12345)
 	g := r.Gauge("test_ratio", "a ratio")
 	g.Set(0.30000000000000004) // not representable in short decimal
 	r.GaugeFunc("test_func", "computed", func() float64 { return 7.5 })
@@ -44,10 +42,8 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	for _, v := range []float64{0.5, 5, 5, 50, 500} {
 		h.Observe(v)
 	}
-	lc := r.Counter(`test_labeled_total{kind="a"}`, "labeled")
-	lc.Inc()
-	lc2 := r.Counter(`test_labeled_total{kind="b"}`, "labeled")
-	lc2.Add(2)
+	r.Gauge(`test_labeled{kind="a"}`, "labeled").Set(1)
+	r.Gauge(`test_labeled{kind="b"}`, "labeled").Set(2)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -57,10 +53,9 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	vals := parseProm(t, text)
 
 	checks := map[string]float64{
-		"test_ops_total":               12345,
 		"test_func":                    7.5,
-		`test_labeled_total{kind="a"}`: 1,
-		`test_labeled_total{kind="b"}`: 2,
+		`test_labeled{kind="a"}`:       1,
+		`test_labeled{kind="b"}`:       2,
 		`test_sizes_bucket{le="1"}`:    1,
 		`test_sizes_bucket{le="10"}`:   3,
 		`test_sizes_bucket{le="100"}`:  4,
@@ -83,10 +78,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Errorf("gauge did not round-trip exactly: got %v", vals["test_ratio"])
 	}
 	// One HELP/TYPE header per family, even for labeled series.
-	if n := strings.Count(text, "# TYPE test_labeled_total "); n != 1 {
+	if n := strings.Count(text, "# TYPE test_labeled "); n != 1 {
 		t.Errorf("labeled family has %d TYPE headers, want 1", n)
 	}
-	if !strings.Contains(text, "# TYPE test_ops_total counter") ||
+	if !strings.Contains(text, "# TYPE test_ratio gauge") ||
 		!strings.Contains(text, "# TYPE test_sizes histogram") {
 		t.Errorf("missing TYPE metadata:\n%s", text)
 	}
@@ -94,21 +89,21 @@ func TestPrometheusRoundTrip(t *testing.T) {
 
 func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "")
-	a.Add(5)
-	b := r.Counter("x_total", "")
+	a := r.Gauge("x", "")
+	a.Set(5)
+	b := r.Gauge("x", "")
 	if a != b {
-		t.Fatal("re-registering a counter must return the same instance")
+		t.Fatal("re-registering a gauge must return the same instance")
 	}
 	if b.Value() != 5 {
-		t.Fatalf("counter state lost on re-register: %d", b.Value())
+		t.Fatalf("gauge state lost on re-register: %v", b.Value())
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("registering an existing name as a different kind must panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.Histogram("x", "", nil)
 }
 
 func TestRegistryValueAndScrapeHooks(t *testing.T) {

@@ -5,24 +5,20 @@ import (
 	"time"
 )
 
-// Scope is one solve's private observability surface: its own span tracer,
-// a registry whose counters/histograms chain into the fleet registry, and
-// an energy meter chaining into the fleet meter. Concurrent solves hold
-// disjoint scopes, so their span trees and metric values never interleave;
-// the fleet observer still sees every write through the chains. A nil *Scope is a no-op and all its
-// accessors return nil no-op handles.
+// Scope is one solve's span tracer under an Observer. Concurrent solves
+// hold disjoint scopes, so their span trees never interleave; metrics,
+// joules and pool stats are process-level and live on the Observer. A nil
+// *Scope is a no-op and all its accessors return nil no-op handles.
 type Scope struct {
 	name   string
 	parent *Observer
 	tracer *Tracer
-	reg    *Registry
-	energy *EnergyMeter
 
 	closed atomic.Bool
 	opened time.Time // host clock at NewScope, for the solve-latency histogram
 }
 
-// Name returns the scope's label value on fleet expositions.
+// Name returns the scope's process name in trace exports.
 func (s *Scope) Name() string {
 	if s == nil {
 		return ""
@@ -38,35 +34,18 @@ func (s *Scope) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Registry returns the scope's chained metric registry.
-func (s *Scope) Registry() *Registry {
+// Observer returns the observer the scope was opened on, whose energy
+// meter and pool stats the solve charges.
+func (s *Scope) Observer() *Observer {
 	if s == nil {
 		return nil
 	}
-	return s.reg
-}
-
-// Energy returns the scope's energy meter.
-func (s *Scope) Energy() *EnergyMeter {
-	if s == nil {
-		return nil
-	}
-	return s.energy
-}
-
-// PoolStats forwards to the owning observer's worker-pool stats: worker
-// busy time is a process-level resource, not a per-solve one.
-func (s *Scope) PoolStats() *PoolStats {
-	if s == nil {
-		return nil
-	}
-	return s.parent.PoolStats()
+	return s.parent
 }
 
 // Close retires the scope: it leaves the observer's active set and its span
 // tree moves to the retired ring where /trace can still render it until
-// eviction recycles the slabs. Close is idempotent and nil-safe; the
-// chained metrics remain valid (further writes still reach the fleet).
+// eviction recycles the slabs. Close is idempotent and nil-safe.
 func (s *Scope) Close() {
 	if s == nil || !s.closed.CompareAndSwap(false, true) {
 		return

@@ -10,8 +10,9 @@ import (
 
 // Server exposes an observer over HTTP:
 //
-//	/metrics  Prometheus text exposition (version 0.0.4): fleet metrics
-//	          plus every scope's metrics under a solve="<name>" label
+//	/metrics  Prometheus text exposition (version 0.0.4) of the
+//	          observer's process-level registry: phase totals over all
+//	          solves, joules per phase, pool and Go runtime state
 //	/trace    Perfetto/Chrome trace-event JSON: one process per scope,
 //	          spans nested solve → iteration → phase → kernel
 //	/flight   controller flight log as JSONL (404 until SetFlight)
@@ -37,7 +38,7 @@ func Serve(addr string, o *Observer) (*Server, error) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := o.WritePrometheusMatch(w, match); err != nil {
+		if err := o.Reg.WritePrometheusMatch(w, match); err != nil {
 			// Headers are already out; nothing useful left to do.
 			return
 		}

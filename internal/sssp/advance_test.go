@@ -183,11 +183,10 @@ func TestSolversAgreeOnParallelPath(t *testing.T) {
 }
 
 // parallelAdvances counts the advances of a scope's solves that ran on the
-// pool rather than inline on the sequential kernel.
+// pool rather than inline on the sequential kernel: the advance is the
+// only pool launch in a solve.
 func parallelAdvances(sc *obs.Scope) int64 {
-	adv, _ := sc.Registry().Value("sssp_advances_total")
-	seq, _ := sc.Registry().Value("sssp_sequential_advances_total")
-	return int64(adv - seq)
+	return sc.Observer().PoolStats().Launches()
 }
 
 // TestAdaptiveSchedulerChoices checks the advance path choice on the two
@@ -198,10 +197,6 @@ func parallelAdvances(sc *obs.Scope) int64 {
 func TestAdaptiveSchedulerChoices(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	counts := func(sc *obs.Scope) (adv, par int64) {
-		v, _ := sc.Registry().Value("sssp_advances_total")
-		return int64(v), parallelAdvances(sc)
-	}
 
 	wiki := gen.WikiLike(0.01, 42)
 	sc := obs.New(0).NewScope("wiki")
@@ -213,18 +208,19 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 	if res.Reached < 2 {
 		t.Fatalf("wiki solve reached %d vertices", res.Reached)
 	}
-	if adv, par := counts(sc); par == 0 || par == adv {
-		t.Errorf("scale-free solve: %d of %d advances parallel, want a mix", par, adv)
+	if par := parallelAdvances(sc); par == 0 || par == int64(res.Iterations) {
+		t.Errorf("scale-free solve: %d of %d advances parallel, want a mix", par, res.Iterations)
 	}
 
 	road := gen.Road(120, 120, 0.1, 1, 100, 11)
 	roadSc := obs.New(0).NewScope("road")
 	defer roadSc.Close()
-	if _, err := NearFar(road, 0, 200, &Options{Pool: pool, Scope: roadSc}); err != nil {
+	res, err = NearFar(road, 0, 200, &Options{Pool: pool, Scope: roadSc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if adv, par := counts(roadSc); par != 0 {
-		t.Errorf("road-like solve: %d of %d advances parallel, want 0", par, adv)
+	if par := parallelAdvances(roadSc); par != 0 {
+		t.Errorf("road-like solve: %d of %d advances parallel, want 0", par, res.Iterations)
 	}
 }
 
@@ -382,16 +378,12 @@ func TestMixedPathStress(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	o := obs.New(0)
-	counter := func(name string) int64 {
-		v, _ := o.Reg.Value(name)
-		return int64(v)
-	}
 	for r, src := range []graph.VID{0, 1, 7, 42} {
 		oracle, err := Dijkstra(g, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv0, seq0 := counter("sssp_advances_total"), counter("sssp_sequential_advances_total")
+		par0 := o.PoolStats().Launches()
 		// Alternate the far queues: rho (the default) and the flat queue.
 		opt := &Options{Pool: pool, Obs: o}
 		if r%2 == 1 {
@@ -406,10 +398,9 @@ func TestMixedPathStress(t *testing.T) {
 				t.Fatalf("round %d src %d: dist[%d]=%d, want %d", r, src, v, res.Dist[v], d)
 			}
 		}
-		adv := counter("sssp_advances_total") - adv0
-		seq := counter("sssp_sequential_advances_total") - seq0
-		if seq == 0 || seq == adv {
-			t.Errorf("round %d src %d: %d of %d advances sequential, want a mix of paths", r, src, seq, adv)
+		seq := int64(res.Iterations) - (o.PoolStats().Launches() - par0)
+		if seq == 0 || seq == int64(res.Iterations) {
+			t.Errorf("round %d src %d: %d of %d advances sequential, want a mix of paths", r, src, seq, res.Iterations)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"energysssp/internal/graph"
-	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
 )
 
@@ -25,24 +24,8 @@ type BatchResult struct {
 // safe to share); pass nil opt or a pool-less Options.
 func Batch(g *graph.Graph, sources []graph.VID, width int,
 	solve func(g *graph.Graph, src graph.VID, opt *Options) (Result, error)) []BatchResult {
-	return BatchObserved(g, sources, width, nil, solve)
-}
-
-// BatchObserved is Batch with an observer shared by every solve: each
-// per-source solve derives its own scope from o, so concurrent solves
-// record into disjoint span trees and label-disjoint metric sets while the
-// fleet registry accumulates their totals. The batch itself counts
-// completed solves and errors at the fleet level. A nil o makes it
-// identical to Batch.
-func BatchObserved(g *graph.Graph, sources []graph.VID, width int, o *obs.Observer,
-	solve func(g *graph.Graph, src graph.VID, opt *Options) (Result, error)) []BatchResult {
 	if width <= 0 {
 		width = parallel.MaxWorkers()
-	}
-	var cSolves, cErrs *obs.Counter // nil-safe when unobserved
-	if o != nil {
-		cSolves = o.Reg.Counter("sssp_batch_solves_total", "batch solves completed")
-		cErrs = o.Reg.Counter("sssp_batch_errors_total", "batch solves that returned an error")
 	}
 	out := make([]BatchResult, len(sources))
 	var wg sync.WaitGroup
@@ -57,12 +40,8 @@ func BatchObserved(g *graph.Graph, sources []graph.VID, width int, o *obs.Observ
 		go func(i int, src graph.VID) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := solve(g, src, &Options{Obs: o})
+			res, err := solve(g, src, &Options{})
 			out[i] = BatchResult{Source: src, Result: res, Err: err}
-			cSolves.Inc()
-			if err != nil {
-				cErrs.Inc()
-			}
 		}(i, src)
 	}
 	wg.Wait()

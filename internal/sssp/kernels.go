@@ -57,13 +57,8 @@ type Kernels struct {
 	// one is nil-safe, so the instrumented sites below run unconditionally
 	// and the off path is the same code as the on path (which is what makes
 	// the obs-on/obs-off sim accounting bit-identical).
-	tr          *obs.Tracer
-	em          *obs.EnergyMeter
-	obsAdvances *obs.Counter
-	obsEdges    *obs.Counter
-	obsUpdates  *obs.Counter
-	obsSeq      *obs.Counter
-	obsX2       *obs.Histogram
+	tr *obs.Tracer
+	em *obs.EnergyMeter
 
 	// Per-call state published to the prebuilt worker closure. The
 	// closure is constructed once in NewKernels and passed by value to
@@ -127,36 +122,19 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 	return kn
 }
 
-// x2Buckets spans the plausible range of per-iteration update counts
-// (the paper's X² parallelism signal): powers of four from 1 to 4M.
-var x2Buckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
-
 // Observe attaches a per-solve observability scope: phase spans go to the
-// scope's tracer, solver totals to its registry (chained into the fleet
-// registry), and kernel energy charges to its energy meter. Call before
-// the first Advance. A nil s is a no-op, leaving the kernels
-// uninstrumented. All metric updates are host-side only and never touch
-// the simulated machine.
+// scope's tracer, kernel energy charges to its observer's energy meter,
+// and pool launches to the observer's pool stats. Call before the first
+// Advance. A nil s is a no-op, leaving the kernels uninstrumented. All of
+// it is host-side only and never touches the simulated machine.
 func (kn *Kernels) Observe(s *obs.Scope) {
 	if s == nil {
 		return
 	}
+	o := s.Observer()
 	kn.tr = s.Tracer()
-	kn.em = s.Energy()
-	reg := s.Registry()
-	kn.obsAdvances = reg.Counter("sssp_advances_total",
-		"advance+filter kernel executions")
-	kn.obsEdges = reg.Counter("sssp_edges_relaxed_total",
-		"edges examined by advance kernels")
-	kn.obsUpdates = reg.Counter("sssp_updates_total",
-		"successful distance updates (sum of per-iteration X2)")
-	kn.obsSeq = reg.Counter("sssp_sequential_advances_total",
-		"advances run inline on the sequential path")
-	kn.obsX2 = reg.Histogram("sssp_x2_updates",
-		"distance updates per advance (the controller's X2 signal)", x2Buckets)
-	reg.Counter("sssp_solves_total", "kernel engines constructed (one per solve)").Inc()
-	registerScratchMetrics(reg)
-	kn.Pool.Observe(s.PoolStats())
+	kn.em = o.Energy()
+	kn.Pool.Observe(o.PoolStats())
 }
 
 // SimNow reads the simulated clock without charging it (0 with no machine).
@@ -273,14 +251,6 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 		spFil.Kernel(int64(res.X2), filSimStart, filDur)
 	}
 	spFil.EndSim(int64(res.X2), filSimStart, filDur)
-
-	kn.obsAdvances.Inc()
-	kn.obsEdges.Add(res.Edges)
-	kn.obsUpdates.Add(int64(res.X2))
-	if seq {
-		kn.obsSeq.Inc()
-	}
-	kn.obsX2.Observe(float64(res.X2))
 	return res
 }
 

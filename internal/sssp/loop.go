@@ -36,10 +36,9 @@ type Schedule interface {
 // advances the frontier (relax and filter), bisects the filter output at
 // the schedule's threshold, defers the far side to s, charges the bisect,
 // and hands the near side to s.Next. alg names the solve's observability
-// scope; setPoint is the controller's parallelism set-point for the health
-// gauges (0 without one). The livelock guard turns a schedule that stops
-// making progress into ErrLivelock rather than a hang.
-func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedule, opt *Options) (Result, error) {
+// scope. The livelock guard turns a schedule that stops making progress
+// into ErrLivelock rather than a hang.
+func Drive(g *graph.Graph, src graph.VID, alg string, s Schedule, opt *Options) (Result, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
@@ -64,7 +63,7 @@ func Drive(g *graph.Graph, src graph.VID, alg string, setPoint float64, s Schedu
 	thr, hdr := s.Start(kn)
 	front := append(kn.frontierBuf(), src)
 
-	pub := newPublisher(opt, sc, setPoint)
+	pub := publisher{rec: opt.Flight, prof: opt.Profile}
 	if opt.Flight != nil {
 		hdr.Vertices, hdr.Edges, hdr.Source = int64(g.NumVertices()), g.NumEdges(), int64(src)
 		opt.Flight.SetHeader(hdr)

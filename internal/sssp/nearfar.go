@@ -31,12 +31,12 @@ func NearFar(g *graph.Graph, src graph.VID, delta graph.Dist, opt *Options) (Res
 		return Result{}, fmt.Errorf("sssp: delta must be >= 1, got %d", delta)
 	}
 	if opt != nil && opt.FarQueue == FarFlat {
-		return Drive(g, src, "nearfar", 0, &flatSchedule{phases: phases{kind: FarFlat, delta: delta}}, opt)
+		return Drive(g, src, "nearfar", &flatSchedule{phases: phases{kind: FarFlat, delta: delta}}, opt)
 	}
 	p := phases{kind: FarRho, delta: delta, width: rhoWidth(delta)}
 	s := &rhoSchedule{phases: p, far: frontier.GetLazy(p.width, delta)}
 	defer s.far.Release()
-	return Drive(g, src, "nearfar", 0, s, opt)
+	return Drive(g, src, "nearfar", s, opt)
 }
 
 // phases is what NearFar's two schedules share: the fixed delta, the

@@ -13,8 +13,8 @@ import (
 )
 
 // TestObsSteadyStateAllocs extends the tentpole's allocation gate to the
-// instrumented path: with a full per-solve scope attached (tracer, counters,
-// histogram), Advance must still perform zero allocations per iteration on
+// instrumented path: with a full per-solve scope attached (tracer, energy
+// meter, pool stats), Advance must still perform zero allocations per iteration on
 // both scheduling paths at every pool size. This is the invariant that lets
 // observability default-on in long experiments without perturbing them.
 func TestObsSteadyStateAllocs(t *testing.T) {
@@ -100,11 +100,10 @@ func TestSpanSteadyStateAllocs(t *testing.T) {
 
 // TestObsScopeChurnConcurrent is the eviction-accumulator gate under real
 // load: many short concurrent solves against one shared observer, far more
-// than the retired ring holds. The fleet counters and the per-phase span
-// totals must come out exact — every evicted scope's contribution folded
-// into the accumulator, none double-counted — and the /metrics exposition
-// must stay bounded at the retired-ring size instead of growing one label
-// set per solve ever run.
+// than the retired ring holds. The per-phase span totals must come out
+// exact — every evicted scope's contribution folded into the accumulator,
+// none double-counted — and the /metrics exposition must carry no
+// per-solve label set at all.
 func TestObsScopeChurnConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -132,39 +131,19 @@ func TestObsScopeChurnConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	var wantUpdates, wantRelaxed int64
+	var advances int64
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("solve %d: %v", i, errs[i])
 		}
-		wantUpdates += results[i].Updates
-		wantRelaxed += results[i].EdgesRelaxed
+		advances += int64(results[i].Iterations)
 	}
 
-	// Fleet counters: exact sums of the per-solve results.
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{"sssp_solves_total", total},
-		{"sssp_updates_total", wantUpdates},
-		{"sssp_edges_relaxed_total", wantRelaxed},
-	} {
-		v, ok := o.Reg.Value(c.name)
-		if !ok || int64(v) != c.want {
-			t.Errorf("fleet %s = %v (%v), want %d", c.name, v, ok, c.want)
-		}
-	}
-
-	// Span totals reconcile with the atomic kernel counter: the advance
-	// phase opens exactly one span per advance+filter execution, so any
-	// eviction double-count or loss shows up as a mismatch here.
-	advances, ok := o.Reg.Value("sssp_advances_total")
-	if !ok || advances <= 0 {
-		t.Fatalf("sssp_advances_total = %v (%v)", advances, ok)
-	}
-	if spans := o.PhaseTotals(obs.PhaseAdvance).Count; spans != int64(advances) {
-		t.Errorf("advance span totals %d != advance counter %d after eviction", spans, int64(advances))
+	// Span totals reconcile with the solves' results: the advance phase
+	// opens exactly one span per iteration, so any eviction double-count
+	// or loss shows up as a mismatch here.
+	if spans := o.PhaseTotals(obs.PhaseAdvance).Count; spans != advances {
+		t.Errorf("advance span totals %d != summed iterations %d after eviction", spans, advances)
 	}
 
 	// Every scope closed, and the retained ring is bounded: everything
@@ -172,22 +151,13 @@ func TestObsScopeChurnConcurrent(t *testing.T) {
 	if active, ok := o.Reg.Value("obs_active_solves"); !ok || active != 0 {
 		t.Fatalf("obs_active_solves = %v (%v), want 0", active, ok)
 	}
-	const retired = 16 // the ring size; total exceeds it
 
-	// /metrics label cardinality: one solve label per retained scope, not
-	// one per solve ever run.
+	// /metrics is process-level: no series grows with the number of solves.
 	var sb strings.Builder
 	if err := o.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	labels := map[string]struct{}{}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if i := strings.Index(line, `solve="`); i >= 0 {
-			rest := line[i+len(`solve="`):]
-			labels[rest[:strings.Index(rest, `"`)]] = struct{}{}
-		}
-	}
-	if len(labels) != retired {
-		t.Errorf("/metrics carries %d solve labels, want %d (the retained ring)", len(labels), retired)
+	if strings.Contains(sb.String(), `solve="`) {
+		t.Errorf("/metrics carries a per-solve label:\n%s", sb.String())
 	}
 }

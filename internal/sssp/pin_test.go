@@ -25,8 +25,12 @@ import (
 // holds more than 245 vertices in a frontier, below the rho extraction
 // batch target (rhoBatchMin = 512 at one worker), so two more pins run rho
 // on WikiLike(0.002, 7), whose frontiers cross it: one with one worker and
-// one with a 4-worker pool, whose target is 1024. A change to either
-// target moves its log, and the two logs must differ. Every frontier of
+// one with a 4-worker pool, whose target is 1024, and the two logs must
+// differ. The 4-worker pin catches its target falling to the one-worker
+// floor (rhoBatchPerWorker = 2·advanceGrain, target 512, moves the log).
+// It does not catch a retune of rhoBatchPerWorker anywhere from 3× to 8×
+// advanceGrain (targets 768 to 2048): WikiLike's buckets are coarser than
+// those targets, so all of them record the same log. Every frontier of
 // the 4-worker solve stays at or below the advance's sequential cutoff
 // (seqCutoffEdges·n/m vertices), so each advance runs inline and the log
 // does not depend on scheduling; the test fails if that stops holding.

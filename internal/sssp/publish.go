@@ -5,18 +5,16 @@ import (
 
 	"energysssp/internal/flight"
 	"energysssp/internal/metrics"
-	"energysssp/internal/obs"
 )
 
 // publisher passes each iteration's flight record to every sink attached
-// to a solve: the flight recorder, the Profile and the controller-health
-// gauges. The record is the one per-iteration record; every other view is
-// derived from it here. The zero publisher has no sink; while active
-// reports false the loop skips filling the record.
+// to a solve: the flight recorder and the Profile. The record is the one
+// per-iteration record; every other view is derived from it. The zero
+// publisher has no sink; while active reports false the loop skips filling
+// the record.
 type publisher struct {
-	rec    *flight.Recorder
-	prof   *metrics.Profile
-	health *health
+	rec  *flight.Recorder
+	prof *metrics.Profile
 
 	// Cumulative simulated time and energy of the previous record, for the
 	// Profile's per-iteration average power.
@@ -24,23 +22,9 @@ type publisher struct {
 	prevJ     float64
 }
 
-// newPublisher returns the publisher for a solve with options opt and
-// scope sc (nil: none). setPoint is the controller's P for the health
-// gauges (0 when the solve has none). It is returned by value so a solve
-// allocates nothing for it.
-func newPublisher(opt *Options, sc *obs.Scope, setPoint float64) publisher {
-	return publisher{
-		rec:    opt.Flight,
-		prof:   opt.Profile,
-		health: newHealth(sc, setPoint),
-	}
-}
-
-// active reports whether any sink is attached. A scope alone is not a
-// sink: it takes the record only through the health gauges, which exist
-// only for a solve with a set-point.
+// active reports whether any sink is attached.
 func (p *publisher) active() bool {
-	return p.rec != nil || p.prof != nil || p.health != nil
+	return p.rec != nil || p.prof != nil
 }
 
 // publish hands one finished iteration's record to every sink. edges is
@@ -61,5 +45,4 @@ func (p *publisher) publish(rec *flight.Record, edges int64) {
 		p.prevSimNs, p.prevJ = rec.SimTimeNs, rec.EnergyJ
 		p.prof.Append(st)
 	}
-	p.health.observe(rec)
 }

@@ -6,7 +6,6 @@ import (
 
 	"energysssp/internal/bitmap"
 	"energysssp/internal/graph"
-	"energysssp/internal/obs"
 )
 
 // counters is one worker's advance reduction slot, padded to a cache line.
@@ -43,34 +42,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // reuse scratch across sources.
 var scratchBitmapAllocs atomic.Int64
 
-// scratchGets counts getScratch calls; with scratchBitmapAllocs it yields
-// the pool hit rate exposed by registerScratchMetrics.
-var scratchGets atomic.Int64
-
-// registerScratchMetrics exposes the scratch pool's process-wide hit rate.
-// Idempotent per registry (GaugeFunc replaces the function).
-func registerScratchMetrics(r *obs.Registry) {
-	r.GaugeFunc("sssp_scratch_gets_total",
-		"scratch acquisitions (one per solve)",
-		func() float64 { return float64(scratchGets.Load()) })
-	r.GaugeFunc("sssp_scratch_misses_total",
-		"scratch acquisitions that had to allocate a fresh bitmap",
-		func() float64 { return float64(scratchBitmapAllocs.Load()) })
-	r.GaugeFunc("sssp_scratch_hit_rate",
-		"fraction of scratch acquisitions served fully from the pool",
-		func() float64 {
-			gets := scratchGets.Load()
-			if gets == 0 {
-				return 0
-			}
-			return 1 - float64(scratchBitmapAllocs.Load())/float64(gets)
-		})
-}
-
 // getScratch returns a pooled scratch sized for n vertices and the given
 // worker count, growing components as needed.
 func getScratch(n, workers int) *scratch {
-	scratchGets.Add(1)
 	s := scratchPool.Get().(*scratch)
 	if s.seen == nil || s.seen.Len() < n {
 		s.seen = bitmap.New(n)

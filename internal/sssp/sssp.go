@@ -53,11 +53,11 @@ type Options struct {
 	// Obs, when non-nil, attaches the runtime observability plane. Each
 	// solver derives its own per-solve Scope from it (closed when the
 	// solve finishes), so concurrent solves sharing one Observer get
-	// disjoint span trees and scoped metrics that aggregate into the
-	// fleet registry. It is host-side only — simulated time
-	// and energy are bit-identical with Obs set or nil — and it preserves
-	// the zero-allocation steady state (gated by TestObsSteadyStateAllocs
-	// and TestSpanSteadyStateAllocs).
+	// disjoint span trees; their joules and pool launches go to the
+	// Observer's process-level meter and stats. It is host-side only —
+	// simulated time and energy are bit-identical with Obs set or nil —
+	// and it preserves the zero-allocation steady state (gated by
+	// TestObsSteadyStateAllocs and TestSpanSteadyStateAllocs).
 	Obs *obs.Observer
 	// Scope, when non-nil, supplies a pre-made observability scope instead
 	// of deriving one from Obs. The caller owns its lifecycle (the solver

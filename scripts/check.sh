@@ -45,7 +45,8 @@ GOMAXPROCS=4 go test -count=1 ./internal/sssp/ ./internal/core/ ./internal/harne
 
 echo "==> go test -race: concurrent solves on one shared observer (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
-# recording disjoint span trees and exact fleet-equals-sum-of-scopes metrics.
+# recording disjoint span trees, and the observer's advance spans and joules
+# must equal the sums over both runs.
 go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
 
 echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue)"
