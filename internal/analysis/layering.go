@@ -42,7 +42,6 @@ var layerRules = []layerRule{
 	{"internal/sim", append(upward, presentation...), "base layers must not import upward"},
 	{"internal/sgd", append(upward, presentation...), "base layers must not import upward"},
 	{"internal/frontier", append(upward, presentation...), "base layers must not import upward"},
-	{"internal/bitmap", append(upward, presentation...), "base layers must not import upward"},
 	{"internal/gen", append(upward, presentation...), "base layers must not import upward"},
 	{"internal/metrics", append(upward, presentation...), "base layers must not import upward"},
 	{"internal/dvfs", append(upward, presentation...), "base layers must not import upward"},

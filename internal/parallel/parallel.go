@@ -88,15 +88,23 @@ func (p *Pool) Close() {
 }
 
 // Observe attaches (or, with nil, detaches) a launch/busy-time accumulator
-// and enables its per-worker busy table for this pool's size. Observation
-// times each Run launch (and each worker's share of it) with host clock
-// reads; an unobserved pool pays one atomic load per launch. The stats
+// and enables its per-worker busy table for this pool's size. Pair it with
+// Unobserve when the observed work ends, so later launches are neither
+// timed nor counted. Observation times each Run launch (and each worker's
+// share of it) with host clock reads; an unobserved pool pays one atomic
+// load per launch. The stats
 // pointer is atomic so concurrent solves observing one shared pool stay
 // race-free. Host-side only — simulated time and energy are charged by
 // internal/sim regardless of whether the pool is observed.
 func (p *Pool) Observe(s *PoolStats) {
 	s.EnableWorkers(p.size)
 	p.stats.Store(s)
+}
+
+// Unobserve detaches s if it is still the pool's accumulator, and leaves
+// an accumulator attached since then in place.
+func (p *Pool) Unobserve(s *PoolStats) {
+	p.stats.CompareAndSwap(s, nil)
 }
 
 // Run invokes f once per worker, concurrently, and waits for all invocations

@@ -227,3 +227,26 @@ func BenchmarkDynamicFor(b *testing.B) {
 		})
 	}
 }
+
+// TestUnobserveDetachesOnlyItsOwnStats checks that Unobserve stops the
+// timing of later launches, and that it leaves in place an accumulator
+// attached after the one it names.
+func TestUnobserveDetachesOnlyItsOwnStats(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var a, b PoolStats
+	p.Observe(&a)
+	p.Run(func(int) {})
+	p.Unobserve(&a)
+	p.Run(func(int) {})
+	if got := a.Launches(); got != 1 {
+		t.Fatalf("detached stats count %d launches, want 1", got)
+	}
+	p.Observe(&a)
+	p.Observe(&b)
+	p.Unobserve(&a)
+	p.Run(func(int) {})
+	if a.Launches() != 1 || b.Launches() != 1 {
+		t.Fatalf("launches a=%d b=%d, want 1 each: the newer stats must stay attached", a.Launches(), b.Launches())
+	}
+}

@@ -98,6 +98,11 @@ type Machine struct {
 	lastLoad   float64
 	peakWatts  float64
 	setFreqLog int
+
+	// voltScale caches Kernel's (coreRatio)^CoreVoltageExp at voltFreq
+	// (zero, never a valid frequency, until the first kernel).
+	voltFreq  Freq
+	voltScale float64
 }
 
 // NewMachine creates a machine for dev at its maximum frequencies with no
@@ -208,7 +213,11 @@ func (m *Machine) Kernel(kind KernelKind, items int) time.Duration {
 	// Whenever the GPU clocks are up, the rails draw a voltage-scaled
 	// static floor above board idle — this is what makes lower DVFS
 	// points cheaper even in launch-overhead-dominated phases.
-	activeW := d.IdleWatts + d.StaticActiveWatts*math.Pow(coreRatio, d.CoreVoltageExp)
+	if m.voltFreq != m.freq {
+		m.voltFreq = m.freq
+		m.voltScale = math.Pow(coreRatio, d.CoreVoltageExp)
+	}
+	activeW := d.IdleWatts + d.StaticActiveWatts*m.voltScale
 	// Launch: host driver portion plus device dispatch that stretches
 	// with a slower core clock.
 	launch := time.Duration(d.LaunchHostNs + d.LaunchDevNs/coreRatio)
@@ -253,7 +262,7 @@ func (m *Machine) Kernel(kind KernelKind, items int) time.Duration {
 		uMem = 1
 	}
 	watts := activeW +
-		d.CoreDynWatts*uCore*math.Pow(coreRatio, d.CoreVoltageExp) +
+		d.CoreDynWatts*uCore*m.voltScale +
 		d.MemDynWatts*uMem
 
 	m.charge(launch, activeW)

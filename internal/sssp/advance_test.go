@@ -226,7 +226,8 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 
 // TestAdvanceSteadyStateAllocs is the allocation regression gate of the
 // tentpole: once buffers have warmed up, Advance must perform zero
-// allocations per iteration on both scheduling paths at every pool size.
+// allocations per iteration on both scheduling paths at every pool size,
+// including the call whose filter epoch wraps and clears the mark.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	for _, ps := range []int{1, 4} {
@@ -249,6 +250,12 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			kn.Advance(frontier) // warm the full-frontier path
+			// Measure across the filter's epoch wrap and mark clear. Every
+			// mark byte must stay at most the epoch, so only raise it.
+			if kn.sc.epoch > 250 {
+				t.Fatalf("pool %d %s: epoch %d already past the preset", ps, path.name, kn.sc.epoch)
+			}
+			kn.sc.epoch = 250
 			allocs := testing.AllocsPerRun(10, func() {
 				kn.Advance(frontier)
 			})
@@ -263,7 +270,7 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 
 // TestBatchScratchReuse proves batch solves stop re-allocating vertex-sized
 // temporaries per source: after a warm-up batch has populated the scratch
-// pool, further batches allocate no new filter bitmaps (the marker for a
+// pool, further batches allocate no new filter marks (the marker for a
 // scratch cache miss). GC is disabled for the duration so sync.Pool cannot
 // drop warmed entries mid-test.
 //
@@ -296,14 +303,14 @@ func TestBatchScratchReuse(t *testing.T) {
 	for _, s := range held {
 		putScratch(s)
 	}
-	before := scratchBitmapAllocs.Load()
+	before := scratchMarkAllocs.Load()
 	for round := 0; round < 3; round++ {
 		if err := FirstError(BatchNearFar(g, sources, 25, width)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if grew := scratchBitmapAllocs.Load() - before; grew != 0 {
-		t.Errorf("3 warmed batches allocated %d fresh scratch bitmaps, want 0 (scratch not reused)", grew)
+	if grew := scratchMarkAllocs.Load() - before; grew != 0 {
+		t.Errorf("3 warmed batches allocated %d fresh scratch marks, want 0 (scratch not reused)", grew)
 	}
 }
 
@@ -367,7 +374,7 @@ func TestParallelAdvanceStress(t *testing.T) {
 // graph on one 4-worker pool, where iterations switch between the plain
 // sequential kernel and the parallel atomic ones. Under the race detector
 // (scripts/check.sh runs it with -race) this checks that the plain
-// distance and bitmap accesses are ordered against the workers' atomics by
+// distance and mark accesses are ordered against the workers' atomics by
 // the pool's join. Each solve must take both kinds of path and match the
 // Dijkstra oracle. Skipped under -short.
 func TestMixedPathStress(t *testing.T) {

@@ -37,8 +37,9 @@ const (
 // Kernels bundles the relaxation machinery shared by the near-far baseline
 // and the self-tuning algorithm: the advance stage (edge-parallel
 // relaxation with atomic-min, or a plain sequential relax on small
-// frontiers) followed by the filter stage (bitmap deduplication after the
-// join), mirroring how Gunrock structures the same work on a GPU.
+// frontiers) followed by the filter stage (deduplication through an
+// epoch-stamped byte mark after the join), mirroring how Gunrock
+// structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
 // pooled scratch.
@@ -59,6 +60,7 @@ type Kernels struct {
 	// the obs-on/obs-off sim accounting bit-identical).
 	tr *obs.Tracer
 	em *obs.EnergyMeter
+	ps *parallel.PoolStats // attached to Pool by Observe, detached by Release
 
 	// Per-call state published to the prebuilt worker closure. The
 	// closure is constructed once in NewKernels and passed by value to
@@ -70,7 +72,7 @@ type Kernels struct {
 }
 
 // NewKernels prepares the engine. dist must be the solver's live distance
-// array (len == NumVertices), already initialized. The scratch (bitmap,
+// array (len == NumVertices), already initialized. The scratch (filter mark,
 // buffers, counters) comes from a process-wide pool; pair every NewKernels
 // with a Release.
 func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []graph.Dist) *Kernels {
@@ -124,9 +126,10 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 
 // Observe attaches a per-solve observability scope: phase spans go to the
 // scope's tracer, kernel energy charges to its observer's energy meter,
-// and pool launches to the observer's pool stats. Call before the first
-// Advance. A nil s is a no-op, leaving the kernels uninstrumented. All of
-// it is host-side only and never touches the simulated machine.
+// and pool launches to the observer's pool stats until Release. Call
+// before the first Advance. A nil s is a no-op, leaving the kernels
+// uninstrumented. All of it is host-side only and never touches the
+// simulated machine.
 func (kn *Kernels) Observe(s *obs.Scope) {
 	if s == nil {
 		return
@@ -134,7 +137,8 @@ func (kn *Kernels) Observe(s *obs.Scope) {
 	o := s.Observer()
 	kn.tr = s.Tracer()
 	kn.em = o.Energy()
-	kn.Pool.Observe(o.PoolStats())
+	kn.ps = o.PoolStats()
+	kn.Pool.Observe(kn.ps)
 }
 
 // SimNow reads the simulated clock without charging it (0 with no machine).
@@ -150,9 +154,13 @@ func (kn *Kernels) SimNow() time.Duration {
 // tracer is nil-safe, so drivers call Begin/Mark on it unconditionally.
 func (kn *Kernels) Trace() *obs.Tracer { return kn.tr }
 
-// Release returns the pooled scratch. The Kernels value and the Out slice
-// of its last AdvanceResult must not be used afterwards.
+// Release returns the pooled scratch and detaches the pool stats Observe
+// attached, unless another solve has attached its own since. The Kernels
+// value and the Out slice of its last AdvanceResult must not be used
+// afterwards.
 func (kn *Kernels) Release() {
+	kn.Pool.Unobserve(kn.ps)
+	kn.ps = nil
 	if kn.sc != nil {
 		putScratch(kn.sc)
 		kn.sc = nil
@@ -190,9 +198,9 @@ type AdvanceResult struct {
 // Advance executes the advance and filter stages over the given frontier:
 // every outgoing edge of every frontier vertex is relaxed with a min
 // (atomic on the parallel path), each worker lists its winning updates,
-// the filter deduplicates the lists after the join, and the simulated
-// machine (if any) is charged an edge-parallel advance kernel plus a
-// vertex-parallel filter kernel.
+// the filter deduplicates the lists after the join against the scratch's
+// epoch-stamped byte mark, and the simulated machine (if any) is charged
+// an edge-parallel advance kernel plus a vertex-parallel filter kernel.
 //
 // The frontier runs on one of two host-side paths — inline on the plain
 // sequential kernel, or on the pool over dynamically claimed vertex
@@ -228,8 +236,7 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	}
 	// Charge order is advance then filter, exactly as before observability:
 	// the advance charge closes the advance span, the filter charge closes
-	// the filter span (which covers the host-side merge, dedup and bitmap
-	// clear).
+	// the filter span (which covers the host-side merge and dedup).
 	advSimStart := kn.SimNow()
 	if kn.Mach != nil {
 		e0 := kn.Mach.Energy()
@@ -256,12 +263,14 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 
 // filter is the host side of the filter stage, run after the join on every
 // path. It walks the per-worker update lists in worker order and keeps the
-// first occurrence of each vertex, then clears the dedup bits it set
-// (O(|Out|)), so the bitmap is all clear again for the next advance. Only
-// the calling goroutine touches the bitmap, and Out's order is a function
-// of the update lists alone. Like the sequential relax loop, the pass is
-// predicated: each vertex is written to the output and the count advances
-// by the bit's novelty. The lists are left intact.
+// first occurrence of each vertex: v is new when mark[v] != epoch, and the
+// pass stamps it. Each call takes the next epoch, so every older stamp is
+// stale without a clear pass; on the wrap to 0 the mark is cleared once and
+// the epoch restarts at 1. Only the calling goroutine touches the mark,
+// and Out's order is a function of the update lists alone. Like the
+// sequential relax loop, the pass is predicated: each vertex is written to
+// the output and the count advances by its novelty. The lists are left
+// intact.
 func (kn *Kernels) filter(nw int) []graph.VID {
 	sc := kn.sc
 	total := 0
@@ -269,18 +278,22 @@ func (kn *Kernels) filter(nw int) []graph.VID {
 		total += len(b)
 	}
 	out := slices.Grow(sc.out[:0], total)[:total]
-	seen := sc.seen
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	mark, epoch := sc.mark, sc.epoch
 	m := 0
 	for _, b := range sc.bufs[:nw] {
 		for _, v := range b {
+			p := &mark[v]
 			out[m] = v
-			m += int(seen.SetPlainBit(int(v)))
+			m += int(b2u(*p != epoch))
+			*p = epoch
 		}
 	}
 	out = out[:m]
-	for _, v := range out {
-		seen.Clear(int(v))
-	}
 	sc.out = out
 	return out
 }
@@ -300,7 +313,7 @@ func (kn *Kernels) filter(nw int) []graph.VID {
 // Validate reject weights below 1, so no weight test is needed. The buffer
 // then holds every update in order, and the filter stage keeps the first
 // occurrence of each vertex. Deduplicating after the loop keeps the
-// bitmap's read-modify-write out of the relax loop, where it would chain
+// mark's load and store out of the relax loop, where it would chain
 // each edge to the previous edge's distance miss. The visit order is that
 // of the branching kernel, so X², Edges and the Out order are too.
 // Writing unconditionally needs degree(u) spare slots before each frontier

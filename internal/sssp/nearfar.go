@@ -14,7 +14,8 @@ import (
 // the four stages:
 //
 //  1. advance — relax all outgoing edges of the frontier (atomic-min);
-//  2. filter — deduplicate updated vertices through a bitmap;
+//  2. filter — deduplicate updated vertices through an epoch-stamped
+//     byte mark (Gunrock uses a bitmap);
 //  3. bisect-frontier — keep vertices with distance <= (i+1)·delta in the
 //     near frontier, push the rest onto the far queue;
 //  4. bisect-far-queue — when the near frontier drains, advance the phase

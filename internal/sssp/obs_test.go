@@ -161,3 +161,28 @@ func TestObsScopeChurnConcurrent(t *testing.T) {
 		t.Errorf("/metrics carries a per-solve label:\n%s", sb.String())
 	}
 }
+
+// TestPoolObservationEndsWithSolve checks that an observed solve detaches
+// its pool stats when it ends: NearFar on a scale-free graph with a
+// 4-worker pool is observed once (and launches the pool), then run again
+// unobserved on the same pool, and the observer's launch count must not
+// grow.
+func TestPoolObservationEndsWithSolve(t *testing.T) {
+	g := gen.WikiLike(0.01, 42)
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	o := obs.New(0)
+	if _, err := NearFar(g, 0, 1000, &Options{Pool: pool, Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	observed := o.PoolStats().Launches()
+	if observed == 0 {
+		t.Fatal("observed solve launched the pool 0 times")
+	}
+	if _, err := NearFar(g, 0, 1000, &Options{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.PoolStats().Launches(); got != observed {
+		t.Errorf("observer counts %d launches after an unobserved solve, want %d", got, observed)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"energysssp/internal/bitmap"
 	"energysssp/internal/graph"
 )
 
@@ -16,18 +15,17 @@ type counters struct {
 }
 
 // scratch is the distance-array-sized working memory of one Kernels value:
-// the filter bitmap, the per-worker update buffers, the filter output, the
-// bisect far-candidate buffer, the solver's frontier buffer, and the
-// per-worker counter blocks. Scratch is pooled so batch solves (one Kernels per source,
-// internal/sssp.Batch) stop re-allocating vertex-sized temporaries on
-// every solve.
+// the filter's epoch-stamped mark, the per-worker update buffers, the
+// filter output, the bisect far-candidate buffer, the solver's frontier
+// buffer, and the per-worker counter blocks. Scratch is pooled so batch
+// solves (one Kernels per source, internal/sssp.Batch) stop re-allocating
+// vertex-sized temporaries on every solve.
 //
-// Invariant: a released scratch has an all-clear bitmap. Advance clears
-// every bit it sets before returning, so the invariant holds along
-// every solver path, including early livelock-guard exits (those happen
-// between Advance calls).
+// Invariant: every mark byte is at most epoch (see Kernels.filter), so a
+// scratch needs no cleanup on any exit path and serves graphs of any size.
 type scratch struct {
-	seen   *bitmap.Bitmap
+	mark   []uint8
+	epoch  uint8
 	bufs   [][]graph.VID
 	out    []graph.VID // the filter's deduplicated output (AdvanceResult.Out)
 	far    []graph.VID // Bisect's far-candidate buffer
@@ -37,18 +35,18 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// scratchBitmapAllocs counts fresh bitmap allocations, i.e. scratch cache
+// scratchMarkAllocs counts fresh mark allocations, i.e. scratch cache
 // misses for the largest component. Tests use it to prove batch solves
 // reuse scratch across sources.
-var scratchBitmapAllocs atomic.Int64
+var scratchMarkAllocs atomic.Int64
 
 // getScratch returns a pooled scratch sized for n vertices and the given
 // worker count, growing components as needed.
 func getScratch(n, workers int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	if s.seen == nil || s.seen.Len() < n {
-		s.seen = bitmap.New(n)
-		scratchBitmapAllocs.Add(1)
+	if len(s.mark) < n {
+		s.mark = make([]uint8, n)
+		scratchMarkAllocs.Add(1)
 	}
 	if len(s.bufs) < workers {
 		bufs := make([][]graph.VID, workers)

@@ -301,12 +301,12 @@ func TestKernelsAdvanceCountsAndDedup(t *testing.T) {
 			t.Fatalf("dist[%d] = %d, want 5", v, dist[v])
 		}
 	}
-	// Bitmap must be clear for the next round: advancing an empty
-	// frontier then the same one must dedup identically.
+	// The next filter call's epoch must make the first call's marks
+	// stale: advancing the same frontier again must dedup identically.
 	dist[1], dist[2], dist[3], dist[4] = graph.Inf, graph.Inf, graph.Inf, graph.Inf
 	adv2 := kn.Advance([]graph.VID{0})
 	if len(adv2.Out) != 4 {
-		t.Fatalf("bitmap not reset: Out = %v", adv2.Out)
+		t.Fatalf("marks of the previous filter call still count: Out = %v", adv2.Out)
 	}
 }
 
