@@ -188,14 +188,6 @@ type RunConfig struct {
 	// Workers sizes the goroutine pool (0 = single-threaded, -1 = all
 	// CPUs); Run rejects more than 1024.
 	Workers int
-	// Relabel applies vertex-relabeling preprocessing before solving:
-	// "degree" renumbers hub-first by descending out-degree (scale-free
-	// graphs), "bfs" renumbers in BFS discovery order from src (road
-	// networks), "" or "none" solves on the graph as given. The solver
-	// runs on the relabeled CSR — the cache-locality win — and every
-	// per-vertex output (Dist, Parents) is mapped back to the caller's
-	// original vertex ids, so relabeling is invisible in the results.
-	Relabel string
 	// FarQueue pins the far-queue structure for NearFar: "flat" (the
 	// paper baseline's rescanning queue), "rho" (lazy-batched fine
 	// buckets), or ""/"auto" (rho). Exact distances either way.
@@ -385,31 +377,6 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 		defer pool.Close()
 	}
 
-	// Relabeling preprocessing: solve on the cache-friendly renumbered CSR,
-	// map every per-vertex output back to original ids afterwards.
-	runG, runSrc := g, src
-	var inv []VID
-	switch strings.ToLower(cfg.Relabel) {
-	case "", "none":
-	case "degree", "bfs":
-		if src < 0 || int(src) >= g.NumVertices() {
-			return nil, fmt.Errorf("energysssp: source %d out of range for relabeling", src)
-		}
-		var perm []VID
-		if strings.ToLower(cfg.Relabel) == "degree" {
-			perm = g.DegreeOrder()
-		} else {
-			perm = g.BFSOrder(src)
-		}
-		rg, err := g.Relabel(perm)
-		if err != nil {
-			return nil, err
-		}
-		runG, runSrc = rg, perm[src]
-		inv = graph.InversePerm(perm)
-	default:
-		return nil, fmt.Errorf("energysssp: unknown relabel order %q (want none, degree, or bfs)", cfg.Relabel)
-	}
 	var mach *sim.Machine
 	if cfg.Device != "" {
 		dev, err := sim.DeviceByName(cfg.Device)
@@ -454,21 +421,16 @@ func Run(g *Graph, src VID, cfg RunConfig) (*RunOutput, error) {
 	var res sssp.Result
 	switch cfg.Algorithm {
 	case Dijkstra:
-		res, err = sssp.Dijkstra(runG, runSrc, opt)
+		res, err = sssp.Dijkstra(g, src, opt)
 	case NearFar:
-		res, err = sssp.NearFar(runG, runSrc, delta, opt)
+		res, err = sssp.NearFar(g, src, delta, opt)
 	case SelfTuning:
-		res, err = core.Solve(runG, runSrc, core.Config{P: cfg.SetPoint}, opt)
+		res, err = core.Solve(g, src, core.Config{P: cfg.SetPoint}, opt)
 	default:
 		return nil, fmt.Errorf("energysssp: unknown algorithm %v", cfg.Algorithm)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if inv != nil {
-		// Back to original vertex ids; Parents below then derives from the
-		// original graph, so relabeling never leaks into the output.
-		res.Dist = graph.ApplyPerm(res.Dist, inv)
 	}
 
 	out := &RunOutput{Result: res, Profile: prof}

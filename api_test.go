@@ -133,7 +133,6 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{0, RunConfig{Algorithm: NearFar, FarQueue: "lazy"}},
 		{0, RunConfig{Algorithm: NearFar, Workers: maxPoolWorkers + 1}},
-		{0, RunConfig{Algorithm: NearFar, Relabel: "zigzag"}},
 		{0, RunConfig{Algorithm: NearFar, Device: "RTX"}},
 		{0, RunConfig{Algorithm: NearFar, Device: "TK1", Freq: "9/9"}},
 		{0, RunConfig{Algorithm: NearFar, PowerTrace: true}},
@@ -387,59 +386,6 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 	if len(tabs) < 13 {
 		t.Fatalf("tables = %d", len(tabs))
-	}
-}
-
-// Relabeled runs must return results keyed by the caller's original vertex
-// ids: identical distance vectors to an un-relabeled oracle run, and a
-// parent tree that walks the original graph.
-func TestRunRelabelOriginalIDs(t *testing.T) {
-	g := WikiLike(0.003, 7)
-	src := VID(3)
-	ref, err := Run(g, src, RunConfig{Algorithm: Dijkstra})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, order := range []string{"degree", "bfs"} {
-		for _, algo := range []Algorithm{Dijkstra, NearFar, SelfTuning} {
-			out, err := Run(g, src, RunConfig{Algorithm: algo, Workers: 2, SetPoint: 64, Relabel: order})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", order, algo, err)
-			}
-			for v := range out.Dist {
-				if out.Dist[v] != ref.Dist[v] {
-					t.Fatalf("%s/%v: dist[%d] = %d, want %d (results must map back to original ids)",
-						order, algo, v, out.Dist[v], ref.Dist[v])
-				}
-			}
-		}
-	}
-	// Paths ride on the mapped-back distances, so the tree is original-id.
-	out, err := Run(g, src, RunConfig{Algorithm: NearFar, Relabel: "degree", Paths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := VID(-1)
-	for v := range out.Dist {
-		if VID(v) != src && out.Dist[v] < Inf {
-			target = VID(v)
-		}
-	}
-	if target < 0 {
-		t.Fatal("no reachable target")
-	}
-	path, err := ShortestPath(out, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) < 2 || path[0] != src || path[len(path)-1] != target {
-		t.Fatalf("path: %v", path)
-	}
-	if _, err := Run(g, src, RunConfig{Relabel: "zigzag"}); err == nil {
-		t.Fatal("unknown relabel order accepted")
-	}
-	if _, err := Run(g, VID(-4), RunConfig{Relabel: "degree"}); err == nil {
-		t.Fatal("out-of-range source accepted for relabeling")
 	}
 }
 

@@ -262,34 +262,6 @@ func BenchmarkFarQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkNearFarCalRelabeled is the memory-layout half of the far-queue
-// work: the identical solve as BenchmarkNearFarCal but on the degree-ordered
-// relabeling of the graph (hot hub rows first, so the advance kernel's
-// dist[] and CSR accesses concentrate in warm cache lines). Simulated
-// figures are invariant under relabeling; the delta to BenchmarkNearFarCal
-// is pure host locality.
-func BenchmarkNearFarCalRelabeled(b *testing.B) {
-	e := env()
-	g := e.Graph(gen.Cal)
-	perm := g.DegreeOrder()
-	rg, err := g.Relabel(perm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := perm[e.Source(gen.Cal)]
-	delta := e.BestDelta(gen.Cal, sim.TK1())
-	pool := parallel.NewPool(0)
-	defer pool.Close()
-	opt := &sssp.Options{Pool: pool}
-	b.SetBytes(int64(rg.NumEdges()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sssp.NearFar(rg, src, delta, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchAdvance measures one steady-state advance over the full reachable
 // frontier (distances pre-converged, so the pass scans every frontier edge
 // without mutating state — a repeatable, constant-work iteration). SetBytes
@@ -448,24 +420,6 @@ func BenchmarkFlightAdvance(b *testing.B) {
 		on.FlightLog = NewFlightRecorder(0)
 		run(b, on)
 	})
-}
-
-// BenchmarkBatchNearFar measures many-source batch throughput, the workload
-// the pooled per-solve scratch exists for (allocs/op is the headline here).
-func BenchmarkBatchNearFar(b *testing.B) {
-	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1, 99, 23)
-	sources := make([]VID, 32)
-	for i := range sources {
-		sources[i] = VID(i * 127 % g.NumVertices())
-	}
-	b.SetBytes(int64(g.NumEdges()) * int64(len(sources)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sssp.FirstError(sssp.BatchNearFar(g, sources, 25, 4)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPageRank measures the Section 6 PageRank generalization at a

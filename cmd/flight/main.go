@@ -1,7 +1,7 @@
-// Command flight records, replays, diffs, and visualizes controller flight
-// logs — the black-box recorder for the self-tuning SSSP controller.
+// Command flight replays, diffs, and visualizes controller flight logs —
+// the black-box recorder for the self-tuning SSSP controller. Record a log
+// with `sssp -flight-out run.jsonl`.
 //
-//	flight record -dataset cal -scale 0.01 -P 500 -device TK1 -o run.jsonl
 //	flight replay run.jsonl          # re-execute; exit 1 on any bit mismatch
 //	flight diff a.jsonl b.jsonl      # exit 0 identical, 1 diverged, 2 error
 //	flight show run.jsonl            # ASCII convergence dashboard + findings
@@ -13,13 +13,7 @@ import (
 	"os"
 
 	"energysssp/internal/core"
-	"energysssp/internal/dvfs"
 	"energysssp/internal/flight"
-	"energysssp/internal/gen"
-	"energysssp/internal/graph"
-	"energysssp/internal/parallel"
-	"energysssp/internal/sim"
-	"energysssp/internal/sssp"
 )
 
 func main() {
@@ -29,8 +23,6 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "record":
-		err = cmdRecord(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
 	case "diff":
@@ -55,99 +47,12 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: flight <command> [flags]
 
 commands:
-  record   run a solver with the flight recorder attached and write the log
   replay   re-execute a log's controller trajectory; fail on any bit mismatch
   diff     align two logs and report the first divergence and field deltas
   show     render an ASCII convergence dashboard with divergence findings
 
 run 'flight <command> -h' for that command's flags.
 `)
-}
-
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("flight record", flag.ExitOnError)
-	var (
-		graphPath = fs.String("graph", "", "graph file (.gr/.mtx/.tsv); overrides -dataset")
-		dataset   = fs.String("dataset", "cal", "generated dataset: cal or wiki")
-		scale     = fs.Float64("scale", 0.01, "dataset scale (1.0 = paper size)")
-		seed      = fs.Uint64("seed", 42, "generator seed")
-		algo      = fs.String("algo", "selftuning", "selftuning or nearfar")
-		setPoint  = fs.Float64("P", 500, "parallelism set-point for selftuning")
-		delta     = fs.Int64("delta", 0, "fixed delta for nearfar (0 = avg edge weight)")
-		source    = fs.Int("source", 0, "source vertex id")
-		workers   = fs.Int("workers", 1, "worker goroutines (-1 = all CPUs, 0/1 = sequential)")
-		device    = fs.String("device", "", "simulated board: TK1 or TX1 (empty = no simulation)")
-		capacity  = fs.Int("capacity", 1<<16, "recorder ring capacity in records")
-		out       = fs.String("o", "flight.jsonl", "output log path (- for stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	g, err := loadOrGenerate(*graphPath, *dataset, *scale, *seed)
-	if err != nil {
-		return err
-	}
-	rec := flight.NewRecorder(*capacity)
-	opt := &sssp.Options{Flight: rec}
-	if *workers < 0 || *workers > 1 {
-		pool := parallel.NewPool(max(*workers, 0))
-		defer pool.Close()
-		opt.Pool = pool
-	}
-	if *device != "" {
-		dev, err := sim.DeviceByName(*device)
-		if err != nil {
-			return err
-		}
-		mach := sim.NewMachine(dev)
-		mach.SetGovernor(dvfs.NewOndemand())
-		opt.Machine = mach
-	}
-
-	src := graph.VID(*source)
-	var res sssp.Result
-	switch *algo {
-	case "selftuning":
-		res, err = core.Solve(g, src, core.Config{P: *setPoint}, opt)
-	case "nearfar":
-		d := graph.Dist(*delta)
-		if d <= 0 {
-			if d = graph.Dist(g.AvgWeight()); d < 1 {
-				d = 1
-			}
-		}
-		res, err = sssp.NearFar(g, src, d, opt)
-	default:
-		return fmt.Errorf("record supports selftuning and nearfar, not %q", *algo)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "recorded %d iterations (%s): reached %d/%d vertices, %d edges relaxed\n",
-		rec.Len(), *algo, res.Reached, g.NumVertices(), res.EdgesRelaxed)
-	if dropped := rec.Dropped(); dropped > 0 {
-		fmt.Fprintf(os.Stderr, "warning: ring wrapped, %d oldest records dropped — the log will not replay; raise -capacity\n", dropped)
-	}
-
-	l := rec.Log()
-	l.Header.Label = fmt.Sprintf("dataset=%s scale=%g seed=%d device=%s workers=%d",
-		*dataset, *scale, *seed, *device, *workers)
-	if *graphPath != "" {
-		l.Header.Label = fmt.Sprintf("graph=%s device=%s workers=%d", *graphPath, *device, *workers)
-	}
-	rec.SetHeader(l.Header) // keep the served/live header consistent too
-
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer closeFile(f, &err)
-		w = f
-	}
-	return flight.WriteJSONL(w, l)
 }
 
 func cmdReplay(args []string) error {
@@ -252,24 +157,4 @@ func readLog(path string) (*flight.Log, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return l, nil
-}
-
-func loadOrGenerate(path, dataset string, scale float64, seed uint64) (*graph.Graph, error) {
-	if path != "" {
-		return graph.LoadFile(path)
-	}
-	switch dataset {
-	case "cal":
-		return gen.CalLike(scale, seed), nil
-	case "wiki":
-		return gen.WikiLike(scale, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want cal or wiki)", dataset)
-	}
-}
-
-func closeFile(f *os.File, err *error) {
-	if cerr := f.Close(); cerr != nil && *err == nil {
-		*err = cerr
-	}
 }

@@ -33,7 +33,6 @@ func main() {
 		setPoint  = flag.Float64("P", 1000, "parallelism set-point for selftuning")
 		source    = flag.Int("source", 0, "source vertex id")
 		workers   = flag.Int("workers", -1, "worker goroutines (-1 = all CPUs, 0/1 = sequential)")
-		relabel   = flag.String("relabel", "none", "vertex relabeling preprocessing: none|degree|bfs (results map back to original ids)")
 		farQueue  = flag.String("farqueue", "auto", "far-queue strategy for nearfar: auto|flat|rho")
 		device    = flag.String("device", "", "simulated board: TK1 or TX1 (empty = no simulation)")
 		freq      = flag.String("freq", "auto", "DVFS setting: auto or core/mem MHz (e.g. 852/924)")
@@ -79,7 +78,6 @@ func main() {
 		Workers:   *workers,
 		Device:    *device,
 		Freq:      *freq,
-		Relabel:   *relabel,
 		FarQueue:  *farQueue,
 		Profile:   true,
 	}
@@ -90,8 +88,14 @@ func main() {
 		cfg.Obs = o
 	}
 	var rec *energysssp.FlightRecorder
+	label := fmt.Sprintf("dataset=%s scale=%g seed=%d device=%s workers=%d", *dataset, *scale, *seed, *device, *workers)
+	if *graphPath != "" {
+		label = fmt.Sprintf("graph=%s device=%s workers=%d", *graphPath, *device, *workers)
+	}
 	if *flightOut != "" {
-		rec = energysssp.NewFlightRecorder(0)
+		// 64Ki records: replay needs every iteration from 0, and the largest
+		// configurations recorded here run a few thousand.
+		rec = energysssp.NewFlightRecorder(1 << 16)
 		cfg.FlightLog = rec
 	}
 	var srv *energysssp.MetricsServer
@@ -118,7 +122,7 @@ func main() {
 	go func() {
 		sig := <-sigc
 		fmt.Fprintf(os.Stderr, "\nsssp: %v: flushing partial outputs\n", sig)
-		flushOutputs(*traceOut, *flightOut, *energyOut, o, rec)
+		flushOutputs(*traceOut, *flightOut, *energyOut, label, o, rec)
 		if srv != nil {
 			if err := srv.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "sssp: metrics server:", err)
@@ -136,6 +140,9 @@ func main() {
 		fatal(err)
 	}
 	signal.Stop(sigc) // solve done: flush happens on the normal path below
+	if dropped := rec.Dropped(); dropped > 0 {
+		fmt.Fprintf(os.Stderr, "sssp: warning: flight ring wrapped, %d oldest records dropped — the log will not replay\n", dropped)
+	}
 
 	fmt.Printf("result: %v\n", out.Result)
 	if *check {
@@ -182,16 +189,17 @@ func main() {
 		}
 		fmt.Printf("profile written to %s (%d iterations)\n", *profile, out.Profile.Len())
 	}
-	flushOutputs(*traceOut, *flightOut, *energyOut, o, rec)
+	flushOutputs(*traceOut, *flightOut, *energyOut, label, o, rec)
 	if o != nil {
 		fmt.Println(o.SummaryLine())
 	}
 }
 
 // flushOutputs writes the Perfetto trace, energy attribution, and flight
-// log to their requested paths. It is shared between the normal exit path
-// and the signal handler, so it reports failures instead of fataling.
-func flushOutputs(traceOut, flightOut, energyOut string, o *energysssp.Observer, rec *energysssp.FlightRecorder) {
+// log (its header labeled with the run's inputs) to their requested paths.
+// It is shared between the normal exit path and the signal handler, so it
+// reports failures instead of fataling.
+func flushOutputs(traceOut, flightOut, energyOut, label string, o *energysssp.Observer, rec *energysssp.FlightRecorder) {
 	if traceOut != "" && o != nil {
 		if err := writeFile(traceOut, func(f *os.File) error { return energysssp.WriteTrace(f, o) }); err != nil {
 			fmt.Fprintln(os.Stderr, "sssp: trace:", err)
@@ -208,6 +216,7 @@ func flushOutputs(traceOut, flightOut, energyOut string, o *energysssp.Observer,
 	}
 	if flightOut != "" && rec != nil {
 		l := rec.Log()
+		l.Header.Label = label
 		if err := writeFile(flightOut, func(f *os.File) error { return energysssp.WriteFlightLog(f, l) }); err != nil {
 			fmt.Fprintln(os.Stderr, "sssp: flight log:", err)
 		} else {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,47 @@ func flightRun(t *testing.T, seed uint64) *FlightLog {
 		t.Fatalf("recorded %d iterations, run reports %d", len(l.Records), out.Iterations)
 	}
 	return l
+}
+
+// TestCommittedFlightLogPinned re-records the configuration of the
+// committed results/flight_cal_tk1.jsonl through Run, the path `sssp
+// -flight-out` takes, and requires every record to match the committed log
+// bit for bit and the fresh log to replay: a change to how the kernels run
+// on the host cannot move one charged count or simulated figure.
+func TestCommittedFlightLogPinned(t *testing.T) {
+	f, err := os.Open("results/flight_cal_tk1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadFlightLog(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewFlightRecorder(1 << 16)
+	if _, err := Run(CalLike(0.005, 42), 0, RunConfig{
+		Algorithm: SelfTuning,
+		SetPoint:  500,
+		Device:    "TK1",
+		Workers:   1,
+		FlightLog: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := rec.Log()
+	if d := DiffFlightLogs(want, got); !d.Identical() {
+		t.Fatalf("fresh log diverges from the committed one: lengths %d vs %d, first divergence at iteration %d: %+v",
+			d.LenA, d.LenB, d.FirstDivergence, d.Fields)
+	}
+	rep, err := ReplayFlight(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fresh log does not replay: %+v", rep.Mismatches)
+	}
 }
 
 // TestFlightAPI exercises the public surface end to end: record through

@@ -31,7 +31,7 @@ func fuzzGraph(shape []byte) (*Graph, error) {
 // FuzzRunConfig drives Run with arbitrary configurations on small random
 // graphs: every Algorithm value and out-of-range ones, any Delta, SetPoint
 // including NaN, ±Inf, 0 and negatives, Workers in [-1, 4], and arbitrary
-// Relabel, FarQueue, Device and Freq strings, with and without Paths.
+// FarQueue, Device and Freq strings, with and without Paths.
 // RunConfig is caller input, so every call must either return an error or
 // return Dijkstra's distances — never panic.
 func FuzzRunConfig(f *testing.F) {
@@ -42,30 +42,29 @@ func FuzzRunConfig(f *testing.F) {
 		p        float64
 		workers  int8
 		src      int16
-		relabel  string
 		farQueue string
 		device   string
 		freq     string
 		paths    bool
 	}{
-		{int(Dijkstra), 0, 0, 0, 0, "", "", "", "", false},
-		{int(NearFar), 0, 0, 1, 0, "none", "auto", "", "", true},
-		{int(NearFar), 3, 0, 3, 2, "degree", "flat", "TK1", "auto", false},
-		{int(NearFar), -5, 0, 4, 1, "bfs", "rho", "TX1", "852/924", true},
-		{int(SelfTuning), 0, 4, 2, 0, "", "", "TK1", "", false},
-		{int(SelfTuning), 0, math.NaN(), 0, 0, "", "", "", "", false},
-		{int(SelfTuning), 0, math.Inf(1), 0, 0, "", "", "", "", false},
-		{int(SelfTuning), 0, math.Inf(-1), 0, 0, "", "", "", "", false},
-		{int(SelfTuning), 0, -3, 0, 0, "", "", "", "", false},
-		{int(SelfTuning), 0, 1e300, 5, 0, "degree", "", "", "", true},
-		{42, 0, 1, 0, 0, "zigzag", "lazy", "RTX", "9/9", false},
-		{-1, 0, 1, 0, -7, "", "", "", "", false},
+		{int(Dijkstra), 0, 0, 0, 0, "", "", "", false},
+		{int(NearFar), 0, 0, 1, 0, "auto", "", "", true},
+		{int(NearFar), 3, 0, 3, 2, "flat", "TK1", "auto", false},
+		{int(NearFar), -5, 0, 4, 1, "rho", "TX1", "852/924", true},
+		{int(SelfTuning), 0, 4, 2, 0, "", "TK1", "", false},
+		{int(SelfTuning), 0, math.NaN(), 0, 0, "", "", "", false},
+		{int(SelfTuning), 0, math.Inf(1), 0, 0, "", "", "", false},
+		{int(SelfTuning), 0, math.Inf(-1), 0, 0, "", "", "", false},
+		{int(SelfTuning), 0, -3, 0, 0, "", "", "", false},
+		{int(SelfTuning), 0, 1e300, 5, 0, "", "", "", true},
+		{42, 0, 1, 0, 0, "lazy", "RTX", "9/9", false},
+		{-1, 0, 1, 0, -7, "", "", "", false},
 	}
 	for _, s := range seeds {
-		f.Add(grid, s.algo, s.delta, s.p, s.workers, s.src, s.relabel, s.farQueue, s.device, s.freq, s.paths)
+		f.Add(grid, s.algo, s.delta, s.p, s.workers, s.src, s.farQueue, s.device, s.freq, s.paths)
 	}
 	f.Fuzz(func(t *testing.T, shape []byte, algo int, delta int64, p float64, workers int8, src int16,
-		relabel, farQueue, device, freq string, paths bool) {
+		farQueue, device, freq string, paths bool) {
 		g, err := fuzzGraph(shape)
 		if err != nil {
 			t.Fatalf("fuzz graph rejected: %v", err)
@@ -75,7 +74,6 @@ func FuzzRunConfig(f *testing.F) {
 			Delta:     Dist(delta),
 			SetPoint:  p,
 			Workers:   int(uint8(workers))%6 - 1, // [-1, 4]
-			Relabel:   relabel,
 			FarQueue:  farQueue,
 			Device:    device,
 			Freq:      freq,

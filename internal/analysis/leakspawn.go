@@ -13,8 +13,8 @@ import (
 // no way to unblock.
 //
 // A `go` statement is considered bounded when the spawn participates in one
-// of the lifecycle idioms the repo uses (internal/parallel worker pool,
-// internal/sssp batch semaphore):
+// of these lifecycle idioms (the internal/parallel worker pool, a
+// width-limited fan-out behind a counting semaphore):
 //
 //   - the spawned function body calls (*sync.WaitGroup).Done — the spawner
 //     owns a join point;
@@ -22,7 +22,7 @@ import (
 //     counting semaphore token);
 //   - a wg.Add call or a send on a struct{}-element channel sits on a CFG
 //     path reaching the spawn (acquire-before-spawn, the shape that keeps
-//     at most `width` goroutines alive in sssp.Batch).
+//     at most `width` goroutines of a fan-out alive).
 //
 // A blocking channel send/receive (or a range over a channel) is fine when
 // an escape hatch exists: the channel is made with a non-zero buffer, it is

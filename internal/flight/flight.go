@@ -2,8 +2,8 @@
 // fixed-size per-iteration records capturing everything the self-tuning
 // controller saw and decided — δₖ, Δδₖ, the d and α estimates with their
 // vSGD learning-rate internals (ḡ, v̄, h̄, τ, μ), the stage cardinalities
-// X¹–X⁴, the set-point P, the far-queue partition boundaries, the advance
-// scheduling path, and the charged simulated time/energy.
+// X¹–X⁴, the set-point P, the far-queue partition boundaries, and the
+// charged simulated time/energy.
 //
 // The log answers "why did the controller pick this δ?" for any past run
 // without re-running it, and it carries enough input state that the

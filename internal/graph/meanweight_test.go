@@ -56,15 +56,6 @@ func TestAvgWeightCachedMatchesScan(t *testing.T) {
 		g := randomWeighted(seed)
 		check("New", g, true)
 		check("Symmetrize", g.Symmetrize(), true)
-		perm := make([]VID, g.NumVertices())
-		for i, p := range rand.New(rand.NewPCG(seed, 1)).Perm(len(perm)) {
-			perm[i] = VID(p)
-		}
-		r, err := g.Relabel(perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Relabel", r, true)
 
 		var buf bytes.Buffer
 		if err := WriteDIMACS(&buf, g); err != nil {

@@ -1,5 +1,5 @@
 // Package obs is a stdlib-only runtime observability plane for the solver:
-// a hierarchical span tracer (solve → iteration → phase → kernel) backed by
+// a hierarchical span tracer (solve → iteration → phase or mark) backed by
 // pooled fixed-size span slabs, one span tracer per solve (a Scope) under a
 // process-level Observer that owns the atomic metric registry with its
 // Prometheus text exporter and the energy-attribution meter folding the
@@ -80,9 +80,10 @@ const (
 	// parent is the enclosing iteration span (or the solve span for
 	// phases outside the iteration loop).
 	SpanPhase
-	// SpanKernel marks one simulated-machine charge inside a phase span:
-	// an instantaneous host-side record carrying the charged simulated
-	// interval. Parent is the phase span that bracketed the charge.
+	// SpanKernel marks one simulated-machine charge made outside any
+	// phase span (Tracer.Mark): an instantaneous host-side record carrying
+	// the charged simulated interval. Parent is the open iteration span
+	// (or the solve span outside the iteration loop).
 	SpanKernel
 )
 
@@ -103,7 +104,7 @@ func (k SpanKind) String() string {
 // SpanEvent is one recorded span. All fields are fixed-size so slabs are
 // flat arrays with no per-span allocation. ID is the span's index in
 // recording order; Parent is the enclosing span's ID (-1 for roots), which
-// is what gives the trace its solve → iteration → phase → kernel nesting.
+// is what gives the trace its solve → iteration → phase or mark nesting.
 //
 // StartNs/HostNs are host wall-clock (relative to the tracer epoch); they
 // measure what the Go process actually spent. SimStartNs/SimNs are the
@@ -159,8 +160,9 @@ type spanSlab [spanSlabSize]SpanEvent
 var spanSlabPool = sync.Pool{New: func() any { return new(spanSlab) }}
 
 // DefaultTraceEvents is the span budget used when NewTracer is given a
-// non-positive capacity: 64Ki spans (32 slabs), enough for ~5k solver
-// iterations with all phases and kernel charges instrumented.
+// non-positive capacity: 64Ki spans (32 slabs), enough for ~9k self-tuning
+// iterations at seven spans each (the iteration, its five phase spans and
+// the controller's kernel mark).
 const DefaultTraceEvents = 1 << 16
 
 // Tracer records hierarchical spans into pooled fixed-size slabs acquired
@@ -183,11 +185,9 @@ type Tracer struct {
 	dropped uint64
 
 	// Open-span stack of the driver loop, -1 when closed. New phase spans
-	// parent to the open iteration (or solve), kernel marks to the open
-	// phase.
+	// and kernel marks parent to the open iteration (or solve).
 	openSolve int32
 	openIter  int32
-	openPhase int32
 	curIter   int32
 
 	agg [numPhases]phaseAgg
@@ -204,7 +204,7 @@ func NewTracer(capacity int) *Tracer {
 		epoch:     time.Now(),
 		slabs:     make([]*spanSlab, 0, nslabs),
 		max:       nslabs * spanSlabSize,
-		openSolve: -1, openIter: -1, openPhase: -1, curIter: -1,
+		openSolve: -1, openIter: -1, curIter: -1,
 	}
 }
 
@@ -258,7 +258,7 @@ func (t *Tracer) BeginSolve() Span {
 	t.mu.Lock()
 	t.curIter = -1
 	id, start := t.reserve(SpanSolve, 0, -1)
-	t.openSolve, t.openIter, t.openPhase = id, -1, -1
+	t.openSolve, t.openIter = id, -1
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanSolve}
 }
@@ -271,7 +271,7 @@ func (t *Tracer) BeginIter(k int) Span {
 	t.mu.Lock()
 	t.curIter = int32(k)
 	id, start := t.reserve(SpanIter, 0, t.openSolve)
-	t.openIter, t.openPhase = id, -1
+	t.openIter = id
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanIter}
 }
@@ -290,7 +290,6 @@ func (t *Tracer) Begin(p Phase) Span {
 		parent = t.openSolve
 	}
 	id, start := t.reserve(SpanPhase, p, parent)
-	t.openPhase = id
 	t.mu.Unlock()
 	return Span{t: t, start: start, id: id, kind: SpanPhase, phase: p}
 }
@@ -324,17 +323,13 @@ func (s Span) EndSim(items int64, simStart, simDur time.Duration) {
 	// Pop the open-span stack; out-of-order ends (error paths) only ever
 	// leave an ancestor open, never resurrect a closed span.
 	switch s.kind {
-	case SpanPhase:
-		if t.openPhase == s.id {
-			t.openPhase = -1
-		}
 	case SpanIter:
 		if t.openIter == s.id {
-			t.openIter, t.openPhase, t.curIter = -1, -1, -1
+			t.openIter, t.curIter = -1, -1
 		}
 	case SpanSolve:
 		if t.openSolve == s.id {
-			t.openSolve, t.openIter, t.openPhase, t.curIter = -1, -1, -1, -1
+			t.openSolve, t.openIter, t.curIter = -1, -1, -1
 		}
 	}
 	t.mu.Unlock()
@@ -347,35 +342,11 @@ func (s Span) EndSim(items int64, simStart, simDur time.Duration) {
 	}
 }
 
-// Kernel records one simulated-machine charge as an instantaneous
-// kernel-kind child of this span: the charged interval [simStart,
-// simStart+simDur) with zero host duration of its own. The parent phase
-// span's EndSim already carries the phase's sim total, so kernel children
-// do not feed the per-phase aggregates — they detail them.
-//
-//hot:alloc-free
-func (s Span) Kernel(items int64, simStart, simDur time.Duration) {
-	t := s.t
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	id, _ := t.reserve(SpanKernel, s.phase, s.id)
-	if id >= 0 {
-		ev := t.at(id)
-		ev.SimStartNs = int64(simStart)
-		ev.SimNs = int64(simDur)
-		ev.Items = items
-	}
-	t.mu.Unlock()
-}
-
 // Mark records an instantaneous kernel-kind event parented to the open
 // iteration (or solve) span: a charge with negligible host-side duration
 // of its own computed outside any phase span (for example the far-queue
-// scan charge computed from counters maintained elsewhere). Unlike
-// Span.Kernel it feeds the per-phase aggregates — it is the only record of
-// that phase's work.
+// scan charge computed from counters maintained elsewhere). It feeds the
+// per-phase aggregates — it is the only record of that phase's work.
 //
 //hot:alloc-free
 func (t *Tracer) Mark(p Phase, items int64, simStart, simDur time.Duration) {
@@ -471,7 +442,7 @@ func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.n = 0
 	t.dropped = 0
-	t.openSolve, t.openIter, t.openPhase, t.curIter = -1, -1, -1, -1
+	t.openSolve, t.openIter, t.curIter = -1, -1, -1
 	for p := range t.agg {
 		t.agg[p].count.Store(0)
 		t.agg[p].hostNs.Store(0)
@@ -495,6 +466,6 @@ func (t *Tracer) Release() {
 	}
 	t.slabs = t.slabs[:0]
 	t.n = 0
-	t.openSolve, t.openIter, t.openPhase, t.curIter = -1, -1, -1, -1
+	t.openSolve, t.openIter, t.curIter = -1, -1, -1
 	t.mu.Unlock()
 }

@@ -12,7 +12,6 @@ func TestTracerNilSafe(t *testing.T) {
 	sp := tr.Begin(PhaseAdvance)
 	sp.End(10)
 	sp.EndSim(10, time.Second, time.Second)
-	sp.Kernel(1, 0, 0)
 	tr.BeginSolve().End(0)
 	tr.BeginIter(3).End(0)
 	tr.Mark(PhaseFilter, 1, 0, 0)
@@ -60,15 +59,15 @@ func TestTracerRecordAndTotals(t *testing.T) {
 	}
 }
 
-// TestTracerHierarchy drives the solve → iteration → phase → kernel stack
-// and checks every recorded parent edge and iteration tag.
+// TestTracerHierarchy drives the solve → iteration → phase stack with a
+// kernel mark per iteration and checks every recorded parent edge and
+// iteration tag.
 func TestTracerHierarchy(t *testing.T) {
 	tr := NewTracer(64)
 	solve := tr.BeginSolve()
 	for k := 0; k < 2; k++ {
 		iter := tr.BeginIter(k)
 		ph := tr.Begin(PhaseAdvance)
-		ph.Kernel(10, time.Duration(k)*time.Millisecond, time.Millisecond)
 		ph.EndSim(10, time.Duration(k)*time.Millisecond, time.Millisecond)
 		tr.Mark(PhaseRebalance, 5, 0, 0)
 		iter.End(int64(k))
@@ -76,30 +75,26 @@ func TestTracerHierarchy(t *testing.T) {
 	solve.End(2)
 
 	evs := tr.Snapshot(nil)
-	// solve, then per iteration: iter, phase, kernel child, mark = 1 + 2*4.
-	if len(evs) != 9 {
-		t.Fatalf("Snapshot len = %d, want 9: %+v", len(evs), evs)
+	// solve, then per iteration: iter, phase, mark = 1 + 2*3.
+	if len(evs) != 7 {
+		t.Fatalf("Snapshot len = %d, want 7: %+v", len(evs), evs)
 	}
 	if evs[0].Kind != SpanSolve || evs[0].Parent != -1 {
 		t.Fatalf("root span wrong: %+v", evs[0])
 	}
 	for _, k := range []int32{0, 1} {
-		base := 1 + k*4
-		iter, phase, kern, mark := evs[base], evs[base+1], evs[base+2], evs[base+3]
+		base := 1 + k*3
+		iter, phase, mark := evs[base], evs[base+1], evs[base+2]
 		if iter.Kind != SpanIter || iter.Parent != evs[0].ID || iter.Iter != k {
 			t.Fatalf("iter %d span wrong: %+v", k, iter)
 		}
 		if phase.Kind != SpanPhase || phase.Parent != iter.ID || phase.Phase != PhaseAdvance {
 			t.Fatalf("phase span wrong: %+v", phase)
 		}
-		if kern.Kind != SpanKernel || kern.Parent != phase.ID || kern.HostNs != 0 {
-			t.Fatalf("kernel child wrong: %+v", kern)
-		}
-		if mark.Kind != SpanKernel || mark.Parent != iter.ID || mark.Phase != PhaseRebalance {
+		if mark.Kind != SpanKernel || mark.Parent != iter.ID || mark.Phase != PhaseRebalance || mark.HostNs != 0 {
 			t.Fatalf("mark should parent to the open iteration: %+v", mark)
 		}
 	}
-	// Kernel children detail the phase span; only the phase feeds totals.
 	if tot := tr.Totals(PhaseAdvance); tot.Count != 2 || tot.Items != 20 {
 		t.Fatalf("advance totals = %+v, want Count=2 Items=20", tot)
 	}
@@ -253,7 +248,6 @@ func TestTracerSteadyStateAllocs(t *testing.T) {
 		solve := tr.BeginSolve()
 		iter := tr.BeginIter(1)
 		sp := tr.Begin(PhaseAdvance)
-		sp.Kernel(9, 2, 3)
 		sp.EndSim(17, 3, 5)
 		tr.Mark(PhaseRebalance, 4, 1, 2)
 		iter.End(17)

@@ -11,7 +11,7 @@ import (
 // "M" metadata events naming processes and threads. Each solve scope
 // renders as its own process; host and simulated time render as two
 // threads of that process so the same span can be read on both clocks side
-// by side. Nesting (solve → iteration → phase → kernel) comes from ts/dur
+// by side. Nesting (solve → iteration → phase or mark) comes from ts/dur
 // containment on the host track, which is how the Chrome format expresses
 // hierarchy for "X" events.
 type traceEvent struct {

@@ -25,7 +25,7 @@ type decodedFile struct {
 }
 
 // buildTrace records a small but fully hierarchical solve: one solve span,
-// two iterations, one advance phase with a kernel charge per iteration.
+// two iterations with one charged phase span each, and a kernel mark.
 func buildTrace() *Tracer {
 	tr := NewTracer(64)
 	simNow := time.Duration(0)
@@ -34,7 +34,6 @@ func buildTrace() *Tracer {
 		iter := tr.BeginIter(k)
 		sp := tr.Begin(Phase(k % NumPhases))
 		d := time.Duration(k+1) * time.Microsecond
-		sp.Kernel(int64(k), simNow, d)
 		sp.EndSim(int64(k), simNow, d)
 		simNow += d
 		iter.End(int64(k))
@@ -95,10 +94,10 @@ func TestPerfettoSchema(t *testing.T) {
 	if meta != 3 {
 		t.Fatalf("want 3 metadata events (process + 2 threads), got %d", meta)
 	}
-	// 8 recorded spans on the host track; 4 charged sim intervals
-	// (phase + kernel per iteration) on the sim track.
-	if complete != 12 {
-		t.Fatalf("complete events = %d, want 12", complete)
+	// 6 recorded spans on the host track; 2 charged sim intervals
+	// (one phase per iteration) on the sim track.
+	if complete != 8 {
+		t.Fatalf("complete events = %d, want 8", complete)
 	}
 	if len(lastTs) != 2 {
 		t.Fatalf("want events on 2 tracks (host + sim), got tids %v", lastTs)
@@ -131,8 +130,8 @@ func TestPerfettoNesting(t *testing.T) {
 		host[id] = iv{*ev.Ts, *ev.Ts + *ev.Dur}
 		parent[id] = int(ev.Args["parent"].(float64))
 	}
-	if len(host) != 8 {
-		t.Fatalf("host track has %d events, want 8", len(host))
+	if len(host) != 6 {
+		t.Fatalf("host track has %d events, want 6", len(host))
 	}
 	for id, span := range host {
 		p := parent[id]

@@ -14,7 +14,7 @@ import (
 //	          observer's process-level registry: phase totals over all
 //	          solves, joules per phase, pool and Go runtime state
 //	/trace    Perfetto/Chrome trace-event JSON: one process per scope,
-//	          spans nested solve → iteration → phase → kernel
+//	          spans nested solve → iteration → phase or mark
 //	/flight   controller flight log as JSONL (404 until SetFlight)
 //
 // The server runs on its own goroutine; Close shuts it down and reports any

@@ -50,7 +50,7 @@ type kernelCost struct {
 
 var kernelCosts = [numKernelKinds]kernelCost{
 	KernelAdvance:  {cycles: 24, bytes: 20}, // CSR read + dist load + atomicMin
-	KernelFilter:   {cycles: 10, bytes: 12}, // bitmap test-and-set + compact
+	KernelFilter:   {cycles: 10, bytes: 12}, // dedup mark test-and-stamp + compact
 	KernelBisect:   {cycles: 8, bytes: 8},   // threshold compare + scatter
 	KernelFarQueue: {cycles: 8, bytes: 10},  // scan + compact
 }

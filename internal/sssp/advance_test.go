@@ -268,19 +268,19 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchScratchReuse proves batch solves stop re-allocating vertex-sized
-// temporaries per source: after a warm-up batch has populated the scratch
-// pool, further batches allocate no new filter marks (the marker for a
-// scratch cache miss). GC is disabled for the duration so sync.Pool cannot
-// drop warmed entries mid-test.
+// TestBatchScratchReuse proves concurrent single-threaded solves stop
+// re-allocating vertex-sized temporaries per source: after a warm-up
+// fan-out has populated the scratch pool, further fan-outs allocate no new
+// filter marks (the marker for a scratch cache miss). GC is disabled for
+// the duration so sync.Pool cannot drop warmed entries mid-test.
 //
-// A warm-up batch alone does not make the pool deterministic: it may never
-// hold as many scratches at once as a later batch does, and a sync.Pool
-// entry parked in one P's private slot cannot be taken by a Get on another
-// P. So the test also holds width+GOMAXPROCS scratches at once and returns
-// them. With at most width in use, every Get then finds at least
-// GOMAXPROCS+1 idle entries, of which at most GOMAXPROCS-1 sit in other
-// Ps' private slots.
+// A warm-up fan-out alone does not make the pool deterministic: it may
+// never hold as many scratches at once as a later one does, and a
+// sync.Pool entry parked in one P's private slot cannot be taken by a Get
+// on another P. So the test also holds width+GOMAXPROCS scratches at once
+// and returns them. With at most width in use, every Get then finds at
+// least GOMAXPROCS+1 idle entries, of which at most GOMAXPROCS-1 sit in
+// other Ps' private slots.
 func TestBatchScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops Put entries under -race; reuse is not guaranteed")
@@ -293,7 +293,7 @@ func TestBatchScratchReuse(t *testing.T) {
 		sources[i] = graph.VID(i * 31 % g.NumVertices())
 	}
 	const width = 4
-	if err := FirstError(BatchNearFar(g, sources, 25, width)); err != nil {
+	if _, err := fanOutNearFar(g, sources, 25, width); err != nil {
 		t.Fatal(err)
 	}
 	held := make([]*scratch, width+runtime.GOMAXPROCS(0))
@@ -305,12 +305,12 @@ func TestBatchScratchReuse(t *testing.T) {
 	}
 	before := scratchMarkAllocs.Load()
 	for round := 0; round < 3; round++ {
-		if err := FirstError(BatchNearFar(g, sources, 25, width)); err != nil {
+		if _, err := fanOutNearFar(g, sources, 25, width); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if grew := scratchMarkAllocs.Load() - before; grew != 0 {
-		t.Errorf("3 warmed batches allocated %d fresh scratch marks, want 0 (scratch not reused)", grew)
+		t.Errorf("3 warmed fan-outs allocated %d fresh scratch marks, want 0 (scratch not reused)", grew)
 	}
 }
 

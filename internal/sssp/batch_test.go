@@ -1,62 +1,109 @@
 package sssp
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 )
 
-func TestBatchDijkstraAllSources(t *testing.T) {
-	g := gen.Grid(8, 8, 1, 20, 3)
-	sources := []graph.VID{0, 7, 56, 63}
-	batch := BatchDijkstra(g, sources, 2)
-	if err := FirstError(batch); err != nil {
-		t.Fatal(err)
+// fanOutNearFar solves NearFar at delta from every source on width
+// goroutines that claim sources from a shared cursor, each solve
+// single-threaded: the shape of concurrent clients calling the solver
+// back to back. Results come back in source order with every error joined.
+func fanOutNearFar(g *graph.Graph, sources []graph.VID, delta graph.Dist, width int) ([]Result, error) {
+	out := make([]Result, len(sources))
+	errs := make([]error, len(sources))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(sources)); i = next.Add(1) - 1 {
+				out[i], errs[i] = NearFar(g, sources[i], delta, nil)
+			}
+		}()
 	}
-	if len(batch) != 4 {
-		t.Fatalf("batch size %d", len(batch))
-	}
-	for i, b := range batch {
-		if b.Source != sources[i] {
-			t.Fatalf("order not preserved: %d vs %d", b.Source, sources[i])
-		}
-		if b.Result.Dist[b.Source] != 0 {
-			t.Fatalf("source %d distance %d", b.Source, b.Result.Dist[b.Source])
-		}
-		if b.Result.Reached != 64 {
-			t.Fatalf("source %d reached %d", b.Source, b.Result.Reached)
-		}
-	}
+	wg.Wait()
+	return out, errors.Join(errs...)
 }
 
 func TestBatchNearFarMatchesOracle(t *testing.T) {
 	g := gen.Road(12, 12, 0.25, 1, 200, 4)
-	sources := []graph.VID{0, 50, 100, 143}
-	nf := BatchNearFar(g, sources, 77, 3)
-	dj := BatchDijkstra(g, sources, 0)
-	if err := FirstError(nf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sources {
-		for v := range nf[i].Result.Dist {
-			if nf[i].Result.Dist[v] != dj[i].Result.Dist[v] {
-				t.Fatalf("source %d vertex %d mismatch", sources[i], v)
+	for _, src := range []graph.VID{0, 50, 100, 143} {
+		nf, err := NearFar(g, src, 77, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dj, err := Dijkstra(g, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range nf.Dist {
+			if nf.Dist[v] != dj.Dist[v] {
+				t.Fatalf("source %d vertex %d mismatch", src, v)
 			}
 		}
 	}
 }
 
-func TestBatchErrorPropagation(t *testing.T) {
-	g := gen.Grid(4, 4, 1, 9, 5)
-	batch := BatchDijkstra(g, []graph.VID{0, 99}, 1) // 99 out of range
-	if FirstError(batch) == nil {
-		t.Fatal("out-of-range source not reported")
+// TestBatchConcurrentStress hammers concurrent solves under the race
+// detector: two fan-outs execute concurrently over the same shared graph
+// (reads must be race-free), each spreading dozens of sources across
+// solver goroutines, and every per-source result is checked against the
+// sequential Dijkstra oracle. Run via `go test -race` (scripts/check.sh
+// does). Skipped under -short.
+func TestBatchConcurrentStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test; skipped under -short")
 	}
-	if batch[0].Err != nil {
-		t.Fatal("valid source errored")
+	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 21)
+	n := g.NumVertices()
+	sources := make([]graph.VID, 0, 48)
+	for i := 0; i < 48; i++ {
+		sources = append(sources, graph.VID(i*(n-1)/47))
 	}
-	if FirstError(batch[:1]) != nil {
-		t.Fatal("FirstError on clean prefix")
+
+	oracle := make(map[graph.VID][]graph.Dist, len(sources))
+	for _, src := range sources {
+		res, err := Dijkstra(g, src, &Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle[src] = res.Dist
 	}
+
+	check := func(t *testing.T, delta graph.Dist) {
+		t.Helper()
+		results, err := fanOutNearFar(g, sources, delta, 8)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, res := range results {
+			want := oracle[sources[i]]
+			for v, d := range res.Dist {
+				if d != want[v] {
+					t.Errorf("delta %d source %d vertex %d: dist %d, want %d", delta, sources[i], v, d, want[v])
+					return
+				}
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		check(t, 8)
+	}()
+	go func() {
+		defer wg.Done()
+		check(t, 64)
+	}()
+	wg.Wait()
 }

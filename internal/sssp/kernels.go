@@ -242,7 +242,6 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 		e0 := kn.Mach.Energy()
 		res.Dur = kn.Mach.Kernel(sim.KernelAdvance, int(res.Edges))
 		kn.em.Charge(obs.PhaseAdvance, e0, kn.Mach.Energy())
-		spAdv.Kernel(res.Edges, advSimStart, res.Dur)
 	}
 	spAdv.EndSim(res.Edges, advSimStart, res.Dur)
 
@@ -255,7 +254,6 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 		filDur = kn.Mach.Kernel(sim.KernelFilter, res.X2)
 		kn.em.Charge(obs.PhaseFilter, e0, kn.Mach.Energy())
 		res.Dur += filDur
-		spFil.Kernel(int64(res.X2), filSimStart, filDur)
 	}
 	spFil.EndSim(int64(res.X2), filSimStart, filDur)
 	return res

@@ -17,8 +17,8 @@ import (
 // TestNearFarFlightLogsPinned pins both near-far schedules: a fresh record
 // of NearFar on CalLike(0.01, 42) from vertex 0 at the mean edge weight, on
 // a TK1 under the ondemand governor with one worker (the configuration
-// `flight record -algo nearfar -dataset cal -scale 0.01 -seed 42 -device
-// TK1` runs, plus the flat far queue) must match the committed JSONL log
+// `sssp -algo nearfar -dataset cal -scale 0.01 -seed 42 -device TK1
+// -workers 1 -flight-out` runs, plus the flat far queue) must match the committed JSONL log
 // byte for byte. Every simulated figure, threshold and queue length of the
 // schedule is in the log, so a change to the near-far loop or its far
 // queues that moves any of them fails here. The rho log on CalLike never

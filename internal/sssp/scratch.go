@@ -17,9 +17,9 @@ type counters struct {
 // scratch is the distance-array-sized working memory of one Kernels value:
 // the filter's epoch-stamped mark, the per-worker update buffers, the
 // filter output, the bisect far-candidate buffer, the solver's frontier
-// buffer, and the per-worker counter blocks. Scratch is pooled so batch
-// solves (one Kernels per source, internal/sssp.Batch) stop re-allocating
-// vertex-sized temporaries on every solve.
+// buffer, and the per-worker counter blocks. Scratch is pooled so solves
+// run back to back or side by side (one Kernels per solve) stop
+// re-allocating vertex-sized temporaries on every solve.
 //
 // Invariant: every mark byte is at most epoch (see Kernels.filter), so a
 // scratch needs no cleanup on any exit path and serves graphs of any size.

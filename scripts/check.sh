@@ -59,22 +59,26 @@ echo "==> flight-recorder gates: record/replay determinism + same-seed diff"
 flightbin="$(mktemp -d)"
 trap 'rm -rf "$flightbin"' EXIT
 go build -o "$flightbin/flight" ./cmd/flight
+go build -o "$flightbin/sssp" ./cmd/sssp
 
+# Logs are recorded with `sssp -flight-out`; sssp defaults to all CPUs, so
+# every sequential configuration passes -workers 1.
+#
 # Replay determinism on both advance paths: a recorded log must re-execute
 # the controller trajectory bit-identically. The cal run advances every
 # frontier on the sequential kernel; most of the wiki run's frontiers are
 # above the sequential cutoff and run on the 4-worker pool.
-"$flightbin/flight" record -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-    -o "$flightbin/cal.jsonl" 2>/dev/null
+"$flightbin/sssp" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 -workers 1 \
+    -flight-out "$flightbin/cal.jsonl" >/dev/null
 "$flightbin/flight" replay -q "$flightbin/cal.jsonl"
-"$flightbin/flight" record -dataset wiki -scale 0.05 -seed 7 -P 20000 -workers 4 \
-    -o "$flightbin/wiki.jsonl" 2>/dev/null
+"$flightbin/sssp" -dataset wiki -scale 0.05 -seed 7 -P 20000 -workers 4 \
+    -flight-out "$flightbin/wiki.jsonl" >/dev/null
 "$flightbin/flight" replay -q "$flightbin/wiki.jsonl"
 
 # The near-far schedule (rho far queue) runs through the same loop with its
 # own stage 4; its log must replay too.
-"$flightbin/flight" record -algo nearfar -dataset cal -scale 0.01 -seed 42 -device TK1 \
-    -o "$flightbin/nearfar.jsonl" 2>/dev/null
+"$flightbin/sssp" -algo nearfar -dataset cal -scale 0.01 -seed 42 -device TK1 -workers 1 \
+    -flight-out "$flightbin/nearfar.jsonl" >/dev/null
 "$flightbin/flight" replay -q "$flightbin/nearfar.jsonl"
 
 # Same-seed diff: two runs of one configuration must produce bit-identical
@@ -84,14 +88,14 @@ go build -o "$flightbin/flight" ./cmd/flight
 # about 6.7k), so it runs inline on the plain kernel at any pool size.
 # Iterations above the cutoff run the parallel atomic-min kernel, whose X2
 # still depends on how the races resolve (ROADMAP: deterministic advance), so
-# a configuration with such iterations may differ between runs whenever the
-# pool has more than one worker.
+# a configuration with such iterations (the wiki run above) may differ
+# between runs whenever the pool has more than one worker.
 for w in 1 4; do
   for algo in selftuning nearfar; do
-    "$flightbin/flight" record -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-        -workers "$w" -o "$flightbin/run-a$w.jsonl" 2>/dev/null
-    "$flightbin/flight" record -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
-        -workers "$w" -o "$flightbin/run-b$w.jsonl" 2>/dev/null
+    "$flightbin/sssp" -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
+        -workers "$w" -flight-out "$flightbin/run-a$w.jsonl" >/dev/null
+    "$flightbin/sssp" -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \
+        -workers "$w" -flight-out "$flightbin/run-b$w.jsonl" >/dev/null
     "$flightbin/flight" diff "$flightbin/run-a$w.jsonl" "$flightbin/run-b$w.jsonl" >/dev/null
   done
 done
@@ -99,8 +103,8 @@ done
 # Reference diff: a fresh record of the committed log's configuration must
 # match results/flight_cal_tk1.jsonl bit for bit, so a change to how the
 # kernels run on the host cannot move one charged count or simulated figure.
-"$flightbin/flight" record -dataset cal -scale 0.005 -seed 42 -P 500 -device TK1 \
-    -workers 1 -o "$flightbin/ref.jsonl" 2>/dev/null
+"$flightbin/sssp" -dataset cal -scale 0.005 -seed 42 -P 500 -device TK1 -workers 1 \
+    -flight-out "$flightbin/ref.jsonl" >/dev/null
 "$flightbin/flight" diff results/flight_cal_tk1.jsonl "$flightbin/ref.jsonl" >/dev/null
 
 echo "==> cmd/experiments: a selection runs, an unknown name fails"
@@ -119,8 +123,8 @@ go test -run '^$' -fuzz '^FuzzFlightLog$' -fuzztime 30s ./internal/core/
 
 echo "==> fuzz Run's configuration surface"
 # RunConfig is caller input: every Algorithm value, Delta, SetPoint (NaN,
-# ±Inf, 0, negative), Workers in [-1, 4], and arbitrary Relabel, FarQueue,
-# Device and Freq strings must yield an error or Dijkstra's distances on
+# ±Inf, 0, negative), Workers in [-1, 4], and arbitrary FarQueue, Device
+# and Freq strings must yield an error or Dijkstra's distances on
 # small random graphs, never a panic.
 go test -run '^$' -fuzz '^FuzzRunConfig$' -fuzztime 30s .
 
