@@ -79,8 +79,10 @@ func TestConcurrentSelfTuningSharedGraph(t *testing.T) {
 }
 
 // parallelAdvances counts the advances of a scope's solves that ran on the
-// pool rather than inline on the sequential kernel: the advance is the
-// only pool launch in a solve.
+// pool rather than inline on the sequential kernel. It counts pool
+// launches, and on the graphs of these tests the advance is a solve's only
+// pool launch: none of their bisect or far-queue scans reaches
+// frontier.PoolScanMin items.
 func parallelAdvances(sc *obs.Scope) int64 {
 	return sc.Observer().PoolStats().Launches()
 }

@@ -115,9 +115,11 @@ func newControlled(cfg Config) *controlled {
 }
 
 // Start seeds the flight header before the first Observe, so replay can
-// reconstruct the identical initial controller.
+// reconstruct the identical initial controller, and lets the far queue
+// run its large scans on the solve's pool.
 func (s *controlled) Start(kn *sssp.Kernels) (graph.Dist, flight.Header) {
 	s.kn = kn
+	s.far.UsePool(kn.Pool)
 	s.hdr = flight.Header{Algorithm: "policy", InitialDelta: s.thr}
 	if s.fpol != nil {
 		s.hdr.Algorithm = "selftuning"
@@ -127,10 +129,9 @@ func (s *controlled) Start(kn *sssp.Kernels) (graph.Dist, flight.Header) {
 }
 
 // Defer pushes the bisect's far side onto the partitioned far queue.
-func (s *controlled) Defer(far []graph.VID) {
-	dist := s.kn.Dist
-	for _, v := range far {
-		s.far.Push(v, dist[v])
+func (s *controlled) Defer(far []frontier.Entry) {
+	for _, e := range far {
+		s.far.Push(e.V, e.D)
 	}
 }
 
@@ -179,7 +180,7 @@ func (s *controlled) Next(near []graph.VID, x1, x2 int, rec *flight.Record) ([]g
 	if newThr > thr {
 		front = far.PopBelow(distOf(newThr), dist, front)
 	} else if newThr < thr {
-		var farC []graph.VID
+		var farC []frontier.Entry
 		front, farC = kn.Bisect(front, distOf(newThr), front)
 		s.Defer(farC)
 	}

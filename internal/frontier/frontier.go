@@ -18,7 +18,22 @@ import (
 	"sync"
 
 	"energysssp/internal/graph"
+	"energysssp/internal/parallel"
 )
+
+// PoolScanMin is the smallest scan, in items, that the rebalance stage runs
+// on a pool of more than one worker: a Partitioned.PopBelow partition scan
+// here, and the bisect-frontier scan of the sssp kernels. Smaller scans run
+// inline. Both scans are bound by their random dist reads, so a second
+// worker pays off only on long scans. Timed on a 2-vCPU Xeon VM (go1.24,
+// random entries over a 262k-vertex dist array, 2 workers, three runs per
+// size), the pool PopBelow was slower than the inline one at 8Ki and 12Ki
+// entries, mixed at 16Ki and 20–40% faster from 20Ki on; the pool Bisect
+// was slower up to 16Ki, level at 20–24Ki and 20–25% faster from 32Ki on.
+// Every scan of the road workloads stays below 4Ki items. The wiki
+// workload's far-queue partitions and filter outputs reach 100k–170k
+// items, and over 70% of its scanned items lie in scans of at least 32Ki.
+const PoolScanMin = 1 << 15
 
 // Entry is a far-queue element: a vertex and its distance at insertion.
 type Entry struct {
@@ -122,6 +137,31 @@ type Partitioned struct {
 	scanned int
 	// free[k] holds idle slabs of capacity at least 1<<k, length 0.
 	free [][][]Entry
+
+	// pool runs the partition scans of at least PoolScanMin entries (nil
+	// or one worker: every scan runs inline). popWorker is built once per
+	// queue, so a pool scan allocates nothing; it reads the scan from pop
+	// and writes each worker's counts to pops.
+	pool      *parallel.Pool
+	pop       popCall
+	pops      []popCount
+	popWorker func(w int)
+}
+
+// popCall is the state of one pool partition scan: the entries, the
+// output window of the same length, each split by parallel.Block.
+type popCall struct {
+	es   []Entry
+	ob   []graph.VID
+	thr  graph.Dist
+	dist []graph.Dist
+}
+
+// popCount is one worker's block result of a pool scan, padded to a cache
+// line.
+type popCount struct {
+	pop, keep int
+	_         [6]int64
 }
 
 // minSlabClass is the size class of a partition's first slab: 1<<6
@@ -157,6 +197,24 @@ func (q *Partitioned) init(firstUpper graph.Dist) {
 	clear(q.parts)
 	q.parts = append(q.parts[:0], partition{upper: firstUpper}, partition{upper: graph.Inf})
 	q.size, q.scanned = 0, 0
+	q.pool = nil
+}
+
+// UsePool lets PopBelow scan partitions of at least PoolScanMin entries on
+// p, until Release. The result is the same as an inline scan's.
+func (q *Partitioned) UsePool(p *parallel.Pool) {
+	q.pool = p
+	if p.Size() > len(q.pops) {
+		q.pops = make([]popCount, p.Size())
+	}
+	if q.popWorker == nil {
+		q.popWorker = func(w int) {
+			c := &q.pop
+			lo, hi := parallel.Block(len(c.es), q.pool.Size(), w)
+			np, nk := popBlock(c.es[lo:hi], c.ob[lo:hi], c.thr, c.dist)
+			q.pops[w] = popCount{pop: np, keep: nk}
+		}
+	}
 }
 
 // putSlab files s under the largest class its capacity covers.
@@ -278,12 +336,16 @@ func (q *Partitioned) CompactFront() {
 // appending to out. Only partitions whose lower bound is below thr are
 // scanned — the pay-off of partitioning over the baseline's full scan.
 // Fresh entries above thr are retained in place, in order; stale entries
-// are dropped.
+// are dropped. Each scan needs len(entries) spare slots in out, grown
+// amortised.
 //
-// The keep/pop/drop decision is predicated rather than branched: each
-// entry is written to both out and the retained prefix, and each count
-// advances by its own predicate. That needs len(entries) spare slots in
-// out per scanned partition, grown amortised.
+// A partition of at least PoolScanMin entries is scanned on the pool
+// given to UsePool, if it has more than one worker: each worker runs
+// popBlock over one static block (parallel.Block) of the entries and of
+// the output window, and the blocks' results are then moved together in
+// block order. Each block keeps entry order and the blocks tile the
+// partition in order, so out and the retained entries are identical to the
+// inline scan's.
 func (q *Partitioned) PopBelow(thr graph.Dist, dist []graph.Dist, out []graph.VID) []graph.VID {
 	for i := 0; i < len(q.parts); i++ {
 		if q.lower(i) >= thr {
@@ -294,23 +356,55 @@ func (q *Partitioned) PopBelow(thr graph.Dist, dist []graph.Dist, out []graph.VI
 		q.scanned += len(es)
 		n := len(out)
 		out = slices.Grow(out, len(es))
-		ob := out[:cap(out)]
-		nk := 0
-		for _, e := range es {
-			cur := dist[e.V]
-			fresh := b2i(cur == e.D)
-			below := b2i(cur <= thr)
-			ob[n] = e.V
-			es[nk] = e
-			n += fresh & below
-			nk += fresh &^ below
+		ob := out[n : n+len(es)]
+		var np, nk int
+		if nw := q.workers(); nw > 1 && len(es) >= PoolScanMin {
+			q.pop = popCall{es: es, ob: ob, thr: thr, dist: dist}
+			q.pool.Run(q.popWorker)
+			q.pop = popCall{}
+			np, nk = q.pops[0].pop, q.pops[0].keep
+			for w := 1; w < nw; w++ {
+				lo, _ := parallel.Block(len(es), nw, w)
+				c := q.pops[w]
+				np += copy(ob[np:], ob[lo:lo+c.pop])
+				nk += copy(es[nk:], es[lo:lo+c.keep])
+			}
+		} else {
+			np, nk = popBlock(es, ob, thr, dist)
 		}
 		q.size -= len(es) - nk
 		part.entries = es[:nk]
-		out = ob[:n]
+		out = out[:n+np]
 	}
 	q.CompactFront()
 	return out
+}
+
+// workers reports the pool size PopBelow scans with: 1 without a pool.
+func (q *Partitioned) workers() int {
+	if q.pool == nil {
+		return 1
+	}
+	return q.pool.Size()
+}
+
+// popBlock is PopBelow's scan of es: it writes the popped vertices to the
+// front of ob and compacts the retained entries to the front of es, each in
+// entry order, and returns the two counts. ob needs len(es) slots. The
+// keep/pop/drop decision is predicated rather than branched: each entry is
+// written to both ob and the retained prefix, and each count advances by
+// its own predicate.
+func popBlock(es []Entry, ob []graph.VID, thr graph.Dist, dist []graph.Dist) (np, nk int) {
+	for _, e := range es {
+		cur := dist[e.V]
+		fresh := b2i(cur == e.D)
+		below := b2i(cur <= thr)
+		ob[np] = e.V
+		es[nk] = e
+		np += fresh & below
+		nk += fresh &^ below
+	}
+	return np, nk
 }
 
 // b2i converts a predicate to 0 or 1. The compiler lowers it to a flag

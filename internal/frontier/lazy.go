@@ -19,8 +19,10 @@ import (
 //
 // Layout: bucket i covers recorded distances in (i·width, (i+1)·width]
 // (distance 0 joins bucket 0), stored structure-of-arrays — one []VID and
-// one []Dist slab per bucket — in a ring of nslots slices indexed by
-// i mod nslots. The ring window is [drained, drained+nslots); entries
+// one []Dist slab per bucket — in a ring of DefaultLazySlots slices
+// indexed by i mod DefaultLazySlots, computed as a mask because the slot
+// count is a power of two. The ring window is
+// [drained, drained+DefaultLazySlots); entries
 // beyond it wait in an unsorted overflow slab and are redistributed into
 // the ring when the window slides over them (amortized: an entry moves out
 // of overflow at most once). All slabs are reused across solves via an
@@ -36,12 +38,11 @@ import (
 // bucket order.
 type Lazy struct {
 	width   graph.Dist
-	drained int64 // absolute index of the first undrained bucket
-	minAbi  int64 // no ring bucket below this index holds entries
-	nslots  int
-	vids    [][]graph.VID // ring slabs, indexed abi % nslots
+	drained int64         // absolute index of the first undrained bucket
+	minAbi  int64         // no ring bucket below this index holds entries
+	vids    [][]graph.VID // ring slabs, indexed by slot(abi)
 	dists   [][]graph.Dist
-	ofV     []graph.VID // overflow: entries with abi >= drained+nslots
+	ofV     []graph.VID // overflow: entries with abi >= drained+DefaultLazySlots
 	ofD     []graph.Dist
 	ofMin   int64 // smallest bucket index present in overflow
 	size    int   // stored entries, stale included until detected
@@ -54,6 +55,14 @@ type Lazy struct {
 // the default width (the solver's delta) this covers the whole distance
 // range of the road-network workloads, so overflow redistribution is rare.
 const DefaultLazySlots = 1024
+
+// The ring index masks with DefaultLazySlots-1, which needs a power of
+// two: this constant fails to compile otherwise.
+const _ = -uint(DefaultLazySlots & (DefaultLazySlots - 1))
+
+// slot maps an absolute bucket index (never negative) to its ring slot:
+// abi mod DefaultLazySlots, without a divide.
+func slot(abi int64) int { return int(abi & (DefaultLazySlots - 1)) }
 
 const noBucket = int64(math.MaxInt64)
 
@@ -78,10 +87,9 @@ func (q *Lazy) init(width, startThr graph.Dist) {
 		width = 1
 	}
 	q.width = width
-	if q.nslots == 0 {
-		q.nslots = DefaultLazySlots
-		q.vids = make([][]graph.VID, q.nslots)
-		q.dists = make([][]graph.Dist, q.nslots)
+	if q.vids == nil {
+		q.vids = make([][]graph.VID, DefaultLazySlots)
+		q.dists = make([][]graph.Dist, DefaultLazySlots)
 	}
 	for i := range q.vids {
 		q.vids[i] = q.vids[i][:0]
@@ -122,14 +130,14 @@ func (q *Lazy) Push(v graph.VID, d graph.Dist) {
 	if abi < q.drained {
 		abi = q.drained // contract violation: clamp rather than corrupt
 	}
-	if abi >= q.drained+int64(q.nslots) {
+	if abi >= q.drained+DefaultLazySlots {
 		q.ofV = append(q.ofV, v)
 		q.ofD = append(q.ofD, d)
 		if abi < q.ofMin {
 			q.ofMin = abi
 		}
 	} else {
-		s := int(abi % int64(q.nslots))
+		s := slot(abi)
 		bv, bd := q.vids[s], q.dists[s]
 		bv = append(bv, v)
 		bd = append(bd, d)
@@ -143,10 +151,10 @@ func (q *Lazy) Push(v graph.VID, d graph.Dist) {
 }
 
 // fill redistributes overflow entries that now fit the ring window
-// [drained, drained+nslots), dropping stale ones on the way. Amortized:
+// [drained, drained+DefaultLazySlots), dropping stale ones on the way. Amortized:
 // each entry leaves the overflow at most once.
 func (q *Lazy) fill(dist []graph.Dist) {
-	end := q.drained + int64(q.nslots)
+	end := q.drained + DefaultLazySlots
 	if len(q.ofV) == 0 || q.ofMin >= end {
 		return
 	}
@@ -164,7 +172,7 @@ func (q *Lazy) fill(dist []graph.Dist) {
 			abi = q.drained
 		}
 		if abi < end {
-			s := int(abi % int64(q.nslots))
+			s := slot(abi)
 			bv, bd := q.vids[s], q.dists[s]
 			bv = append(bv, v)
 			bd = append(bd, d)
@@ -213,7 +221,7 @@ func (q *Lazy) skipEmpty(limit int64) {
 // the stale ones, and advances the drained boundary. Caller ensures the
 // bucket is inside the ring window.
 func (q *Lazy) drainBucket(dist []graph.Dist, out []graph.VID, scanned int) ([]graph.VID, int) {
-	s := int(q.drained % int64(q.nslots))
+	s := slot(q.drained)
 	bv, bd := q.vids[s], q.dists[s]
 	scanned += len(bd)
 	for i, d := range bd {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"energysssp/internal/graph"
+	"energysssp/internal/parallel"
 )
 
 // partitionedOps drives q through a random history seeded by seed: pushes
@@ -126,45 +127,61 @@ func TestPartitionedPoolReuse(t *testing.T) {
 // allocation gate: after one warm-up cycle has stocked the queue's slab
 // free lists, a full acquire → push (growing partitions through several
 // size classes) → boundary updates → MinDist → pops → release cycle
-// allocates nothing.
+// allocates nothing, inline and with a 4-worker pool scanning the
+// partitions of at least PoolScanMin entries (which the cycle's first pop
+// meets: its second partition holds about n/2 entries).
 func TestPartitionedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool drops a random fraction of Puts under -race, so the
 		// pooled warm-up this gate relies on does not survive there.
 		t.Skip("allocation gate requires reliable sync.Pool retention; disabled under -race")
 	}
-	const n = 8192
+	const n = 4 * PoolScanMin
 	dist := make([]graph.Dist, n)
 	for v := range dist {
 		dist[v] = graph.Dist(1 + (v*7919)%20000)
 	}
 	out := make([]graph.VID, 0, n)
-	cycle := func() {
-		q := GetPartitioned(500)
-		for v := 0; v < n/2; v++ {
-			q.Push(graph.VID(v), dist[v])
-		}
-		for b := graph.Dist(1000); b <= 16000; b += 1000 {
-			if err := q.SetBound(q.NumPartitions()-1, b); err != nil {
-				t.Fatal(err)
+	for _, ps := range []int{1, 4} {
+		pool := parallel.NewPool(ps)
+		var stats parallel.PoolStats
+		pool.Observe(&stats)
+		cycle := func() {
+			q := GetPartitioned(500)
+			q.UsePool(pool)
+			for v := 0; v < n/2; v++ {
+				q.Push(graph.VID(v), dist[v])
 			}
+			for b := graph.Dist(1000); b <= 16000; b += 1000 {
+				if err := q.SetBound(q.NumPartitions()-1, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for v := n / 2; v < n; v++ {
+				q.Push(graph.VID(v), dist[v])
+			}
+			_ = q.MinDist(dist)
+			o := out[:0]
+			for thr := graph.Dist(700); q.Len() > 0; thr += 3000 {
+				o = q.PopBelow(thr, dist, o)
+			}
+			if len(o) != n {
+				t.Fatalf("pool %d: cycle popped %d of %d", ps, len(o), n)
+			}
+			_ = q.ScannedAndReset()
+			q.Release()
 		}
-		for v := n / 2; v < n; v++ {
-			q.Push(graph.VID(v), dist[v])
+		cycle() // warm the slab free lists
+		launches := stats.Launches()
+		allocs := testing.AllocsPerRun(10, cycle)
+		launched := stats.Launches() - launches
+		pool.Unobserve(&stats)
+		pool.Close()
+		if allocs != 0 {
+			t.Errorf("pool %d: partitioned queue cycle allocates %.1f per run, want 0", ps, allocs)
 		}
-		_ = q.MinDist(dist)
-		o := out[:0]
-		for thr := graph.Dist(700); q.Len() > 0; thr += 3000 {
-			o = q.PopBelow(thr, dist, o)
+		if (launched > 0) != (ps > 1) {
+			t.Errorf("pool %d: %d pool scans in 11 cycles", ps, launched)
 		}
-		if len(o) != n {
-			t.Fatalf("cycle popped %d of %d", len(o), n)
-		}
-		_ = q.ScannedAndReset()
-		q.Release()
-	}
-	cycle() // warm the slab free lists
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Errorf("partitioned queue cycle allocates %.1f per run, want 0", allocs)
 	}
 }

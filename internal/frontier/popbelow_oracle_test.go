@@ -1,11 +1,13 @@
 package frontier
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"energysssp/internal/graph"
+	"energysssp/internal/parallel"
 )
 
 // popBelowBranchy is PopBelow as it was written before its keep/pop/drop
@@ -62,78 +64,154 @@ func samePartitioned(a, b *Partitioned) bool {
 	return true
 }
 
+// checkPopAgainstOracle pops got at thr and the branching oracle on a
+// clone of got, and fails unless the two agree on the popped order, the
+// retained entries in order, Len and ScannedAndReset. It returns got's
+// extended out.
+func checkPopAgainstOracle(t *testing.T, what string, got *Partitioned, thr graph.Dist, dist []graph.Dist, gotOut []graph.VID) []graph.VID {
+	t.Helper()
+	want := clonePartitioned(got)
+	wantOut := popBelowBranchy(want, thr, dist, slices.Clone(gotOut))
+	gotOut = got.PopBelow(thr, dist, gotOut)
+	if !slices.Equal(gotOut, wantOut) {
+		t.Fatalf("%s thr %d: popped %d vertices, oracle %d, or in another order", what, thr, len(gotOut), len(wantOut))
+	}
+	if !samePartitioned(got, want) {
+		t.Fatalf("%s thr %d: retained entries differ from the oracle", what, thr)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: Len %d, oracle %d", what, got.Len(), want.Len())
+	}
+	if gs, ws := got.ScannedAndReset(), want.ScannedAndReset(); gs != ws {
+		t.Fatalf("%s: scanned %d, oracle %d", what, gs, ws)
+	}
+	return gotOut
+}
+
 // TestPopBelowMatchesBranchyOracle drives the predicated PopBelow and the
 // branching oracle through the same random histories: pushes (duplicates of
 // one vertex included), stale entries made by lowering distances, monotone
 // boundary updates, and pops at random thresholds, at the boundaries and at
 // graph.Inf. After every pop the two must agree on the popped order, the
-// retained entries in order, Len and ScannedAndReset.
+// retained entries in order, Len and ScannedAndReset. Every history runs
+// with the queue scanning on pools of 1 to 4 workers, and so do the
+// partitions on both sides of PoolScanMin (popBelowLongPartitions).
 func TestPopBelowMatchesBranchyOracle(t *testing.T) {
-	for seed := uint64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
-		n := 1 + rng.IntN(120)
-		dist := make([]graph.Dist, n)
-		for v := range dist {
-			dist[v] = graph.Inf
-		}
-		got := GetPartitioned(graph.Dist(1 + rng.Int64N(60)))
-		var gotOut, wantOut []graph.VID
-		if rng.IntN(2) == 0 {
-			// A caller buffer with spare room and a live prefix.
-			gotOut = make([]graph.VID, 3, 3+rng.IntN(8))
-			gotOut[0], gotOut[1], gotOut[2] = 7, 8, 9
-		}
-		for step := 0; step < 40; step++ {
-			switch op := rng.IntN(5); {
-			case op <= 1:
-				for k := rng.IntN(30); k > 0; k-- {
-					v := graph.VID(rng.IntN(n))
-					d := graph.Dist(1 + rng.Int64N(400))
-					if d < dist[v] || rng.IntN(4) == 0 {
-						dist[v] = d // a lowered distance leaves older entries stale
+	t.Run("histories", popBelowHistories)
+	t.Run("long-partitions", popBelowLongPartitions)
+}
+
+func popBelowHistories(t *testing.T) {
+	for ps := 1; ps <= 4; ps++ {
+		pool := parallel.NewPool(ps)
+		for seed := uint64(0); seed < 200; seed++ {
+			rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
+			n := 1 + rng.IntN(120)
+			dist := make([]graph.Dist, n)
+			for v := range dist {
+				dist[v] = graph.Inf
+			}
+			got := GetPartitioned(graph.Dist(1 + rng.Int64N(60)))
+			got.UsePool(pool)
+			var gotOut []graph.VID
+			if rng.IntN(2) == 0 {
+				// A caller buffer with spare room and a live prefix.
+				gotOut = make([]graph.VID, 3, 3+rng.IntN(8))
+				gotOut[0], gotOut[1], gotOut[2] = 7, 8, 9
+			}
+			for step := 0; step < 40; step++ {
+				switch op := rng.IntN(5); {
+				case op <= 1:
+					for k := rng.IntN(30); k > 0; k-- {
+						v := graph.VID(rng.IntN(n))
+						d := graph.Dist(1 + rng.Int64N(400))
+						if d < dist[v] || rng.IntN(4) == 0 {
+							dist[v] = d // a lowered distance leaves older entries stale
+						}
+						got.Push(v, dist[v])
 					}
-					got.Push(v, dist[v])
-				}
-			case op == 2:
-				pi := rng.IntN(got.NumPartitions())
-				lo, up := got.lower(pi), got.Bound(pi)
-				if up == graph.Inf {
-					up = lo + 500
-				}
-				if up-lo > 1 {
-					if err := got.SetBound(pi, lo+1+rng.Int64N(int64(up-lo-1))); err != nil {
-						t.Fatal(err)
+				case op == 2:
+					pi := rng.IntN(got.NumPartitions())
+					lo, up := got.lower(pi), got.Bound(pi)
+					if up == graph.Inf {
+						up = lo + 500
 					}
-				}
-			default:
-				var thr graph.Dist
-				switch rng.IntN(4) {
-				case 0:
-					thr = graph.Inf
-				case 1:
-					thr = got.Bound(rng.IntN(got.NumPartitions()))
+					if up-lo > 1 {
+						if err := got.SetBound(pi, lo+1+rng.Int64N(int64(up-lo-1))); err != nil {
+							t.Fatal(err)
+						}
+					}
 				default:
-					thr = graph.Dist(rng.Int64N(450))
-				}
-				want := clonePartitioned(got)
-				wantOut = popBelowBranchy(want, thr, dist, slices.Clone(gotOut))
-				gotOut = got.PopBelow(thr, dist, gotOut)
-				if !slices.Equal(gotOut, wantOut) {
-					t.Fatalf("seed %d step %d thr %d: popped %v, oracle %v", seed, step, thr, gotOut, wantOut)
-				}
-				if !samePartitioned(got, want) {
-					t.Fatalf("seed %d step %d thr %d: retained entries differ from the oracle", seed, step, thr)
-				}
-				if got.Len() != want.Len() {
-					t.Fatalf("seed %d step %d: Len %d, oracle %d", seed, step, got.Len(), want.Len())
-				}
-				if gs, ws := got.ScannedAndReset(), want.ScannedAndReset(); gs != ws {
-					t.Fatalf("seed %d step %d: scanned %d, oracle %d", seed, step, gs, ws)
-				}
-				if rng.IntN(2) == 0 {
-					gotOut = gotOut[:0]
+					var thr graph.Dist
+					switch rng.IntN(4) {
+					case 0:
+						thr = graph.Inf
+					case 1:
+						thr = got.Bound(rng.IntN(got.NumPartitions()))
+					default:
+						thr = graph.Dist(rng.Int64N(450))
+					}
+					what := fmt.Sprintf("pool %d seed %d step %d", ps, seed, step)
+					gotOut = checkPopAgainstOracle(t, what, got, thr, dist, gotOut)
+					if rng.IntN(2) == 0 {
+						gotOut = gotOut[:0]
+					}
 				}
 			}
+			got.Release()
 		}
+		pool.Close()
+	}
+}
+
+// popBelowLongPartitions runs PopBelow on partitions just below, at and
+// above PoolScanMin entries, with duplicates and stale entries, at pool
+// sizes 1 to 4: the pops must match the branching oracle, and exactly the
+// partitions of at least the cutoff must be scanned on a pool of more than
+// one worker.
+func popBelowLongPartitions(t *testing.T) {
+	const n = 4096
+	sizes := []int{PoolScanMin - 1, PoolScanMin, PoolScanMin + 1, 2*PoolScanMin + 3}
+	for ps := 1; ps <= 4; ps++ {
+		pool := parallel.NewPool(ps)
+		var stats parallel.PoolStats
+		pool.Observe(&stats)
+		for si, size := range sizes {
+			rng := rand.New(rand.NewPCG(uint64(ps), uint64(si)))
+			dist := make([]graph.Dist, n)
+			for v := range dist {
+				dist[v] = graph.Dist(1 + rng.Int64N(1000))
+			}
+			q := GetPartitioned(1000) // every entry lands in partition 0
+			q.UsePool(pool)
+			for k := 0; k < size; k++ {
+				v := graph.VID(rng.IntN(n))
+				q.Push(v, dist[v])
+				if rng.IntN(3) == 0 && dist[v] > 1 {
+					dist[v]-- // leaves the entry just pushed stale
+				}
+			}
+			var out []graph.VID
+			for round := 0; q.Len() > 0; round++ {
+				scanned := q.PartSize(0)
+				launches := stats.Launches()
+				thr := graph.Dist(250 * (round + 1))
+				if round == 3 {
+					thr = graph.Inf
+				}
+				what := fmt.Sprintf("pool %d size %d round %d", ps, size, round)
+				out = checkPopAgainstOracle(t, what, q, thr, dist, out[:rng.IntN(len(out)+1)])
+				want := int64(0)
+				if ps > 1 && scanned >= PoolScanMin {
+					want = 1
+				}
+				if got := stats.Launches() - launches; got != want {
+					t.Fatalf("%s: %d pool launches scanning %d entries, want %d", what, got, scanned, want)
+				}
+			}
+			q.Release()
+		}
+		pool.Unobserve(&stats)
+		pool.Close()
 	}
 }

@@ -224,34 +224,48 @@ func roadWeighted(rows, cols int, extra float64, rng *rand.Rand, weight func() g
 // parameters (0.57, 0.19, 0.19, 0.05) the degree distribution is heavy
 // tailed like the Wiki hyperlink network.
 func RMAT(scale, edgeFactor int, a, b, c float64, wmin, wmax int, seed uint64) *graph.Graph {
+	g := graph.MustNew(1<<uint(scale), rmatEdges(scale, edgeFactor, a, b, c, wmin, wmax, seed))
+	g.SetName(fmt.Sprintf("rmat-%d-%d", scale, edgeFactor))
+	return g
+}
+
+// rmatEdges draws RMAT's arc list. Each level takes one uniform draw r and
+// picks a quadrant: r < a top-left (no bit), r < a+b top-right (v bit),
+// r < a+b+c bottom-left (u bit), otherwise bottom-right (both bits). The
+// quadrant is decoded without a branch, since the draw mispredicts one: u
+// is set exactly when r >= a+b, and v exactly when r lands in [a, a+b) or
+// at or above a+b+c. The sums are formed once, in the same order as the
+// comparisons they replace, so the edges are bit-identical to the switch.
+func rmatEdges(scale, edgeFactor int, a, b, c float64, wmin, wmax int, seed uint64) []graph.Edge {
 	rng := newRNG(seed)
 	n := 1 << uint(scale)
 	m := edgeFactor * n
+	ab := a + b
+	abc := ab + c
 	edges := make([]graph.Edge, 0, m)
 	for k := 0; k < m; k++ {
 		u, v := 0, 0
 		for bit := n >> 1; bit > 0; bit >>= 1 {
 			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left quadrant: no bits set
-			case r < a+b:
-				v |= bit
-			case r < a+b+c:
-				u |= bit
-			default:
-				u |= bit
-				v |= bit
-			}
+			geA, geAB, geABC := b2i(r >= a), b2i(r >= ab), b2i(r >= abc)
+			u |= bit & -geAB
+			v |= bit & -((geA ^ geAB) | geABC)
 		}
 		edges = append(edges, graph.Edge{
 			U: graph.VID(u), V: graph.VID(v),
 			W: uniformWeight(rng, wmin, wmax),
 		})
 	}
-	g := graph.MustNew(n, edges)
-	g.SetName(fmt.Sprintf("rmat-%d-%d", scale, edgeFactor))
-	return g
+	return edges
+}
+
+// b2i converts a predicate to 0 or 1. The compiler lowers it to a flag
+// set (SETcc), not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ErdosRenyi generates a G(n, m) digraph: m arcs drawn uniformly with

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,5 +269,56 @@ func TestRMATDeterminism(t *testing.T) {
 	b := RMAT(8, 4, 0.57, 0.19, 0.19, 1, 99, 77)
 	if !a.Equal(b) {
 		t.Fatal("same-seed RMAT differs")
+	}
+}
+
+// rmatEdgesSwitch is the branching quadrant choice rmatEdges replaced,
+// kept as its oracle: same draws, same comparisons, one switch per level.
+func rmatEdgesSwitch(scale, edgeFactor int, a, b, c float64, wmin, wmax int, seed uint64) []graph.Edge {
+	rng := newRNG(seed)
+	n := 1 << uint(scale)
+	m := edgeFactor * n
+	edges := make([]graph.Edge, 0, m)
+	for k := 0; k < m; k++ {
+		u, v := 0, 0
+		for bit := n >> 1; bit > 0; bit >>= 1 {
+			r := rng.Float64()
+			switch {
+			case r < a:
+			case r < a+b:
+				v |= bit
+			case r < a+b+c:
+				u |= bit
+			default:
+				u |= bit
+				v |= bit
+			}
+		}
+		edges = append(edges, graph.Edge{
+			U: graph.VID(u), V: graph.VID(v),
+			W: uniformWeight(rng, wmin, wmax),
+		})
+	}
+	return edges
+}
+
+func TestRMATMatchesSwitchOracle(t *testing.T) {
+	params := [][3]float64{
+		{0.57, 0.19, 0.19}, // Graph500, the WikiLike preset
+		{0.25, 0.25, 0.25}, // uniform: every quadrant boundary hit often
+		{0.45, 0.15, 0.35},
+		{1, 0, 0}, // degenerate quadrants
+		{0, 0, 0},
+	}
+	for _, p := range params {
+		for _, scale := range []int{1, 4, 9, 12} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				got := rmatEdges(scale, 6, p[0], p[1], p[2], 1, 99, seed)
+				want := rmatEdgesSwitch(scale, 6, p[0], p[1], p[2], 1, 99, seed)
+				if !slices.Equal(got, want) {
+					t.Fatalf("params %v scale %d seed %d: branch-free RMAT edges differ from the switch", p, scale, seed)
+				}
+			}
+		}
 	}
 }

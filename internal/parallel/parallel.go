@@ -151,17 +151,10 @@ func (p *Pool) For(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	chunk := (n + p.size - 1) / p.size
 	p.Run(func(w int) {
-		lo := w * chunk
-		if lo >= n {
-			return
+		if lo, hi := Block(n, p.size, w); lo < hi {
+			body(lo, hi)
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
 	})
 }
 
@@ -250,6 +243,16 @@ func (p *Pool) SumInt64(n int, f func(i int) int64) int64 {
 		total += partial[i].v
 	}
 	return total
+}
+
+// Block returns block i of [0, n) split into parts contiguous static
+// blocks of ceil(n/parts) items; the trailing blocks may be short or empty.
+// The blocks tile [0, n) in order, so per-block outputs concatenated in
+// block order keep the items' order.
+func Block(n, parts, i int) (lo, hi int) {
+	chunk := (n + parts - 1) / parts
+	lo = min(i*chunk, n)
+	return lo, min(lo+chunk, n)
 }
 
 // workerOf maps a static-partition chunk start back to its worker index.

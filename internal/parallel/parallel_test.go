@@ -38,6 +38,26 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestBlockTilesRangeInOrder checks that Block's blocks are contiguous,
+// in order, and cover [0, n) exactly, for counts on both sides of parts.
+func TestBlockTilesRangeInOrder(t *testing.T) {
+	for _, parts := range []int{1, 2, 3, 4, 7} {
+		for _, n := range []int{0, 1, 2, 3, 6, 7, 64, 1001} {
+			next := 0
+			for i := 0; i < parts; i++ {
+				lo, hi := Block(n, parts, i)
+				if lo != next || hi < lo || hi > n {
+					t.Fatalf("parts=%d n=%d: block %d = [%d, %d), want it to start at %d", parts, n, i, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("parts=%d n=%d: blocks end at %d", parts, n, next)
+			}
+		}
+	}
+}
+
 func TestDynamicCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)

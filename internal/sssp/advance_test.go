@@ -5,9 +5,11 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
+	"energysssp/internal/frontier"
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 	"energysssp/internal/obs"
@@ -183,8 +185,10 @@ func TestSolversAgreeOnParallelPath(t *testing.T) {
 }
 
 // parallelAdvances counts the advances of a scope's solves that ran on the
-// pool rather than inline on the sequential kernel: the advance is the
-// only pool launch in a solve.
+// pool rather than inline on the sequential kernel. It counts pool
+// launches, and on the graphs of these tests the advance is a solve's only
+// pool launch: none of their bisect or far-queue scans reaches
+// frontier.PoolScanMin items.
 func parallelAdvances(sc *obs.Scope) int64 {
 	return sc.Observer().PoolStats().Launches()
 }
@@ -227,12 +231,17 @@ func TestAdaptiveSchedulerChoices(t *testing.T) {
 // TestAdvanceSteadyStateAllocs is the allocation regression gate of the
 // tentpole: once buffers have warmed up, Advance must perform zero
 // allocations per iteration on both scheduling paths at every pool size,
-// including the call whose filter epoch wraps and clears the mark.
+// including the call whose filter epoch wraps and clears the mark, and so
+// must a Bisect long enough to run on the pool. At pool size 4 the
+// parallel path's advance (ordered through the bitmap) and the Bisect must
+// launch the pool.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 1, 99, 13)
 	for _, ps := range []int{1, 4} {
 		for _, path := range advancePaths {
 			pool := parallel.NewPool(ps)
+			var stats parallel.PoolStats
+			pool.Observe(&stats)
 			dist := newDist(g.NumVertices(), 0)
 			kn := NewKernels(g, pool, nil, dist)
 			kn.seqMaxFront = path.seqMax
@@ -243,28 +252,127 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 				adv := kn.Advance(front)
 				front = append(front[:0], adv.Out...)
 			}
-			frontier := make([]graph.VID, 0, g.NumVertices())
+			reached := make([]graph.VID, 0, g.NumVertices())
 			for v := 0; v < g.NumVertices(); v++ {
 				if dist[v] < graph.Inf {
-					frontier = append(frontier, graph.VID(v))
+					reached = append(reached, graph.VID(v))
 				}
 			}
-			kn.Advance(frontier) // warm the full-frontier path
+			// A bisect input above the pool scan cutoff, split near the
+			// median distance.
+			long := make([]graph.VID, 0, 2*frontier.PoolScanMin)
+			for len(long) < cap(long) {
+				long = append(long, reached[len(long)%len(reached)])
+			}
+			thr := dist[reached[len(reached)/2]]
+			near := make([]graph.VID, 0, len(long))
+			kn.Advance(reached) // warm the full-frontier path
+			kn.Bisect(long, thr, near)
 			// Measure across the filter's epoch wrap and mark clear. Every
 			// mark byte must stay at most the epoch, so only raise it.
 			if kn.sc.epoch > 250 {
 				t.Fatalf("pool %d %s: epoch %d already past the preset", ps, path.name, kn.sc.epoch)
 			}
 			kn.sc.epoch = 250
+			launches := stats.Launches()
 			allocs := testing.AllocsPerRun(10, func() {
-				kn.Advance(frontier)
+				kn.Advance(reached)
+				kn.Bisect(long, thr, near)
 			})
+			launched := stats.Launches() - launches
 			kn.Release()
+			pool.Unobserve(&stats)
 			pool.Close()
 			if allocs != 0 {
-				t.Errorf("pool %d %s: Advance allocates %.1f per run, want 0", ps, path.name, allocs)
+				t.Errorf("pool %d %s: Advance and Bisect allocate %.1f per run, want 0", ps, path.name, allocs)
+			}
+			// AllocsPerRun makes one warm-up call before its 10 runs.
+			want := int64(0)
+			if ps > 1 {
+				want = 11 // the bisects
+				if path.name == "parallel" {
+					want = 22 // and the advances
+				}
+			}
+			if launched != want {
+				t.Errorf("pool %d %s: %d pool launches, want %d", ps, path.name, launched, want)
 			}
 		}
+	}
+}
+
+// TestPoolAdvanceAscendingOrder checks the pool advance's ordering pass on
+// WikiLike(0.01) at pool sizes 2, 3 and 4, with a frontier above the
+// sequential cutoff given in descending order: the pool walks the same
+// vertex set in ascending order, the caller's slice and the examined edge
+// count are unchanged, the distances are those of the reference advance,
+// and the bitmap is all-zero afterwards. A frontier holding vertices twice
+// is advanced as given, every occurrence examined. A full NearFar solve on
+// the same pool must run parallel advances and match Dijkstra.
+func TestPoolAdvanceAscendingOrder(t *testing.T) {
+	g := gen.WikiLike(0.01, 42)
+	dist0, settled := settledState(t, g, 0)
+	front := slices.Clone(settled)
+	slices.Reverse(front)
+	want, _, wantEdges := refAdvance(g, dist0, front)
+	dups := append(slices.Clone(front), front[:len(front)/3]...)
+	_, _, dupEdges := refAdvance(g, dist0, dups)
+	oracle, err := Dijkstra(g, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range []int{2, 3, 4} {
+		pool := parallel.NewPool(ps)
+		dist := slices.Clone(dist0)
+		kn := NewKernels(g, pool, nil, dist)
+		if kn.sequential(len(front)) {
+			t.Fatalf("pool %d: frontier of %d vertices is below the sequential cutoff %d", ps, len(front), kn.seqMaxFront)
+		}
+		caller := slices.Clone(front)
+		adv := kn.Advance(front)
+		if adv.Sequential {
+			t.Fatalf("pool %d: advance ran sequentially", ps)
+		}
+		if !slices.Equal(front, caller) {
+			t.Errorf("pool %d: Advance modified the caller's frontier", ps)
+		}
+		if walked := kn.sc.ordered[:len(front)]; !slices.Equal(walked, settled) {
+			t.Errorf("pool %d: the pool advance did not walk the frontier's vertices in ascending order", ps)
+		}
+		if adv.Edges != wantEdges {
+			t.Errorf("pool %d: edges %d, want %d", ps, adv.Edges, wantEdges)
+		}
+		if !slices.Equal(dist, want) {
+			t.Errorf("pool %d: distances differ from the reference advance", ps)
+		}
+		if i := slices.IndexFunc(kn.sc.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Errorf("pool %d: bitmap word %d is %#x after the advance, want 0", ps, i, kn.sc.bits[i])
+		}
+
+		copy(dist, dist0)
+		adv = kn.Advance(dups)
+		if adv.Edges != dupEdges || !slices.Equal(dist, want) {
+			t.Errorf("pool %d, frontier with duplicates: edges %d (want %d), distances equal %v",
+				ps, adv.Edges, dupEdges, slices.Equal(dist, want))
+		}
+		if i := slices.IndexFunc(kn.sc.bits, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Errorf("pool %d, frontier with duplicates: bitmap word %d is %#x afterwards, want 0", ps, i, kn.sc.bits[i])
+		}
+		kn.Release()
+
+		sc := obs.New(0).NewScope("ordered")
+		res, err := NearFar(g, 0, 1000, &Options{Pool: pool, Scope: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Dist, oracle.Dist) {
+			t.Errorf("pool %d: NearFar distances differ from Dijkstra", ps)
+		}
+		if parallelAdvances(sc) == 0 {
+			t.Errorf("pool %d: the solve ran no parallel advance", ps)
+		}
+		sc.Close()
+		pool.Close()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 	"energysssp/internal/parallel"
 )
@@ -35,14 +36,14 @@ func relaxBranchy(g *graph.Graph, dist []graph.Dist, front []graph.VID, seen []b
 
 // bisectBranchy is the bisect-frontier loop as the solvers wrote it before
 // Kernels.Bisect: near vertices are appended in order and every other
-// vertex is pushed as it is met. It returns the near list and the push
-// sequence.
-func bisectBranchy(src []graph.VID, thr graph.Dist, dist []graph.Dist) (near, pushed []graph.VID) {
+// vertex is pushed, at its current distance, as it is met. It returns the
+// near list and the push sequence.
+func bisectBranchy(src []graph.VID, thr graph.Dist, dist []graph.Dist) (near []graph.VID, pushed []frontier.Entry) {
 	for _, v := range src {
 		if dist[v] <= thr {
 			near = append(near, v)
 		} else {
-			pushed = append(pushed, v)
+			pushed = append(pushed, frontier.Entry{V: v, D: dist[v]})
 		}
 	}
 	return near, pushed
@@ -130,36 +131,59 @@ func TestSequentialRelaxMatchesBranchyOracle(t *testing.T) {
 
 // TestBisectMatchesBranchyOracle checks Kernels.Bisect against the
 // branching loop on random frontiers and thresholds: the same near order
-// and the same far-push sequence, whether near is a separate buffer too
+// and the same far-push sequence, distances included, whether near is a separate buffer too
 // small for the result or shares the input's backing array (the solvers'
-// in-place shrink of the frontier).
+// in-place shrink of the frontier). It runs at pool sizes 1 to 4, on short
+// inputs and on inputs just below, at and above frontier.PoolScanMin, and
+// checks that exactly the inputs of at least the cutoff ran on a pool of
+// more than one worker.
 func TestBisectMatchesBranchyOracle(t *testing.T) {
 	g := line(64)
-	pool := parallel.NewPool(1)
-	defer pool.Close()
-	dist := make([]graph.Dist, g.NumVertices())
-	kn := NewKernels(g, pool, nil, dist)
-	defer kn.Release()
 	rng := rand.New(rand.NewPCG(3, 5))
-	for trial := 0; trial < 500; trial++ {
-		for v := range dist {
-			dist[v] = graph.Dist(rng.IntN(20))
-		}
-		src := make([]graph.VID, rng.IntN(100))
-		for i := range src {
-			src[i] = graph.VID(rng.IntN(len(dist)))
-		}
-		thr := graph.Dist(rng.IntN(22) - 1)
-		wantNear, wantFar := bisectBranchy(src, thr, dist)
+	long := []int{frontier.PoolScanMin - 1, frontier.PoolScanMin, frontier.PoolScanMin + 1, 2*frontier.PoolScanMin + 3}
+	for ps := 1; ps <= 4; ps++ {
+		pool := parallel.NewPool(ps)
+		var stats parallel.PoolStats
+		pool.Observe(&stats)
+		dist := make([]graph.Dist, g.NumVertices())
+		kn := NewKernels(g, pool, nil, dist)
+		for trial := 0; trial < 500+len(long); trial++ {
+			for v := range dist {
+				dist[v] = graph.Dist(rng.IntN(20))
+			}
+			size := rng.IntN(100)
+			if trial >= 500 {
+				size = long[trial-500]
+			}
+			src := make([]graph.VID, size)
+			for i := range src {
+				src[i] = graph.VID(rng.IntN(len(dist)))
+			}
+			thr := graph.Dist(rng.IntN(22) - 1)
+			wantNear, wantFar := bisectBranchy(src, thr, dist)
 
-		near, far := kn.Bisect(src, thr, make([]graph.VID, 0, rng.IntN(4)))
-		if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
-			t.Fatalf("trial %d thr %d: near %v far %v, oracle near %v far %v", trial, thr, near, far, wantNear, wantFar)
+			launches := stats.Launches()
+			near, far := kn.Bisect(src, thr, make([]graph.VID, 0, rng.IntN(4)))
+			if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
+				t.Fatalf("pool %d trial %d size %d thr %d: near/far differ from the oracle (%d/%d, want %d/%d)",
+					ps, trial, size, thr, len(near), len(far), len(wantNear), len(wantFar))
+			}
+			inPlace := slices.Clone(src)
+			near, far = kn.Bisect(inPlace, thr, inPlace)
+			if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
+				t.Fatalf("pool %d trial %d size %d thr %d in place: near/far differ from the oracle (%d/%d, want %d/%d)",
+					ps, trial, size, thr, len(near), len(far), len(wantNear), len(wantFar))
+			}
+			wantRuns := int64(0)
+			if ps > 1 && size >= frontier.PoolScanMin {
+				wantRuns = 2
+			}
+			if got := stats.Launches() - launches; got != wantRuns {
+				t.Fatalf("pool %d size %d: %d pool launches for two bisects, want %d", ps, size, got, wantRuns)
+			}
 		}
-		inPlace := slices.Clone(src)
-		near, far = kn.Bisect(inPlace, thr, inPlace)
-		if !slices.Equal(near, wantNear) || !slices.Equal(far, wantFar) {
-			t.Fatalf("trial %d thr %d in place: near %v far %v, oracle near %v far %v", trial, thr, near, far, wantNear, wantFar)
-		}
+		kn.Release()
+		pool.Unobserve(&stats)
+		pool.Close()
 	}
 }

@@ -1,10 +1,12 @@
 package sssp
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
 
+	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 	"energysssp/internal/obs"
 	"energysssp/internal/parallel"
@@ -35,10 +37,11 @@ const (
 )
 
 // Kernels bundles the relaxation machinery shared by the near-far baseline
-// and the self-tuning algorithm: the advance stage (edge-parallel
-// relaxation with atomic-min, or a plain sequential relax on small
-// frontiers) followed by the filter stage (deduplication through an
-// epoch-stamped byte mark after the join), mirroring how Gunrock
+// and the self-tuning algorithm: the advance stage (relaxation with
+// atomic-min over the frontier in ascending vertex order on the pool, or a
+// plain sequential relax on small frontiers) followed by the filter stage
+// (deduplication through an epoch-stamped byte mark after the join), and
+// the bisect-frontier scan of the rebalance stage, mirroring how Gunrock
 // structures the same work on a GPU.
 // A Kernels value is bound to one (graph, distance array) pair for the
 // duration of a solve; call Release when the solve finishes to return the
@@ -62,13 +65,24 @@ type Kernels struct {
 	em *obs.EnergyMeter
 	ps *parallel.PoolStats // attached to Pool by Observe, detached by Release
 
-	// Per-call state published to the prebuilt worker closure. The
-	// closure is constructed once in NewKernels and passed by value to
-	// Pool.Run so the steady state performs zero allocations per advance.
+	// Per-call state published to the prebuilt worker closures. The
+	// closures are constructed once in NewKernels and passed by value to
+	// Pool.Run so the steady state performs zero allocations per advance
+	// and per bisect.
 	front []graph.VID
 	next  atomic.Int64 // dynamic chunk cursor of the parallel path
+	bis   bisectCall
 
 	vertexWorker func(w int)
+	bisectWorker func(w int)
+}
+
+// bisectCall is the state of one pool Bisect: the input and the two
+// full-capacity output buffers, each split by parallel.Block.
+type bisectCall struct {
+	src, near []graph.VID
+	far       []frontier.Entry
+	thr       graph.Dist
 }
 
 // NewKernels prepares the engine. dist must be the solver's live distance
@@ -120,6 +134,12 @@ func NewKernels(g *graph.Graph, pool *parallel.Pool, mach *sim.Machine, dist []g
 		kn.sc.bufs[w] = buf
 		kn.sc.counts[w].x2 += x2
 		kn.sc.counts[w].edges += edges
+	}
+	kn.bisectWorker = func(w int) {
+		c := &kn.bis
+		lo, hi := parallel.Block(len(c.src), kn.Pool.Size(), w)
+		nn, nf := bisectBlock(kn.Dist, c.src[lo:hi], c.thr, c.near[lo:hi], c.far[lo:hi])
+		kn.sc.splits[w] = split{near: nn, far: nf}
 	}
 	return kn
 }
@@ -203,14 +223,19 @@ type AdvanceResult struct {
 // an edge-parallel advance kernel plus a vertex-parallel filter kernel.
 //
 // The frontier runs on one of two host-side paths — inline on the plain
-// sequential kernel, or on the pool over dynamically claimed vertex
-// chunks — chosen by sequential. Both paths examine the same edge set and
-// charge the advance by it. The parallel path relaxes with atomic-min, so
-// its X² (and the filter charge) depends on how the races resolve; the
-// sequential path's X² is a pure function of the frontier and the
-// distances. On both paths Out holds each vertex whose distance fell exactly once, in
-// the order of its first occurrence across the per-worker update lists
-// taken in worker order.
+// sequential kernel in the caller's order, or on the pool over
+// dynamically claimed vertex chunks — chosen by sequential. The pool path
+// first writes the frontier in ascending vertex order into the scratch
+// (see ascending), so each chunk reads the graph arrays and the distances
+// in address order and the chunk contents are fixed; the caller's slice is
+// left as it was. Both paths examine the same edge set and charge the
+// advance by it. The parallel path relaxes with atomic-min, and which
+// worker claims each chunk and how the races resolve still vary from run
+// to run, so its X² (and the filter charge) does too; the sequential
+// path's X² is a pure function of the frontier and the distances. On both
+// paths Out holds each vertex whose distance fell exactly once, in the
+// order of its first occurrence across the per-worker update lists taken
+// in worker order.
 func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 	nw := kn.Pool.Size()
 	sc := kn.sc
@@ -218,13 +243,14 @@ func (kn *Kernels) Advance(front []graph.VID) AdvanceResult {
 		sc.bufs[w] = sc.bufs[w][:0]
 		sc.counts[w] = counters{}
 	}
-	kn.front = front
 	seq := kn.sequential(len(front))
 	kn.next.Store(0)
 	spAdv := kn.tr.Begin(obs.PhaseAdvance)
 	if seq {
+		kn.front = front
 		kn.advanceSequential()
 	} else {
+		kn.front = kn.ascending(front)
 		kn.Pool.Run(kn.vertexWorker)
 	}
 	kn.front = nil
@@ -352,6 +378,40 @@ func (kn *Kernels) advanceSequential() {
 	kn.sc.counts[0].edges += edges
 }
 
+// ascending returns the vertices of front in ascending order, written into
+// the scratch's ordered buffer by one pass over a bitmap of the vertex ids:
+// each vertex sets its bit, and the walk over the words emits the set bits
+// lowest first and clears each word as it reads it, so the bitmap is
+// all-zero again afterwards and needs no clear pass. front is not
+// modified. A frontier that holds some vertex twice collapses to fewer
+// vertices; it is returned as it is, so every occurrence is still relaxed
+// and the advance examines the same edges.
+func (kn *Kernels) ascending(front []graph.VID) []graph.VID {
+	sc := kn.sc
+	words := sc.bits[:(kn.G.NumVertices()+63)>>6]
+	for _, v := range front {
+		words[v>>6] |= 1 << (v & 63)
+	}
+	out := slices.Grow(sc.ordered[:0], len(front))[:len(front)]
+	k := 0
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		base := graph.VID(i << 6)
+		for ; w != 0; w &= w - 1 {
+			out[k] = base + graph.VID(bits.TrailingZeros64(w))
+			k++
+		}
+	}
+	sc.ordered = out
+	if k != len(front) {
+		return front
+	}
+	return out
+}
+
 // b2u converts a predicate to 0 or 1. The compiler lowers it to a flag
 // set (SETcc), not a branch.
 func b2u(b bool) uint64 {
@@ -374,30 +434,59 @@ func (kn *Kernels) sequential(n int) bool {
 // Bisect is the host side of the bisect-frontier stage. It splits src
 // around thr and returns, each in src order, the vertices whose distance is
 // at most thr appended to near[:0], and the rest as far candidates for the
-// caller to push onto its far queue. near may be src itself, which shrinks
-// the frontier in place (each write lands at or behind the read position).
-// Any other near must not overlap src. The far slice lives
+// caller to push onto its far queue, each with the distance the split read
+// (so the push needs no second load of dist). near may be src itself,
+// which shrinks the frontier in place (each write lands at or behind the
+// read position). Any other near must not overlap src. The far slice lives
 // in the pooled scratch and is valid until the next Bisect or Release.
 //
-// Like advanceSequential, the loop is predicated: every vertex is written
-// to both buffers and each count advances by its own predicate, so the
-// near/far outcome, which varies vertex to vertex, costs no branch.
-func (kn *Kernels) Bisect(src []graph.VID, thr graph.Dist, near []graph.VID) (nearOut, far []graph.VID) {
-	dist := kn.Dist
+// An input of at least frontier.PoolScanMin vertices is split on the pool
+// when it has more than one worker: each worker runs bisectBlock over one
+// static block (parallel.Block) into the same block of both outputs, and
+// the blocks' results are then moved together in block order. Each block
+// keeps src order and the blocks tile src in order, so both outputs are
+// identical to the sequential scan's.
+func (kn *Kernels) Bisect(src []graph.VID, thr graph.Dist, near []graph.VID) (nearOut []graph.VID, far []frontier.Entry) {
 	nb := slices.Grow(near[:0], len(src))
 	nb = nb[:cap(nb)]
 	fb := slices.Grow(kn.sc.far[:0], len(src))
 	kn.sc.far = fb
 	fb = fb[:cap(fb)]
-	nn, nf := 0, 0
+	nw := kn.Pool.Size()
+	if nw == 1 || len(src) < frontier.PoolScanMin {
+		nn, nf := bisectBlock(kn.Dist, src, thr, nb, fb)
+		return nb[:nn], fb[:nf]
+	}
+	kn.bis = bisectCall{src: src, near: nb, far: fb, thr: thr}
+	kn.Pool.Run(kn.bisectWorker)
+	kn.bis = bisectCall{}
+	nn, nf := kn.sc.splits[0].near, kn.sc.splits[0].far
+	for w := 1; w < nw; w++ {
+		lo, _ := parallel.Block(len(src), nw, w)
+		c := kn.sc.splits[w]
+		nn += copy(nb[nn:], nb[lo:lo+c.near])
+		nf += copy(fb[nf:], fb[lo:lo+c.far])
+	}
+	return nb[:nn], fb[:nf]
+}
+
+// bisectBlock is Bisect's scan over src, writing the near side to the
+// front of nb and the far side, with distances, to the front of fb, each
+// in src order, and returning the two counts. nb and fb need len(src)
+// slots; nb may be src itself. Like advanceSequential, the loop is
+// predicated: every vertex is written to both buffers and each count
+// advances by its own predicate, so the near/far outcome, which varies
+// vertex to vertex, costs no branch.
+func bisectBlock(dist []graph.Dist, src []graph.VID, thr graph.Dist, nb []graph.VID, fb []frontier.Entry) (nn, nf int) {
 	for _, v := range src {
-		in := int(b2u(dist[v] <= thr))
+		d := dist[v]
+		in := int(b2u(d <= thr))
 		nb[nn] = v
-		fb[nf] = v
+		fb[nf] = frontier.Entry{V: v, D: d}
 		nn += in
 		nf += in ^ 1
 	}
-	return nb[:nn], fb[:nf]
+	return nn, nf
 }
 
 // chargeBisect charges the bisect-frontier kernel over items work items,

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"energysssp/internal/flight"
+	"energysssp/internal/frontier"
 	"energysssp/internal/graph"
 	"energysssp/internal/obs"
 )
@@ -19,10 +20,10 @@ type Schedule interface {
 	// first bisect threshold and the schedule's flight-header fields;
 	// Drive adds the graph's.
 	Start(kn *Kernels) (graph.Dist, flight.Header)
-	// Defer pushes far, the bisect's far side, onto the schedule's far
-	// queue. Drive calls it inside the bisect's rebalance span, before
-	// Next.
-	Defer(far []graph.VID)
+	// Defer pushes far, the bisect's far side with each vertex's current
+	// distance, onto the schedule's far queue. Drive calls it inside the
+	// bisect's rebalance span, before Next.
+	Defer(far []frontier.Entry)
 	// Next takes the bisect's near side (X⁴ = len(near)) and the
 	// iteration's X¹ and X², and returns the next frontier, appended to
 	// near, and the next bisect threshold. It charges its own far-queue

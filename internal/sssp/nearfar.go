@@ -76,10 +76,9 @@ type flatSchedule struct {
 	far frontier.Flat
 }
 
-func (s *flatSchedule) Defer(far []graph.VID) {
-	dist := s.kn.Dist
-	for _, v := range far {
-		s.far.Push(v, dist[v])
+func (s *flatSchedule) Defer(far []frontier.Entry) {
+	for _, e := range far {
+		s.far.Push(e.V, e.D)
 	}
 }
 
@@ -129,10 +128,9 @@ type rhoSchedule struct {
 	far *frontier.Lazy
 }
 
-func (s *rhoSchedule) Defer(far []graph.VID) {
-	dist := s.kn.Dist
-	for _, v := range far {
-		s.far.Push(v, dist[v])
+func (s *rhoSchedule) Defer(far []frontier.Entry) {
+	for _, e := range far {
+		s.far.Push(e.V, e.D)
 	}
 }
 

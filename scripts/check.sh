@@ -86,10 +86,12 @@ go build -o "$flightbin/sssp" ./cmd/sssp
 # schedule. Every advance of these configurations falls below the advance's
 # sequential cutoff (near-far's largest frontier is 245 vertices, the cutoff
 # about 6.7k), so it runs inline on the plain kernel at any pool size.
-# Iterations above the cutoff run the parallel atomic-min kernel, whose X2
-# still depends on how the races resolve (ROADMAP: deterministic advance), so
-# a configuration with such iterations (the wiki run above) may differ
-# between runs whenever the pool has more than one worker.
+# Iterations above the cutoff run the parallel atomic-min kernel over the
+# frontier in ascending vertex order. The chunk contents are fixed, but
+# which worker claims each chunk and how the races resolve are not, and X2
+# depends on them (ROADMAP: deterministic advance), so a configuration with
+# such iterations (the wiki run above) may differ between runs whenever the
+# pool has more than one worker.
 for w in 1 4; do
   for algo in selftuning nearfar; do
     "$flightbin/sssp" -algo "$algo" -dataset cal -scale 0.01 -seed 42 -P 500 -device TK1 \

@@ -12,11 +12,15 @@ import (
 // chooser's sequential cutoff, and the test asserts that each one took the
 // sequential path, so it cannot pass through a lucky interleaving.
 //
-// Iterations above the cutoff still run the parallel atomic-min kernels,
-// whose X² (successful updates, duplicates included) depends on how the
-// races resolve; the filter charge and the controller read X², so solves
+// Iterations above the cutoff still run the parallel atomic-min kernels.
+// They walk the frontier in ascending vertex order, so each chunk's
+// contents are fixed, but which worker claims a chunk and how the races
+// resolve are not, and X² (successful updates, duplicates included)
+// depends on them; the filter charge and the controller read X², so solves
 // with such iterations are not yet worker-count independent. That is the
-// ROADMAP item "deterministic advance", which stays open.
+// ROADMAP item "deterministic advance", which stays open. This input's
+// bisect and far-queue scans also stay below frontier.PoolScanMin, so the
+// zero pool launches below cover them too.
 func TestSequentialAdvanceWorkerIndependent(t *testing.T) {
 	g := CalLike(0.01, 42)
 	type run struct {
