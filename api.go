@@ -31,6 +31,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"energysssp/internal/core"
@@ -348,15 +350,24 @@ const maxPoolWorkers = 1024
 // sizes the pool to n. A count above maxPoolWorkers is an error. The
 // caller closes a non-nil pool.
 func newPool(workers int) (*parallel.Pool, error) {
+	if err := checkWorkers(workers); err != nil {
+		return nil, err
+	}
 	switch {
-	case workers > maxPoolWorkers:
-		return nil, fmt.Errorf("energysssp: %d workers exceeds the limit of %d", workers, maxPoolWorkers)
 	case workers < 0:
 		return parallel.NewPool(0), nil
 	case workers > 1:
 		return parallel.NewPool(workers), nil
 	}
 	return nil, nil
+}
+
+// checkWorkers rejects a worker count above maxPoolWorkers.
+func checkWorkers(workers int) error {
+	if workers > maxPoolWorkers {
+		return fmt.Errorf("energysssp: %d workers exceeds the limit of %d", workers, maxPoolWorkers)
+	}
+	return nil
 }
 
 // Run executes one SSSP computation per cfg and returns its result and
@@ -505,45 +516,75 @@ func SaveDevice(w io.Writer, d *Device) error { return sim.WriteDeviceJSON(w, d)
 // average edge weight and returns the simulated-time-minimizing value on
 // the named device — how the baseline's per-input δ* is chosen throughout
 // the evaluation (the knob the paper replaces with the set-point P).
-// workers follows RunConfig.Workers.
+//
+// Each distinct grid delta is solved once, on the sequential kernel, and
+// the points run side by side on up to GOMAXPROCS goroutines; the first
+// minimum in grid order wins, so a tie goes to the smaller delta. δ* is
+// therefore a pure function of (g, src, device): workers does not change
+// the result or the sweep, and is only checked against the entry points'
+// limit of 1024.
 func TuneDelta(g *Graph, src VID, device string, workers int) (Dist, error) {
 	dev, err := sim.DeviceByName(device)
 	if err != nil {
 		return 0, err
 	}
-	pool, err := newPool(workers)
-	if err != nil {
+	if err := checkWorkers(workers); err != nil {
 		return 0, err
 	}
-	if pool != nil {
-		defer pool.Close()
+	deltas := tuneGrid(g.AvgWeight())
+	times := make([]time.Duration, len(deltas))
+	errs := make([]error, len(deltas))
+	// Whole solves, not kernel chunks, so plain goroutines rather than a
+	// kernel pool; each claims the next grid index until none is left.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(deltas), parallel.MaxWorkers()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(deltas); i = int(next.Add(1) - 1) {
+				mach := sim.NewMachine(dev)
+				mach.SetGovernor(dvfs.NewOndemand())
+				// The sweep pins the paper baseline's flat queue: δ* is the
+				// paper's per-input tuning knob, so it must be chosen on the
+				// paper's algorithm shape regardless of the session default
+				// strategy.
+				res, err := sssp.NearFar(g, src, deltas[i], &sssp.Options{Machine: mach, FarQueue: sssp.FarFlat})
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				times[i] = res.SimTime
+			}
+		}()
 	}
-	avg := g.AvgWeight()
-	if avg < 1 {
-		avg = 1
+	wg.Wait()
+	best := 0
+	for i := range deltas {
+		if errs[i] != nil {
+			return 0, errs[i]
+		}
+		if times[i] < times[best] {
+			best = i
+		}
 	}
-	best := Dist(1)
-	bestTime := time.Duration(1<<62 - 1)
+	return deltas[best], nil
+}
+
+// tuneGrid returns TuneDelta's sweep points: the average weight (at least
+// 1) times 1/4, 1/2, 1, 2, …, 32, each truncated and raised to at least 1.
+// The points are non-decreasing, so a repeat, which the clamp makes below
+// a mean weight of 4, is adjacent to its first occurrence and dropped.
+func tuneGrid(avg float64) []Dist {
+	avg = max(avg, 1)
+	var grid []Dist
 	for _, mult := range []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32} {
-		delta := Dist(avg * mult)
-		if delta < 1 {
-			delta = 1
-		}
-		mach := sim.NewMachine(dev)
-		mach.SetGovernor(dvfs.NewOndemand())
-		// The sweep pins the paper baseline's flat queue: δ* is the paper's
-		// per-input tuning knob, so it must be chosen on the paper's
-		// algorithm shape regardless of the session default strategy.
-		res, err := sssp.NearFar(g, src, delta, &sssp.Options{Pool: pool, Machine: mach, FarQueue: sssp.FarFlat})
-		if err != nil {
-			return 0, err
-		}
-		if res.SimTime < bestTime {
-			bestTime = res.SimTime
-			best = delta
+		d := max(Dist(avg*mult), 1)
+		if len(grid) == 0 || d != grid[len(grid)-1] {
+			grid = append(grid, d)
 		}
 	}
-	return best, nil
+	return grid
 }
 
 // KCoreResult reports a k-core decomposition.

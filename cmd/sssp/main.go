@@ -38,7 +38,7 @@ func main() {
 		freq      = flag.String("freq", "auto", "DVFS setting: auto or core/mem MHz (e.g. 852/924)")
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")
 		check     = flag.Bool("check", false, "verify distances against the Dijkstra oracle")
-		tune      = flag.Bool("tune", false, "sweep fixed deltas and report the time-minimizing one (requires -device)")
+		tune      = flag.Bool("tune", false, "sweep fixed deltas and report the simulated-time-minimizing one on -device (TK1 if unset); the answer does not depend on -workers")
 		obsListen = flag.String("obs-listen", "", "serve observability on this address while the solve runs (e.g. :9090): /metrics, /trace, /flight")
 		traceOut  = flag.String("trace-out", "", "write the solve's phase timeline as Perfetto/Chrome trace JSON to this path")
 		flightOut = flag.String("flight-out", "", "write the controller flight log as JSONL to this path (replay with 'flight replay')")

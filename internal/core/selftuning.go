@@ -129,11 +129,7 @@ func (s *controlled) Start(kn *sssp.Kernels) (graph.Dist, flight.Header) {
 }
 
 // Defer pushes the bisect's far side onto the partitioned far queue.
-func (s *controlled) Defer(far []frontier.Entry) {
-	for _, e := range far {
-		s.far.Push(e.V, e.D)
-	}
-}
+func (s *controlled) Defer(far []frontier.Entry) { s.far.Push(far) }
 
 // Next runs the controller step under the controller span, then realizes
 // the chosen threshold under one rebalance span, which charges the

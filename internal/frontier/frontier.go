@@ -13,6 +13,7 @@ package frontier
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -123,13 +124,14 @@ type partition struct {
 //
 // Entry storage is pooled (GetPartitioned/Release). Each partition keeps
 // its entries in a slab drawn from per-queue free lists bucketed by size
-// class (free[k] holds slabs of capacity at least 1<<k). A partition that
-// fills its slab copies into a slab of the next class and hands the old
-// one back; a partition that CompactFront drops, and every partition at
-// Release, hands back its slab too. A solve therefore only allocates when
-// it holds more slabs of some class at once than any solve before it on
-// this queue, so repeated solves reach a steady state with no slab
-// growth — see TestPartitionedSteadyStateAllocs.
+// class (free[k] holds slabs of capacity at least 1<<k). A partition whose
+// slab cannot take a pushed run copies into a slab of the smallest larger
+// class that can, and hands the old one back; a partition that
+// CompactFront drops, and every partition at Release, hands back its slab
+// too. A solve therefore only allocates when it holds more slabs of some
+// class at once than any solve before it on this queue, so repeated solves
+// reach a steady state with no slab growth — see
+// TestPartitionedSteadyStateAllocs.
 type Partitioned struct {
 	parts []partition
 	size  int
@@ -229,11 +231,11 @@ func (q *Partitioned) putSlab(s []Entry) {
 	q.free[k] = append(q.free[k], s[:0])
 }
 
-// grow moves p's entries, in order, into a free slab of the next size
-// class above its current capacity (allocating one only when that class
-// has none idle) and files the old slab for reuse.
-func (q *Partitioned) grow(p *partition) {
-	k := max(bits.Len(uint(cap(p.entries))), minSlabClass)
+// grow moves p's entries, in order, into a free slab of the smallest size
+// class above p's current capacity that holds need entries (allocating one
+// only when that class has none idle) and files the old slab for reuse.
+func (q *Partitioned) grow(p *partition, need int) {
+	k := max(bits.Len(uint(cap(p.entries))), bits.Len(uint(need-1)), minSlabClass)
 	var s []Entry
 	if k < len(q.free) && len(q.free[k]) > 0 {
 		fl := q.free[k]
@@ -269,24 +271,39 @@ func (q *Partitioned) lower(i int) graph.Dist {
 	return q.parts[i-1].upper
 }
 
-// Push places v (at distance d) into the partition i with
-// lower(i) < d <= Bound(i), by binary search over the bounds.
-func (q *Partitioned) Push(v graph.VID, d graph.Dist) {
-	lo, hi := 0, len(q.parts)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d <= q.parts[mid].upper {
-			hi = mid
-		} else {
-			lo = mid + 1
+// Push places each entry e of es into the partition i with
+// lower(i) < e.D <= Bound(i), keeping the entries' order within each
+// partition. A run of consecutive entries that fall in one partition is
+// placed together: one binary search over the bounds, at most one slab
+// growth and one copy.
+func (q *Partitioned) Push(es []Entry) {
+	q.size += len(es)
+	for len(es) > 0 {
+		d := es[0].D
+		lo, hi := 0, len(q.parts)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if d <= q.parts[mid].upper {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
+		p := &q.parts[lo]
+		below := graph.Dist(math.MinInt64) // partition 0 takes every d <= its bound
+		if lo > 0 {
+			below = q.parts[lo-1].upper
+		}
+		n := 1
+		for n < len(es) && es[n].D > below && es[n].D <= p.upper {
+			n++
+		}
+		if len(p.entries)+n > cap(p.entries) {
+			q.grow(p, len(p.entries)+n)
+		}
+		p.entries = append(p.entries, es[:n]...)
+		es = es[n:]
 	}
-	p := &q.parts[lo]
-	if len(p.entries) == cap(p.entries) {
-		q.grow(p)
-	}
-	p.entries = append(p.entries, Entry{V: v, D: d})
-	q.size++
 }
 
 // SetBound lowers the upper bound of partition i to b. Monotonicity is

@@ -97,9 +97,11 @@ func TestPartitionedInit(t *testing.T) {
 
 func TestPartitionedPushPlacement(t *testing.T) {
 	q := GetPartitioned(50)
-	q.Push(0, 50) // boundary value goes to partition 0 (d <= B0)
-	q.Push(1, 51)
-	q.Push(2, 1)
+	q.Push([]Entry{
+		{0, 50}, // boundary value goes to partition 0 (d <= B0)
+		{1, 51},
+		{2, 1},
+	})
 	if q.PartSize(0) != 2 || q.PartSize(1) != 1 {
 		t.Fatalf("placement: %d/%d", q.PartSize(0), q.PartSize(1))
 	}
@@ -152,9 +154,7 @@ func TestPopBelowScansOnlyLeadingPartitions(t *testing.T) {
 	}
 	dist := make([]graph.Dist, 10)
 	dist[0], dist[1], dist[2] = 5, 15, 25
-	q.Push(0, 5)
-	q.Push(1, 15)
-	q.Push(2, 25)
+	q.Push([]Entry{{0, 5}, {1, 15}, {2, 25}})
 	out := q.PopBelow(10, dist, nil)
 	if len(out) != 1 || out[0] != 0 {
 		t.Fatalf("out = %v", out)
@@ -172,10 +172,12 @@ func TestPopBelowDropsStaleAndCompacts(t *testing.T) {
 	q := GetPartitioned(10)
 	dist := make([]graph.Dist, 4)
 	dist[0], dist[1], dist[2], dist[3] = 3, 100, 7, 9
-	q.Push(0, 3)
-	q.Push(1, 8) // stale: current dist is 100
-	q.Push(2, 7)
-	q.Push(3, 9)
+	q.Push([]Entry{
+		{0, 3},
+		{1, 8}, // stale: current dist is 100
+		{2, 7},
+		{3, 9},
+	})
 	out := q.PopBelow(10, dist, nil)
 	if len(out) != 3 {
 		t.Fatalf("out = %v", out)
@@ -193,9 +195,11 @@ func TestPartitionedMinDistAndFreshLen(t *testing.T) {
 	q := GetPartitioned(10)
 	dist := make([]graph.Dist, 4)
 	dist[0], dist[1], dist[2] = 4, 2, 50
-	q.Push(0, 4)
-	q.Push(1, 3) // stale (current 2)
-	q.Push(2, 50)
+	q.Push([]Entry{
+		{0, 4},
+		{1, 3}, // stale (current 2)
+		{2, 50},
+	})
 	if got := q.MinDist(dist); got != 4 {
 		t.Fatalf("MinDist = %d", got)
 	}
@@ -234,14 +238,16 @@ func TestPartitionedPopCompleteness(t *testing.T) {
 		dist := make([]graph.Dist, n)
 		want := map[graph.VID]bool{}
 		thr := graph.Dist(rng.Int64N(2000))
+		es := make([]Entry, n)
 		for v := 0; v < n; v++ {
 			d := graph.Dist(rng.Int64N(3000) + 1)
 			dist[v] = d
-			q.Push(graph.VID(v), d)
+			es[v] = Entry{graph.VID(v), d}
 			if d <= thr {
 				want[graph.VID(v)] = true
 			}
 		}
+		q.Push(es)
 		out := q.PopBelow(thr, dist, nil)
 		if len(out) != len(want) {
 			return false
@@ -270,7 +276,7 @@ func TestFlatPartitionedEquivalence(t *testing.T) {
 			d := graph.Dist(rng.Int64N(500) + 1)
 			dist[v] = d
 			fq.Push(graph.VID(v), d)
-			pq.Push(graph.VID(v), d)
+			pq.Push([]Entry{{graph.VID(v), d}})
 		}
 		thr := graph.Dist(rng.Int64N(600))
 		fOut, _ := fq.ExtractBelow(thr, dist, nil)

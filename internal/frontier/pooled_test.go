@@ -28,14 +28,16 @@ func partitionedOps(q *Partitioned, seed uint64) [][]int64 {
 		var obs []int64
 		switch op := rng.IntN(7); {
 		case op <= 1:
+			var es []Entry
 			for k := rng.IntN(300); k > 0; k-- {
 				v := graph.VID(rng.IntN(n))
 				d := graph.Dist(1 + rng.Int64N(2000))
 				if d < dist[v] || rng.IntN(4) == 0 {
 					dist[v] = d
 				}
-				q.Push(v, dist[v])
+				es = append(es, Entry{v, dist[v]})
 			}
+			q.Push(es)
 		case op == 2:
 			pi := rng.IntN(q.NumPartitions())
 			lo, up := q.lower(pi), q.Bound(pi)
@@ -117,7 +119,7 @@ func TestPartitionedPoolReuse(t *testing.T) {
 		q.PartSize(0) != 0 || q.PartSize(1) != 0 || q.ScannedAndReset() != 0 {
 		t.Fatalf("reused queue dirty: len=%d parts=%d bounds=%d,%d", q.Len(), q.NumPartitions(), q.Bound(0), q.Bound(1))
 	}
-	q.Push(4, 40)
+	q.Push([]Entry{{4, 40}})
 	if out := q.PopBelow(graph.Inf, []graph.Dist{0, 0, 0, 0, 40}, nil); !slices.Equal(out, []graph.VID{4}) {
 		t.Fatalf("out = %v", out)
 	}
@@ -141,6 +143,10 @@ func TestPartitionedSteadyStateAllocs(t *testing.T) {
 	for v := range dist {
 		dist[v] = graph.Dist(1 + (v*7919)%20000)
 	}
+	es := make([]Entry, n)
+	for v := range es {
+		es[v] = Entry{graph.VID(v), dist[v]}
+	}
 	out := make([]graph.VID, 0, n)
 	for _, ps := range []int{1, 4} {
 		pool := parallel.NewPool(ps)
@@ -149,17 +155,15 @@ func TestPartitionedSteadyStateAllocs(t *testing.T) {
 		cycle := func() {
 			q := GetPartitioned(500)
 			q.UsePool(pool)
-			for v := 0; v < n/2; v++ {
-				q.Push(graph.VID(v), dist[v])
+			for lo := 0; lo < n/2; lo += 500 {
+				q.Push(es[lo:min(lo+500, n/2)])
 			}
 			for b := graph.Dist(1000); b <= 16000; b += 1000 {
 				if err := q.SetBound(q.NumPartitions()-1, b); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for v := n / 2; v < n; v++ {
-				q.Push(graph.VID(v), dist[v])
-			}
+			q.Push(es[n/2:])
 			_ = q.MinDist(dist)
 			o := out[:0]
 			for thr := graph.Dist(700); q.Len() > 0; thr += 3000 {

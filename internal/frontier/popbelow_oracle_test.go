@@ -40,6 +40,38 @@ func popBelowBranchy(q *Partitioned, thr graph.Dist, dist []graph.Dist, out []gr
 	return out
 }
 
+// pushOneAtATime is Push as it was written before runs of entries were
+// placed together: one binary search over the bounds and one append per
+// entry. It is the push oracle of TestPopBelowMatchesBranchyOracle.
+func pushOneAtATime(q *Partitioned, es []Entry) {
+	for _, e := range es {
+		lo, hi := 0, len(q.parts)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if e.D <= q.parts[mid].upper {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		q.parts[lo].entries = append(q.parts[lo].entries, e)
+		q.size++
+	}
+}
+
+// checkPushAgainstOracle pushes es onto got and, one at a time, onto a
+// clone of got, and fails unless the two hold the same entries in the same
+// order, partition by partition.
+func checkPushAgainstOracle(t *testing.T, what string, got *Partitioned, es []Entry) {
+	t.Helper()
+	want := clonePartitioned(got)
+	pushOneAtATime(want, es)
+	got.Push(es)
+	if !samePartitioned(got, want) {
+		t.Fatalf("%s: pushing %d entries placed them differently from one-at-a-time placement", what, len(es))
+	}
+}
+
 // clonePartitioned deep-copies q, so the oracle and the code under test
 // start from the same queue without sharing entry arrays.
 func clonePartitioned(q *Partitioned) *Partitioned {
@@ -89,13 +121,16 @@ func checkPopAgainstOracle(t *testing.T, what string, got *Partitioned, thr grap
 }
 
 // TestPopBelowMatchesBranchyOracle drives the predicated PopBelow and the
-// branching oracle through the same random histories: pushes (duplicates of
-// one vertex included), stale entries made by lowering distances, monotone
-// boundary updates, and pops at random thresholds, at the boundaries and at
-// graph.Inf. After every pop the two must agree on the popped order, the
-// retained entries in order, Len and ScannedAndReset. Every history runs
-// with the queue scanning on pools of 1 to 4 workers, and so do the
-// partitions on both sides of PoolScanMin (popBelowLongPartitions).
+// branching oracle through the same random histories: batched pushes
+// (duplicates of one vertex included, runs of nearby distances that share a
+// partition mixed with scattered ones), stale entries made by lowering
+// distances, monotone boundary updates, and pops at random thresholds, at
+// the boundaries and at graph.Inf. After every push the queue must match
+// one-at-a-time placement of the same entries; after every pop the two
+// must agree on the popped order, the retained entries in order, Len and
+// ScannedAndReset. Every history runs with the queue scanning on pools of
+// 1 to 4 workers, and so do the partitions on both sides of PoolScanMin
+// (popBelowLongPartitions).
 func TestPopBelowMatchesBranchyOracle(t *testing.T) {
 	t.Run("histories", popBelowHistories)
 	t.Run("long-partitions", popBelowLongPartitions)
@@ -122,14 +157,20 @@ func popBelowHistories(t *testing.T) {
 			for step := 0; step < 40; step++ {
 				switch op := rng.IntN(5); {
 				case op <= 1:
+					var es []Entry
+					base := graph.Dist(1 + rng.Int64N(400))
 					for k := rng.IntN(30); k > 0; k-- {
 						v := graph.VID(rng.IntN(n))
 						d := graph.Dist(1 + rng.Int64N(400))
+						if rng.IntN(2) == 0 {
+							d = base + rng.Int64N(6)
+						}
 						if d < dist[v] || rng.IntN(4) == 0 {
 							dist[v] = d // a lowered distance leaves older entries stale
 						}
-						got.Push(v, dist[v])
+						es = append(es, Entry{v, dist[v]})
 					}
+					checkPushAgainstOracle(t, fmt.Sprintf("pool %d seed %d step %d", ps, seed, step), got, es)
 				case op == 2:
 					pi := rng.IntN(got.NumPartitions())
 					lo, up := got.lower(pi), got.Bound(pi)
@@ -184,13 +225,15 @@ func popBelowLongPartitions(t *testing.T) {
 			}
 			q := GetPartitioned(1000) // every entry lands in partition 0
 			q.UsePool(pool)
-			for k := 0; k < size; k++ {
+			es := make([]Entry, size)
+			for k := range es {
 				v := graph.VID(rng.IntN(n))
-				q.Push(v, dist[v])
+				es[k] = Entry{v, dist[v]}
 				if rng.IntN(3) == 0 && dist[v] > 1 {
-					dist[v]-- // leaves the entry just pushed stale
+					dist[v]-- // leaves the entry just made stale
 				}
 			}
+			checkPushAgainstOracle(t, fmt.Sprintf("pool %d size %d", ps, size), q, es)
 			var out []graph.VID
 			for round := 0; q.Len() > 0; round++ {
 				scanned := q.PartSize(0)

@@ -132,9 +132,7 @@ func RandomGeometric(n int, radius float64, wscale int, seed uint64) *graph.Grap
 // (in practice ≈ 2(1 − 1/n) + 2·extra·(#non-tree lattice edges)/n).
 func Road(rows, cols int, extra float64, wmin, wmax int, seed uint64) *graph.Graph {
 	rng := newRNG(seed)
-	return roadWeighted(rows, cols, extra, rng, func() graph.Weight {
-		return uniformWeight(rng, wmin, wmax)
-	})
+	return roadWeighted(rows, cols, extra, rng, uniformWeights(rng, wmin, wmax))
 }
 
 // RoadLogWeights is Road with log-uniform weights in [wmin, wmax]: most
@@ -144,22 +142,37 @@ func Road(rows, cols int, extra float64, wmin, wmax int, seed uint64) *graph.Gra
 // compromise — the property the paper's self-tuning exploits.
 func RoadLogWeights(rows, cols int, extra float64, wmin, wmax int, seed uint64) *graph.Graph {
 	rng := newRNG(seed)
+	return roadWeighted(rows, cols, extra, rng, logWeights(rng, wmin, wmax))
+}
+
+// uniformWeights draws Road's weights: uniform in [wmin, wmax].
+func uniformWeights(rng *rand.Rand, wmin, wmax int) func() graph.Weight {
+	return func() graph.Weight { return uniformWeight(rng, wmin, wmax) }
+}
+
+// logWeights draws RoadLogWeights' weights: log-uniform in [wmin, wmax].
+func logWeights(rng *rand.Rand, wmin, wmax int) func() graph.Weight {
 	lo, hi := math.Log(float64(wmin)), math.Log(float64(wmax)+1)
-	return roadWeighted(rows, cols, extra, rng, func() graph.Weight {
+	return func() graph.Weight {
 		w := graph.Weight(math.Exp(lo + rng.Float64()*(hi-lo)))
 		if w < graph.Weight(wmin) {
 			w = graph.Weight(wmin)
 		}
 		return w
-	})
+	}
 }
 
+// roadWeighted builds Road's lattice. The maze's tree edges are recorded
+// per cell: treeRight[id(r, c)] for the edge to (r, c+1) and
+// treeDown[id(r, c)] for the edge to (r+1, c). Each step orders the four
+// directions with an in-place Shuffle, which makes the same draws as
+// rng.Perm(4) and yields the same order without allocating.
 func roadWeighted(rows, cols int, extra float64, rng *rand.Rand, weight func() graph.Weight) *graph.Graph {
 	n := rows * cols
-	id := func(r, c int) graph.VID { return graph.VID(r*cols + c) }
-	type latticeEdge struct{ r1, c1, r2, c2 int }
+	id := func(r, c int) int { return r*cols + c }
 
-	inTree := make(map[latticeEdge]bool, n)
+	treeRight := make([]bool, n)
+	treeDown := make([]bool, n)
 	visited := make([]bool, n)
 	// Iterative randomized DFS from a random cell.
 	type cell struct{ r, c int }
@@ -168,7 +181,8 @@ func roadWeighted(rows, cols int, extra float64, rng *rand.Rand, weight func() g
 	dirs := [4][2]int{{0, 1}, {0, -1}, {1, 0}, {-1, 0}}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
-		perm := rng.Perm(4)
+		perm := [4]int{0, 1, 2, 3}
+		rng.Shuffle(4, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		advanced := false
 		for _, pi := range perm {
 			nr, nc := cur.r+dirs[pi][0], cur.c+dirs[pi][1]
@@ -176,11 +190,17 @@ func roadWeighted(rows, cols int, extra float64, rng *rand.Rand, weight func() g
 				continue
 			}
 			visited[id(nr, nc)] = true
-			e := latticeEdge{cur.r, cur.c, nr, nc}
-			if cur.r > nr || (cur.r == nr && cur.c > nc) {
-				e = latticeEdge{nr, nc, cur.r, cur.c}
+			// The edge is filed under its upper-left end.
+			switch {
+			case nc > cur.c:
+				treeRight[id(cur.r, cur.c)] = true
+			case nc < cur.c:
+				treeRight[id(nr, nc)] = true
+			case nr > cur.r:
+				treeDown[id(cur.r, cur.c)] = true
+			default:
+				treeDown[id(nr, nc)] = true
 			}
-			inTree[e] = true
 			stack = append(stack, cell{nr, nc})
 			advanced = true
 			break
@@ -191,25 +211,19 @@ func roadWeighted(rows, cols int, extra float64, rng *rand.Rand, weight func() g
 	}
 
 	edges := make([]graph.Edge, 0, int(float64(n)*2.6))
-	addUndirected := func(u, v graph.VID) {
+	addUndirected := func(u, v int) {
 		w := weight()
 		edges = append(edges,
-			graph.Edge{U: u, V: v, W: w},
-			graph.Edge{U: v, V: u, W: w})
+			graph.Edge{U: graph.VID(u), V: graph.VID(v), W: w},
+			graph.Edge{U: graph.VID(v), V: graph.VID(u), W: w})
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				e := latticeEdge{r, c, r, c + 1}
-				if inTree[e] || rng.Float64() < extra {
-					addUndirected(id(r, c), id(r, c+1))
-				}
+			if c+1 < cols && (treeRight[id(r, c)] || rng.Float64() < extra) {
+				addUndirected(id(r, c), id(r, c+1))
 			}
-			if r+1 < rows {
-				e := latticeEdge{r, c, r + 1, c}
-				if inTree[e] || rng.Float64() < extra {
-					addUndirected(id(r, c), id(r+1, c))
-				}
+			if r+1 < rows && (treeDown[id(r, c)] || rng.Float64() < extra) {
+				addUndirected(id(r, c), id(r+1, c))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -317,6 +318,88 @@ func TestRMATMatchesSwitchOracle(t *testing.T) {
 				want := rmatEdgesSwitch(scale, 6, p[0], p[1], p[2], 1, 99, seed)
 				if !slices.Equal(got, want) {
 					t.Fatalf("params %v scale %d seed %d: branch-free RMAT edges differ from the switch", p, scale, seed)
+				}
+			}
+		}
+	}
+}
+
+// roadWeightedMap is the maze roadWeighted replaced, kept as its oracle:
+// tree edges recorded in a map keyed by their end cells, directions
+// ordered by rng.Perm(4).
+func roadWeightedMap(rows, cols int, extra float64, rng *rand.Rand, weight func() graph.Weight) *graph.Graph {
+	n := rows * cols
+	id := func(r, c int) graph.VID { return graph.VID(r*cols + c) }
+	type latticeEdge struct{ r1, c1, r2, c2 int }
+
+	inTree := make(map[latticeEdge]bool, n)
+	visited := make([]bool, n)
+	type cell struct{ r, c int }
+	stack := []cell{{rng.IntN(rows), rng.IntN(cols)}}
+	visited[id(stack[0].r, stack[0].c)] = true
+	dirs := [4][2]int{{0, 1}, {0, -1}, {1, 0}, {-1, 0}}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		advanced := false
+		for _, pi := range rng.Perm(4) {
+			nr, nc := cur.r+dirs[pi][0], cur.c+dirs[pi][1]
+			if nr < 0 || nc < 0 || nr >= rows || nc >= cols || visited[id(nr, nc)] {
+				continue
+			}
+			visited[id(nr, nc)] = true
+			e := latticeEdge{cur.r, cur.c, nr, nc}
+			if cur.r > nr || (cur.r == nr && cur.c > nc) {
+				e = latticeEdge{nr, nc, cur.r, cur.c}
+			}
+			inTree[e] = true
+			stack = append(stack, cell{nr, nc})
+			advanced = true
+			break
+		}
+		if !advanced {
+			stack = stack[:len(stack)-1]
+		}
+	}
+
+	var edges []graph.Edge
+	addUndirected := func(u, v graph.VID) {
+		w := weight()
+		edges = append(edges,
+			graph.Edge{U: u, V: v, W: w},
+			graph.Edge{U: v, V: u, W: w})
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				if inTree[latticeEdge{r, c, r, c + 1}] || rng.Float64() < extra {
+					addUndirected(id(r, c), id(r, c+1))
+				}
+			}
+			if r+1 < rows {
+				if inTree[latticeEdge{r, c, r + 1, c}] || rng.Float64() < extra {
+					addUndirected(id(r, c), id(r+1, c))
+				}
+			}
+		}
+	}
+	return graph.MustNew(n, edges)
+}
+
+func TestRoadMatchesMapOracle(t *testing.T) {
+	shapes := [][2]int{{1, 1}, {1, 7}, {9, 1}, {2, 2}, {5, 13}, {17, 6}, {40, 40}, {64, 97}}
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		for seed := uint64(1); seed <= 5; seed++ {
+			for _, extra := range []float64{0, 0.22, 1} {
+				rng := newRNG(seed)
+				want := roadWeightedMap(rows, cols, extra, rng, uniformWeights(rng, 1, 4096))
+				if got := Road(rows, cols, extra, 1, 4096, seed); !slices.Equal(got.Edges(), want.Edges()) {
+					t.Fatalf("Road %dx%d extra %v seed %d: edges differ from the map maze", rows, cols, extra, seed)
+				}
+				rng = newRNG(seed)
+				want = roadWeightedMap(rows, cols, extra, rng, logWeights(rng, 1, 16384))
+				if got := RoadLogWeights(rows, cols, extra, 1, 16384, seed); !slices.Equal(got.Edges(), want.Edges()) {
+					t.Fatalf("RoadLogWeights %dx%d extra %v seed %d: edges differ from the map maze", rows, cols, extra, seed)
 				}
 			}
 		}

@@ -43,11 +43,12 @@ echo "==> go test (solver, harness and API packages) at GOMAXPROCS=1 and GOMAXPR
 GOMAXPROCS=1 go test -count=1 ./internal/sssp/ ./internal/core/ ./internal/harness/ .
 GOMAXPROCS=4 go test -count=1 ./internal/sssp/ ./internal/core/ ./internal/harness/ .
 
-echo "==> go test -race: concurrent solves on one shared observer (API level)"
+echo "==> go test -race: concurrent solves on one shared observer, parallel δ* sweep (API level)"
 # Two racing solves must stay bit-identical to their sequential runs while
 # recording disjoint span trees, and the observer's advance spans and joules
-# must equal the sums over both runs.
-go test -race -run 'TestConcurrentSolvesIsolated' -count=1 .
+# must equal the sums over both runs. TuneDelta's sweep points run side by
+# side and must give the one-at-a-time sweep's δ* at every worker count.
+go test -race -run 'TestConcurrentSolvesIsolated|TestTuneDeltaWorkerIndependent' -count=1 .
 
 echo "==> zero-allocation steady-state gates (obs off, obs on, spans on, flight on, lazy far queue, partitioned far queue)"
 go test -run 'TestAdvanceSteadyStateAllocs|TestObsSteadyStateAllocs|TestSpanSteadyStateAllocs|TestLazyFarSteadyStateAllocs' -count=1 ./internal/sssp/
