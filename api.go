@@ -41,10 +41,8 @@ import (
 	"energysssp/internal/gen"
 	"energysssp/internal/graph"
 	"energysssp/internal/harness"
-	"energysssp/internal/kcore"
 	"energysssp/internal/metrics"
 	"energysssp/internal/obs"
-	"energysssp/internal/pagerank"
 	"energysssp/internal/parallel"
 	"energysssp/internal/power"
 	"energysssp/internal/sim"
@@ -587,27 +585,6 @@ func tuneGrid(avg float64) []Dist {
 	return grid
 }
 
-// KCoreResult reports a k-core decomposition.
-type KCoreResult = kcore.Result
-
-// KCore computes the k-core decomposition of g (viewed undirected).
-// setPoint > 0 caps the vertices peeled per round — the same parallelism
-// knob the paper's Section 6 proposes for this problem; 0 peels greedily.
-// workers follows RunConfig.Workers, except that a count above 1024 is
-// clamped to 1024 rather than rejected.
-func KCore(g *Graph, setPoint, workers int) KCoreResult {
-	opt := &kcore.Options{SetPoint: setPoint}
-	//lint:ignore errcheck the count is clamped to maxPoolWorkers, so newPool cannot fail
-	if pool, _ := newPool(min(workers, maxPoolWorkers)); pool != nil {
-		defer pool.Close()
-		opt.Pool = pool
-	}
-	return kcore.Decompose(g, opt)
-}
-
-// KCoreReference is the sequential Batagelj–Zaveršnik oracle.
-func KCoreReference(g *Graph) []int32 { return kcore.Reference(g) }
-
 // ScalingStudy measures how the self-tuning speedup depends on input scale
 // (see EXPERIMENTS.md).
 func ScalingStudy(cfg ExperimentConfig, scales []float64) (*Table, error) {
@@ -618,50 +595,4 @@ func ScalingStudy(cfg ExperimentConfig, scales []float64) (*Table, error) {
 // parallelism medians.
 func StabilityStudy(cfg ExperimentConfig, seeds []uint64) (*Table, error) {
 	return harness.StabilityStudy(cfg, seeds)
-}
-
-// PageRankConfig configures the frontier-controlled PageRank extension
-// (the paper's Section 6 generalization to other frontier primitives).
-type PageRankConfig struct {
-	// Damping is the PageRank damping factor (default 0.85).
-	Damping float64
-	// Eps is the per-run residual convergence budget (default 1e-9).
-	Eps float64
-	// SetPoint, when positive, enables the self-tuning threshold
-	// controller targeting this frontier size; otherwise Theta is used
-	// as a fixed threshold (0 = maximum parallelism).
-	SetPoint float64
-	// Theta is the fixed residual threshold when SetPoint is zero.
-	Theta float64
-	// Workers sizes the goroutine pool (0/1 = sequential, -1 = all CPUs);
-	// PageRank rejects more than 1024.
-	Workers int
-}
-
-// PageRankResult reports a PageRank computation.
-type PageRankResult = pagerank.Result
-
-// PageRank computes PageRank with the library's push-based solver, either
-// at a fixed residual threshold or under frontier-size control (see
-// PageRankConfig.SetPoint). Verify against PageRankReference in tests.
-func PageRank(g *Graph, cfg PageRankConfig) (PageRankResult, error) {
-	pool, err := newPool(cfg.Workers)
-	if err != nil {
-		return PageRankResult{}, err
-	}
-	opt := &pagerank.Options{Damping: cfg.Damping, Eps: cfg.Eps, Pool: pool}
-	if pool != nil {
-		defer pool.Close()
-	}
-	if cfg.SetPoint > 0 {
-		return pagerank.SelfTuning(g, cfg.SetPoint, opt)
-	}
-	return pagerank.Push(g, cfg.Theta, opt)
-}
-
-// PageRankReference computes PageRank by dense power iteration — the
-// correctness oracle for PageRank.
-func PageRankReference(g *Graph, damping, tol float64, maxIter int) []float64 {
-	x, _ := pagerank.Power(g, damping, tol, maxIter)
-	return x
 }

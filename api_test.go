@@ -315,22 +315,6 @@ func TestTuneDeltaAPI(t *testing.T) {
 	}
 }
 
-func TestKCoreAPI(t *testing.T) {
-	g := RMAT(8, 6, 1, 9, 2)
-	want := KCoreReference(g)
-	for _, sp := range []int{0, 32} {
-		res := KCore(g, sp, 2)
-		for v := range want {
-			if res.Coreness[v] != want[v] {
-				t.Fatalf("setpoint %d: core[%d] = %d want %d", sp, v, res.Coreness[v], want[v])
-			}
-		}
-		if res.Degeneracy <= 0 {
-			t.Fatal("degeneracy")
-		}
-	}
-}
-
 func TestStudiesAPI(t *testing.T) {
 	tab, err := ScalingStudy(ExperimentConfig{Seed: 3, Workers: 2}, []float64{0.001})
 	if err != nil || len(tab.Rows) != 1 {
@@ -339,40 +323,6 @@ func TestStudiesAPI(t *testing.T) {
 	tab, err = StabilityStudy(ExperimentConfig{Scale: 0.001, Workers: 2}, []uint64{1, 2})
 	if err != nil || len(tab.Rows) != 3 {
 		t.Fatalf("stability: %v %v", tab, err)
-	}
-}
-
-func TestPageRankAPI(t *testing.T) {
-	g := RMAT(8, 6, 1, 99, 3)
-	want := PageRankReference(g, 0.85, 1e-14, 5000)
-
-	fixed, err := PageRank(g, PageRankConfig{Theta: 1e-7, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := PageRank(g, PageRankConfig{SetPoint: 64, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range []PageRankResult{fixed, tuned} {
-		var diff float64
-		for i := range want {
-			d := res.Ranks[i] - want[i]
-			if d < 0 {
-				d = -d
-			}
-			diff += d
-		}
-		if diff > 1e-6 {
-			t.Fatalf("L1 diff from power iteration: %g", diff)
-		}
-	}
-	if _, err := PageRank(g, PageRankConfig{SetPoint: 0.5}); err != nil {
-		// SetPoint <= 0 selects fixed theta; 0.5 is positive but < 1 and
-		// must be rejected by the self-tuning path.
-		_ = err
-	} else {
-		t.Fatal("fractional set-point accepted")
 	}
 }
 

@@ -422,35 +422,10 @@ func BenchmarkFlightAdvance(b *testing.B) {
 	})
 }
 
-// BenchmarkPageRank measures the Section 6 PageRank generalization at a
-// controlled set-point on the scale-free input.
-func BenchmarkPageRankControlled(b *testing.B) {
-	g := WikiLike(0.01, 42)
-	b.SetBytes(int64(g.NumEdges()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := PageRank(g, PageRankConfig{SetPoint: 512, Workers: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Pushes), "pushes")
-	}
-}
-
-// BenchmarkKCore measures the Section 6 k-core generalization.
-func BenchmarkKCoreControlled(b *testing.B) {
-	g := WikiLike(0.01, 42)
-	b.SetBytes(int64(g.NumEdges()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := KCore(g, 512, -1)
-		b.ReportMetric(float64(res.Degeneracy), "degeneracy")
-	}
-}
-
-// BenchmarkAblationLearningRate compares the adaptive vSGD controller with
-// a fixed-learning-rate variant by measuring how close each holds the
-// achieved median parallelism to the set-point (see DESIGN.md, ablations).
+// BenchmarkAblationPartitioning compares the self-tuning solver over the
+// partitioned (Eq. 7) far queue with a flat one on the Cal input, reporting
+// each variant's simulated time and far-queue scans (see DESIGN.md,
+// ablations).
 func BenchmarkAblationPartitioning(b *testing.B) {
 	e := env()
 	g := e.Graph(gen.Cal)

@@ -58,19 +58,3 @@ func ExampleParseFreq() {
 	fmt.Println(f.CoreMHz, f.MemMHz, f)
 	// Output: 852 924 852/924
 }
-
-// The PageRank extension applies the same set-point control to another
-// frontier primitive.
-func ExamplePageRank() {
-	g := energysssp.RMAT(7, 4, 1, 9, 3)
-	res, err := energysssp.PageRank(g, energysssp.PageRankConfig{SetPoint: 32})
-	if err != nil {
-		panic(err)
-	}
-	var sum float64
-	for _, r := range res.Ranks {
-		sum += r
-	}
-	fmt.Printf("mass conserved: %t\n", sum+res.ResidualL1 > 0.999)
-	// Output: mass conserved: true
-}

@@ -32,8 +32,6 @@ var layerRules = []layerRule{
 	// Algorithm layer: kernels and controller stay presentation-free.
 	{"internal/sssp", presentation, "algorithm packages must not depend on presentation or harness layers"},
 	{"internal/core", presentation, "algorithm packages must not depend on presentation or harness layers"},
-	{"internal/pagerank", presentation, "algorithm packages must not depend on presentation or harness layers"},
-	{"internal/kcore", presentation, "algorithm packages must not depend on presentation or harness layers"},
 
 	// Base layer: no presentation, and no importing the algorithms built on
 	// top of them (keeps the graph acyclic by construction).

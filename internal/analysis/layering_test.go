@@ -1,6 +1,12 @@
 package analysis
 
-import "testing"
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // layering fixtures: stub packages for each layer the rules reference.
 var layerStubs = map[string]map[string]string{
@@ -90,5 +96,61 @@ import _ "sort"
 			p := layeringFixture(t, c.path, c.src)
 			expectLines(t, runRule(t, &Layering{}, p), c.want...)
 		})
+	}
+}
+
+// TestLayerRulesNameLivePackages walks the module and checks that every path
+// a layering rule names, as its prefix or as a forbidden import, holds at
+// least one Go package. A rule left behind for a deleted package matches
+// nothing and would otherwise go unnoticed.
+func TestLayerRulesNameLivePackages(t *testing.T) {
+	const root = "../.."
+	pkgDirs := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module is not part of this one
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkgDirs[filepath.ToSlash(rel)] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(prefix string) bool {
+		for dir := range pkgDirs {
+			if underPrefix(dir, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, rule := range layerRules {
+		if !live(rule.prefix) {
+			t.Errorf("layering rule for %q names no package of the module", rule.prefix)
+		}
+		for _, forb := range rule.forbidden {
+			if !live(forb) {
+				t.Errorf("layering rule for %q forbids %q, which names no package of the module", rule.prefix, forb)
+			}
+		}
 	}
 }

@@ -189,3 +189,31 @@ func TestPartitionedSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionedPushSlabClasses: every slab Push leaves in a partition is
+// one of the size classes grow hands out, a power of two of at least
+// 1<<minSlabClass entries, so Release files it where the next grow finds it.
+// The runs overflow their partition's class by up to several doublings: a
+// slab grown for less than the whole run would leave append to size the
+// slice outside the classes.
+func TestPartitionedPushSlabClasses(t *testing.T) {
+	const first = 1000
+	q := new(Partitioned)
+	q.init(first)
+	for _, n := range []int{1, 63, 2, 300, 700, 1500, 5000} {
+		es := make([]Entry, 0, 2*n)
+		for i := range n {
+			es = append(es, Entry{graph.VID(i), graph.Dist(1 + i%first)})
+		}
+		for i := range n {
+			es = append(es, Entry{graph.VID(i), graph.Dist(first + 1 + i)})
+		}
+		q.Push(es)
+		for i, p := range q.parts {
+			if c := cap(p.entries); c < 1<<minSlabClass || c&(c-1) != 0 {
+				t.Fatalf("after a run of %d: partition %d holds %d entries in a slab of capacity %d, want a power of two >= %d",
+					n, i, len(p.entries), c, 1<<minSlabClass)
+			}
+		}
+	}
+}

@@ -13,7 +13,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // VID is a vertex identifier.
@@ -169,39 +168,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Symmetrize returns an undirected version of g: for every arc (u,v,w) both
-// (u,v,w) and (v,u,w) appear, with exact duplicate arcs merged (keeping the
-// minimum weight among duplicates of the same (u,v)).
-func (g *Graph) Symmetrize() *Graph {
-	type key struct{ u, v VID }
-	min := make(map[key]Weight, len(g.Col)*2)
-	for u := 0; u < g.NumVertices(); u++ {
-		vs, ws := g.Neighbors(VID(u))
-		for i, v := range vs {
-			for _, k := range []key{{VID(u), v}, {v, VID(u)}} {
-				if w, ok := min[k]; !ok || ws[i] < w {
-					min[k] = ws[i]
-				}
-			}
-		}
-	}
-	edges := make([]Edge, 0, len(min))
-	for k, w := range min {
-		edges = append(edges, Edge{U: k.u, V: k.v, W: w})
-	}
-	// Deterministic ordering: New's counting sort groups by source but
-	// preserves input order within a source, so sort the edge list first.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	out := MustNew(g.NumVertices(), edges)
-	out.name = g.name
-	return out
 }
 
 // Equal reports whether two graphs have identical CSR contents.

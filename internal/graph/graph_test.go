@@ -56,22 +56,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSymmetrize(t *testing.T) {
-	g := MustNew(3, []Edge{{0, 1, 3}, {1, 0, 7}, {1, 2, 2}})
-	u := g.Symmetrize()
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// (0,1) and (1,0) merge keeping min weight 3; (1,2) and (2,1) appear.
-	if u.NumEdges() != 4 {
-		t.Fatalf("symmetrized edge count = %d, want 4", u.NumEdges())
-	}
-	vs, ws := u.Neighbors(1)
-	if len(vs) != 2 || vs[0] != 0 || ws[0] != 3 || vs[1] != 2 || ws[1] != 2 {
-		t.Fatalf("neighbors(1) = %v %v", vs, ws)
-	}
-}
-
 func TestWeakComponents(t *testing.T) {
 	g := MustNew(6, []Edge{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}})
 	cc, largest := g.WeakComponents()
@@ -173,31 +157,6 @@ func TestNewPreservesEdgesProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: symmetrized graphs are symmetric (arc (u,v,w) implies (v,u,w)).
-func TestSymmetrizeProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint8) bool {
-		n := int(nRaw)%30 + 1
-		m := int(mRaw) % 100
-		u := MustNew(n, randomEdges(n, m, seed)).Symmetrize()
-		have := map[[2]VID]Weight{}
-		for _, e := range u.Edges() {
-			have[[2]VID{e.U, e.V}] = e.W
-		}
-		for k, w := range have {
-			if k[0] == k[1] {
-				continue
-			}
-			if have[[2]VID{k[1], k[0]}] != w {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -55,7 +55,6 @@ func TestAvgWeightCachedMatchesScan(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		g := randomWeighted(seed)
 		check("New", g, true)
-		check("Symmetrize", g.Symmetrize(), true)
 
 		var buf bytes.Buffer
 		if err := WriteDIMACS(&buf, g); err != nil {
