@@ -83,11 +83,9 @@ type (
 	// ExperimentConfig parameterizes the paper-evaluation harness.
 	ExperimentConfig = harness.Config
 	// Observer is the runtime observability handle: per-solve phase-span
-	// tracers plus one process-level metric registry and energy meter (see
-	// NewObserver, RunConfig.Obs).
+	// tracers plus one energy meter and phase totals shared by every solve
+	// under it (see NewObserver, RunConfig.Obs).
 	Observer = obs.Observer
-	// MetricsServer serves an Observer over HTTP (see ServeMetrics).
-	MetricsServer = obs.Server
 	// FlightRecorder captures one fixed-size controller flight record per
 	// solver iteration (see NewFlightRecorder, RunConfig.FlightLog).
 	FlightRecorder = flight.Recorder
@@ -207,19 +205,17 @@ type RunConfig struct {
 	Paths bool
 	// Obs attaches a runtime observer (see NewObserver): the solve's phase
 	// spans, exportable to Perfetto via WriteTrace, and its joules per
-	// phase, added to the observer's process-level totals that
-	// ServeMetrics exposes. Host-side only: simulated time and energy are
-	// bit-identical with or without it, and the zero-allocation steady
-	// state is preserved. Nil (the default) disables all instrumentation.
+	// phase, added to the observer's totals that WriteEnergyReport writes.
+	// Host-side only: simulated time and energy are bit-identical with or
+	// without it, and the zero-allocation steady state is preserved. Nil
+	// (the default) disables all instrumentation.
 	Obs *Observer
 	// FlightLog attaches a controller flight recorder (see
 	// NewFlightRecorder): one fixed-size record per solver iteration for
 	// the SelfTuning and NearFar algorithms, exportable with
 	// WriteFlightLog, re-executable with ReplayFlight, and comparable with
-	// DiffFlightLogs. When Obs is also set, the recorder is served live at
-	// the observer's /flight endpoint once the solve has validated its
-	// configuration and inputs; a rejected Run leaves /flight as it was. Host-side only and allocation-free
-	// in the steady state, like Obs.
+	// DiffFlightLogs. A rejected Run leaves the recorder untouched.
+	// Host-side only and allocation-free in the steady state, like Obs.
 	FlightLog *FlightRecorder
 }
 
@@ -266,18 +262,12 @@ func ParseFreq(s string) (Freq, error) {
 
 // NewObserver constructs a runtime observer whose per-solve span trees hold
 // up to traceEvents spans each (0 selects the default, 64Ki). Attach it via
-// RunConfig.Obs (or sssp.Options.Obs), serve it with ServeMetrics, and
-// export its timeline with WriteTrace. One observer may be shared across
+// RunConfig.Obs (or sssp.Options.Obs), export its timeline with WriteTrace
+// and its joules with WriteEnergyReport. One observer may be shared across
 // many runs — including concurrent ones: each solve gets its own scope, so
 // span trees stay disjoint while phase totals and joules add up in the
 // observer.
 func NewObserver(traceEvents int) *Observer { return obs.New(traceEvents) }
-
-// ServeMetrics starts an HTTP server for o on addr: Prometheus text at
-// /metrics (process-level series only), the Perfetto trace at
-// /trace, and the attached flight log at /flight. Use port 0 to pick a free
-// port (see MetricsServer.Addr); close when done.
-func ServeMetrics(addr string, o *Observer) (*MetricsServer, error) { return obs.Serve(addr, o) }
 
 // NewFlightRecorder constructs a controller flight recorder whose
 // preallocated ring retains the last capacity iterations (0 selects the

@@ -120,12 +120,15 @@ func TestRunErrors(t *testing.T) {
 		t.Fatalf("Workers %d accepted", maxPoolWorkers+1)
 	}
 
-	// A Run that fails its config or input checks leaves the observer's
-	// /flight on the recorder it had.
+	// A Run that fails its config or input checks leaves its flight
+	// recorder untouched: no header, no records.
 	o := NewObserver(0)
 	recA, recB := NewFlightRecorder(0), NewFlightRecorder(0)
 	if _, err := Run(g, 0, RunConfig{Algorithm: NearFar, Obs: o, FlightLog: recA}); err != nil {
 		t.Fatal(err)
+	}
+	if recA.Header().Schema == "" || recA.Len() == 0 {
+		t.Fatalf("accepted Run left its recorder empty: schema %q, %d records", recA.Header().Schema, recA.Len())
 	}
 	for _, bad := range []struct {
 		src VID
@@ -145,8 +148,9 @@ func TestRunErrors(t *testing.T) {
 		if _, err := Run(g, bad.src, bad.cfg); err == nil {
 			t.Fatalf("source %d, %+v accepted", bad.src, bad.cfg)
 		}
-		if got := o.Flight(); got != recA {
-			t.Fatalf("failing Run (source %d, %+v) re-pointed /flight to %p, want recorder A %p", bad.src, bad.cfg, got, recA)
+		if recB.Header().Schema != "" || recB.Len() != 0 {
+			t.Fatalf("failing Run (source %d, %+v) wrote to its recorder: schema %q, %d records",
+				bad.src, bad.cfg, recB.Header().Schema, recB.Len())
 		}
 	}
 }
@@ -277,6 +281,25 @@ func TestRunPowerCapped(t *testing.T) {
 	}
 	if _, _, err := RunPowerCapped(g, 0, PowerCapConfig{CapWatts: 4}, "nope", 1); err == nil {
 		t.Fatal("bad device accepted")
+	}
+	for _, pc := range []PowerCapConfig{
+		{},
+		{CapWatts: -1},
+		{CapWatts: math.NaN()},
+		{CapWatts: math.Inf(1)},
+		{CapWatts: math.Inf(-1)},
+		{CapWatts: 3, InitialP: math.NaN()},
+		{CapWatts: 3, InitialP: math.Inf(1)},
+		{CapWatts: 3, MinP: math.NaN()},
+		{CapWatts: 3, MaxP: math.Inf(1)},
+		{CapWatts: 3, Gamma: math.NaN()},
+		{CapWatts: 3, Gamma: math.Inf(-1)},
+		{CapWatts: 3, MinP: 1e9, MaxP: 10},
+		{CapWatts: 3, MinP: 1 << 23}, // above the default MaxP
+	} {
+		if _, _, err := RunPowerCapped(g, 0, pc, "TK1", 1); err == nil {
+			t.Errorf("%+v accepted", pc)
+		}
 	}
 }
 

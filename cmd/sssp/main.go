@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,12 +40,14 @@ func main() {
 		profile   = flag.String("profile", "", "write the per-iteration profile to this path (.json for JSON, CSV otherwise)")
 		check     = flag.Bool("check", false, "verify distances against the Dijkstra oracle")
 		tune      = flag.Bool("tune", false, "sweep fixed deltas and report the simulated-time-minimizing one on -device (TK1 if unset); the answer does not depend on -workers")
-		obsListen = flag.String("obs-listen", "", "serve observability on this address while the solve runs (e.g. :9090): /metrics, /trace, /flight")
 		traceOut  = flag.String("trace-out", "", "write the solve's phase timeline as Perfetto/Chrome trace JSON to this path")
 		flightOut = flag.String("flight-out", "", "write the controller flight log as JSONL to this path (replay with 'flight replay')")
 		energyOut = flag.String("energy-out", "", "write the per-phase energy attribution and total as JSON to this path (requires -device)")
 	)
 	flag.Parse()
+	if *energyOut != "" && *device == "" {
+		fatal(errors.New("-energy-out requires -device: without a simulated board no joules are charged"))
+	}
 
 	g, err := loadOrGenerate(*graphPath, *dataset, *scale, *seed)
 	if err != nil {
@@ -83,7 +86,7 @@ func main() {
 	}
 
 	var o *energysssp.Observer
-	if *obsListen != "" || *traceOut != "" || *energyOut != "" {
+	if *traceOut != "" || *energyOut != "" {
 		o = energysssp.NewObserver(0)
 		cfg.Obs = o
 	}
@@ -98,20 +101,6 @@ func main() {
 		rec = energysssp.NewFlightRecorder(1 << 16)
 		cfg.FlightLog = rec
 	}
-	var srv *energysssp.MetricsServer
-	if *obsListen != "" {
-		srv, err = energysssp.ServeMetrics(*obsListen, o)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sssp: metrics server:", err)
-			}
-		}()
-		fmt.Printf("observability: http://%s/metrics (Perfetto timeline at /trace, flight log at /flight)\n",
-			srv.Addr())
-	}
 
 	// On SIGINT/SIGTERM, flush whatever partial outputs exist — the flight
 	// log and phase trace are exactly the artifacts needed to diagnose a
@@ -123,11 +112,6 @@ func main() {
 		sig := <-sigc
 		fmt.Fprintf(os.Stderr, "\nsssp: %v: flushing partial outputs\n", sig)
 		flushOutputs(*traceOut, *flightOut, *energyOut, label, o, rec)
-		if srv != nil {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sssp: metrics server:", err)
-			}
-		}
 		code := 130 // SIGINT
 		if sig == syscall.SIGTERM {
 			code = 143

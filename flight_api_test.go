@@ -2,8 +2,6 @@ package energysssp
 
 import (
 	"bytes"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -119,46 +117,5 @@ func TestFlightAPI(t *testing.T) {
 	}
 	if !strings.Contains(dash.String(), "selftuning") {
 		t.Fatalf("dashboard missing algorithm line:\n%s", dash.String())
-	}
-}
-
-// TestFlightServedLive: when both an observer and a flight recorder are
-// attached, the recorder streams at the observer's /flight endpoint.
-func TestFlightServedLive(t *testing.T) {
-	g := CalLike(0.005, 11)
-	o := NewObserver(0)
-	rec := NewFlightRecorder(0)
-	if _, err := Run(g, 0, RunConfig{Algorithm: SelfTuning, SetPoint: 100, Obs: o, FlightLog: rec}); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeMetrics("127.0.0.1:0", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cerr := srv.Close(); cerr != nil {
-			t.Error(cerr)
-		}
-	}()
-	resp, err := http.Get("http://" + srv.Addr() + "/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		t.Error(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/flight status %d", resp.StatusCode)
-	}
-	l, err := ReadFlightLog(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("/flight body not a flight log: %v", err)
-	}
-	if l.Header.Algorithm != "selftuning" || len(l.Records) == 0 {
-		t.Fatalf("served log: algorithm=%q records=%d", l.Header.Algorithm, len(l.Records))
 	}
 }

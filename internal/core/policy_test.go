@@ -15,8 +15,8 @@ import (
 )
 
 // chaosPolicy drives the threshold with adversarial randomness: random
-// walks, collapses to 1, and huge jumps. Solve must stay correct and
-// terminate regardless.
+// walks, collapses to 1, huge jumps, NaN and +Inf. Solve must stay correct
+// and terminate regardless.
 type chaosPolicy struct {
 	rng *rand.Rand
 }
@@ -24,7 +24,7 @@ type chaosPolicy struct {
 func (c *chaosPolicy) Observe(int, int)        {}
 func (c *chaosPolicy) SetApplied(_, _ float64) {}
 func (c *chaosPolicy) NextDelta(q QueueState) float64 {
-	switch c.rng.IntN(5) {
+	switch c.rng.IntN(7) {
 	case 0:
 		return 1 // collapse
 	case 1:
@@ -33,6 +33,10 @@ func (c *chaosPolicy) NextDelta(q QueueState) float64 {
 		return q.Delta / 2 // retreat
 	case 3:
 		return -1e18 // hostile: negative (solver must clamp)
+	case 4:
+		return math.NaN() // hostile: no threshold at all (solver must clamp)
+	case 5:
+		return math.Inf(1) // hostile: unbounded (solver must clamp)
 	default:
 		return q.Delta + float64(c.rng.IntN(100))
 	}

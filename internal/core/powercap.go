@@ -28,7 +28,8 @@ type PowerCapConfig struct {
 	Window int
 	// InitialP seeds the inner parallelism set-point (default 1024).
 	InitialP float64
-	// MinP and MaxP bound the set-point excursion (defaults 32 and 2^22).
+	// MinP and MaxP bound the set-point excursion (defaults 32 and 2^22);
+	// MinP may not exceed MaxP. Every float field must be finite.
 	MinP, MaxP float64
 	// Gamma is the multiplicative-adjustment exponent
 	// (P ← P·(cap/measured)^Gamma, default 1): higher reacts faster but
@@ -97,10 +98,21 @@ func SolveWithPowerCap(g *graph.Graph, src graph.VID, pc PowerCapConfig, opt *ss
 	if opt == nil || opt.Machine == nil {
 		return sssp.Result{}, nil, fmt.Errorf("core: power-cap solve requires a simulated machine")
 	}
-	if pc.CapWatts <= 0 {
-		return sssp.Result{}, nil, fmt.Errorf("core: power cap must be positive, got %g", pc.CapWatts)
+	if !(pc.CapWatts > 0) || math.IsInf(pc.CapWatts, 1) {
+		return sssp.Result{}, nil, fmt.Errorf("core: power cap must be positive and finite, got %g", pc.CapWatts)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"InitialP", pc.InitialP}, {"MinP", pc.MinP}, {"MaxP", pc.MaxP}, {"Gamma", pc.Gamma}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return sssp.Result{}, nil, fmt.Errorf("core: power-cap %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	pc = pc.withDefaults()
+	if pc.MinP > pc.MaxP {
+		return sssp.Result{}, nil, fmt.Errorf("core: power-cap MinP %g exceeds MaxP %g", pc.MinP, pc.MaxP)
+	}
 	avgDeg := float64(g.NumEdges()) / math.Max(1, float64(g.NumVertices()))
 	inner := NewController(pc.InitialP, avgDeg, 1)
 	policy := &powerCapPolicy{

@@ -150,8 +150,8 @@ func (s *controlled) Next(near []graph.VID, x1, x2 int, rec *flight.Record) ([]g
 	}
 	rawThr := s.cfg.Policy.NextDelta(q)
 	newThr := rawThr
-	if newThr < 1 {
-		newThr = 1 // defend against hostile policies
+	if !(newThr >= 1) {
+		newThr = 1 // defend against hostile policies, NaN included
 	}
 	if newThr > float64(graph.Inf) {
 		newThr = float64(graph.Inf)

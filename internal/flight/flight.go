@@ -163,9 +163,9 @@ type Log struct {
 }
 
 // Recorder captures one Record per solver iteration into a preallocated
-// ring. All methods are safe for concurrent use (the obs server streams the
-// log while the solver appends); a nil *Recorder is a no-op, so solver code
-// records unconditionally and the off path is the on path.
+// ring. All methods are safe for concurrent use (cmd/sssp's signal handler
+// snapshots the log while the solver appends); a nil *Recorder is a no-op,
+// so solver code records unconditionally and the off path is the on path.
 type Recorder struct {
 	mu      sync.Mutex
 	hdr     Header

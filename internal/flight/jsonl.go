@@ -13,8 +13,8 @@ import (
 // decimal form, so a log read back with ReadJSONL carries bit-identical
 // float64 values — the property the replay gate depends on.
 //
-// Serialization allocates freely; it runs on demand (CLI export, the obs
-// server's /flight endpoint), never on the solve path.
+// Serialization allocates freely; it runs on demand (CLI export, tests),
+// never on the solve path.
 func WriteJSONL(w io.Writer, l *Log) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -27,13 +27,6 @@ func WriteJSONL(w io.Writer, l *Log) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteJSONL streams the recorder's current log; it satisfies the obs
-// server's flight-source interface so a live solve can be inspected over
-// HTTP (/flight) without pausing it.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, r.Log())
 }
 
 // maxLineBytes bounds one JSONL line; a record line is a few hundred bytes,

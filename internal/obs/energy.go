@@ -91,17 +91,3 @@ func (m *EnergyMeter) TotalJoules() float64 {
 	}
 	return sum + comp
 }
-
-// registerEnergyMetrics exposes a meter's per-phase and total joules on a
-// registry as scrape-time gauges.
-func registerEnergyMetrics(r *Registry, m *EnergyMeter) {
-	for p := Phase(0); p < numPhases; p++ {
-		ph := p // capture per iteration
-		r.GaugeFunc(`obs_energy_joules_total{phase="`+p.String()+`"}`,
-			"simulated joules attributed per solver phase",
-			func() float64 { return m.PhaseJoules(ph) })
-	}
-	r.GaugeFunc("obs_energy_joules_sum",
-		"simulated joules attributed across all phases",
-		func() float64 { return m.TotalJoules() })
-}

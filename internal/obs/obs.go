@@ -1,10 +1,10 @@
 // Package obs is a stdlib-only runtime observability plane for the solver:
 // a hierarchical span tracer (solve → iteration → phase or mark) backed by
-// pooled fixed-size span slabs, one span tracer per solve (a Scope) under a
-// process-level Observer that owns the atomic metric registry with its
-// Prometheus text exporter and the energy-attribution meter folding the
-// simulated machine's charges into per-phase joule counters, an HTTP
-// server, and a Perfetto/Chrome trace-event JSON exporter.
+// pooled fixed-size span slabs, one span tracer per solve (a Scope) under an
+// Observer that owns the energy-attribution meter folding the simulated
+// machine's charges into per-phase joule counters, and a Perfetto/Chrome
+// trace-event JSON exporter. Each artifact is written on demand to an
+// io.Writer once the solve is done; nothing is served live.
 //
 // Two invariants shape every API here:
 //
@@ -12,17 +12,15 @@
 //     energy but never charges them; enabling observability must leave
 //     simulated time and energy bit-identical (the same invariant the
 //     advance keeps between its sequential and parallel paths).
-//   - Zero allocations in steady state. Every span, energy charge, gauge
-//     set and histogram observation after setup is atomic arithmetic plus
-//     writes into preallocated (or pool-recycled slab) storage, so the
-//     advance's "0 allocs/op" guarantee survives with observability
-//     enabled (gated by TestObsSteadyStateAllocs and
-//     TestSpanSteadyStateAllocs).
+//   - Zero allocations in steady state. Every span and energy charge after
+//     setup is atomic arithmetic plus writes into preallocated (or
+//     pool-recycled slab) storage, so the advance's "0 allocs/op"
+//     guarantee survives with observability enabled (gated by
+//     TestObsSteadyStateAllocs and TestSpanSteadyStateAllocs).
 //
-// Everything is nil-safe: a nil *Tracer, *Scope, *Registry, *Gauge,
-// *Histogram, or *EnergyMeter is a no-op, so instrumented call
-// sites need no "if enabled" branches and the off path stays identical to
-// the on path.
+// Everything is nil-safe: a nil *Tracer, *Scope, *Observer or *EnergyMeter
+// is a no-op, so instrumented call sites need no "if enabled" branches and
+// the off path stays identical to the on path.
 package obs
 
 import (

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -236,8 +235,6 @@ func TestTracerConcurrent(t *testing.T) {
 // TestSpanSteadyStateAllocs builds on.
 func TestTracerSteadyStateAllocs(t *testing.T) {
 	tr := NewTracer(1 << 14)
-	g := &Gauge{}
-	hist := NewRegistry().Histogram("x", "", []float64{1, 10, 100})
 	// Warm the slab list past the first crossing so Get from a cold pool
 	// doesn't count against the measurement.
 	for i := 0; i < spanSlabSize+1; i++ {
@@ -252,14 +249,9 @@ func TestTracerSteadyStateAllocs(t *testing.T) {
 		tr.Mark(PhaseRebalance, 4, 1, 2)
 		iter.End(17)
 		solve.End(1)
-		g.Set(1.5)
-		hist.Observe(42)
 		tr.Reset()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state span+metric path allocates %v allocs/op, want 0", allocs)
-	}
-	if math.Abs(hist.Sum()-42*101) > 1e-9 {
-		t.Fatalf("histogram sum = %v", hist.Sum())
+		t.Fatalf("steady-state span path allocates %v allocs/op, want 0", allocs)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -21,9 +20,6 @@ func TestNilObserverAndScope(t *testing.T) {
 	sc.Close()
 	if tot := o.PhaseTotals(PhaseAdvance); tot != (PhaseTotals{}) {
 		t.Fatal("nil observer PhaseTotals must be zero")
-	}
-	if err := o.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatal(err)
 	}
 	if o.Energy() != nil || o.PoolStats() != nil {
 		t.Fatal("nil observer must return nil handles")

@@ -1,13 +1,10 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Scope is one solve's span tracer under an Observer. Concurrent solves
-// hold disjoint scopes, so their span trees never interleave; metrics,
-// joules and pool stats are process-level and live on the Observer. A nil
+// hold disjoint scopes, so their span trees never interleave; phase totals,
+// joules and pool stats are shared and live on the Observer. A nil
 // *Scope is a no-op and all its accessors return nil no-op handles.
 type Scope struct {
 	name   string
@@ -15,7 +12,6 @@ type Scope struct {
 	tracer *Tracer
 
 	closed atomic.Bool
-	opened time.Time // host clock at NewScope, for the solve-latency histogram
 }
 
 // Name returns the scope's process name in trace exports.
@@ -44,7 +40,7 @@ func (s *Scope) Observer() *Observer {
 }
 
 // Close retires the scope: it leaves the observer's active set and its span
-// tree moves to the retired ring where /trace can still render it until
+// tree moves to the retired ring where WriteTrace can still render it until
 // eviction recycles the slabs. Close is idempotent and nil-safe.
 func (s *Scope) Close() {
 	if s == nil || !s.closed.CompareAndSwap(false, true) {

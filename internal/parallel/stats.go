@@ -22,9 +22,9 @@ type workerStats struct {
 // PoolStats counts worker-pool launches, the host wall time spent inside
 // them, and — once EnableWorkers is called — per-worker busy time, the
 // awake-vs-sleep signal the ROADMAP's shard-sleep model needs. An Observer
-// owns one and publishes it as gauges (internal/obs); fields are padded so
-// hot atomics sit on separate cache lines. A nil *PoolStats is a no-op,
-// which is the pool's default.
+// (internal/obs) owns one and attaches it to the pools its solves run on;
+// fields are padded so hot atomics sit on separate cache lines. A nil
+// *PoolStats is a no-op, which is the pool's default.
 type PoolStats struct {
 	launches atomic.Int64
 	_        [7]int64
@@ -45,7 +45,7 @@ func (s *PoolStats) Record(d time.Duration) {
 // EnableWorkers sizes the per-worker busy table for at least n workers.
 // Growing swaps in a copy; a sample recorded concurrently with the (rare,
 // setup-time) growth can be lost, which is acceptable for a telemetry
-// gauge and keeps RecordWorker lock-free.
+// counter and keeps RecordWorker lock-free.
 func (s *PoolStats) EnableWorkers(n int) {
 	if s == nil || n <= 0 {
 		return

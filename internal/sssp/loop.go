@@ -68,7 +68,6 @@ func Drive(g *graph.Graph, src graph.VID, alg string, s Schedule, opt *Options) 
 	if opt.Flight != nil {
 		hdr.Vertices, hdr.Edges, hdr.Source = int64(g.NumVertices()), g.NumEdges(), int64(src)
 		opt.Flight.SetHeader(hdr)
-		opt.Obs.SetFlight(opt.Flight) // nil-safe; a rejected solve never gets here
 	}
 	var fr flight.Record
 

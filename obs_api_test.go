@@ -3,13 +3,11 @@ package energysssp
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 	"testing"
+
+	"energysssp/internal/obs"
 )
 
 // obsRun executes one self-tuning solve on the simulated TK1 with the given
@@ -52,13 +50,11 @@ func TestObsBitIdenticalSim(t *testing.T) {
 	}
 }
 
-// TestObsMetricsMatchProfile scrapes a live /metrics endpoint after a solve
-// and checks that it is process-level: one advance span per profiled
-// iteration and one retired solve, no per-solve label, and none of the
-// families that copied the flight record (controller health) or the
-// Result (solver counters). The controller's tracking error has one
-// source, the per-iteration record, so the profile and the flight log
-// must reduce it to the same value.
+// TestObsMetricsMatchProfile checks that the observer's phase totals and
+// the run's per-iteration records agree: one advance span per profiled
+// iteration and one retired solve. The controller's tracking error has one
+// source, the per-iteration record, so the profile and the flight log must
+// reduce it to the same value.
 func TestObsMetricsMatchProfile(t *testing.T) {
 	const setPoint = 200.0
 	o := NewObserver(0)
@@ -79,51 +75,11 @@ func TestObsMetricsMatchProfile(t *testing.T) {
 		t.Errorf("profile tracking error %v, flight log %v", mean, DiffFlightLogs(l, l).TrackErrA)
 	}
 
-	srv, err := ServeMetrics("127.0.0.1:0", o)
-	if err != nil {
-		t.Fatal(err)
+	if got := o.PhaseTotals(obs.PhaseAdvance).Count; got != int64(out.Profile.Len()) {
+		t.Errorf("advance spans = %d, want one per profiled iteration (%d)", got, out.Profile.Len())
 	}
-	defer srv.Close()
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scraped := map[string]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("unparseable metric line %q: %v", line, err)
-		}
-		scraped[line[:i]] = v
-	}
-
-	for series := range scraped {
-		for _, gone := range []string{`solve="`, "sssp_controller_", "sssp_advances_total", "sssp_x2_updates", "sssp_scratch_"} {
-			if strings.Contains(series, gone) {
-				t.Errorf("/metrics carries %s", series)
-			}
-		}
-	}
-	if got := scraped[`obs_phase_spans_total{phase="advance"}`]; got != float64(out.Profile.Len()) {
-		t.Errorf("advance spans = %v, want one per profiled iteration (%d)", got, out.Profile.Len())
-	}
-	if got := scraped["sssp_solve_seconds_count"]; got != 1 {
-		t.Errorf("sssp_solve_seconds_count = %v, want 1 (one retired solve)", got)
+	if got := len(o.TraceSnapshot()); got != 1 {
+		t.Errorf("%d scopes, want 1 (one retired solve)", got)
 	}
 }
 

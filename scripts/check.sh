@@ -119,6 +119,11 @@ if "$expbin/experiments" -fig nope >/dev/null 2>&1; then
   echo "experiments -fig nope exited 0" >&2; exit 1
 fi
 
+echo "==> cmd/sssp: -energy-out without -device fails before solving"
+if "$flightbin/sssp" -scale 0.001 -energy-out "$expbin/energy.json" >/dev/null 2>&1; then
+  echo "sssp -energy-out without -device exited 0" >&2; exit 1
+fi
+
 echo "==> fuzz the flight-log reader and everything that consumes its output"
 # Flight logs are untrusted input to replay, the dashboard, the detector and
 # run-diff; none of them may panic on any byte sequence the reader accepts.
